@@ -379,42 +379,29 @@ impl Digraph {
         }
     }
 
+    /// The in-neighborhood masks of all agents, indexed by agent: the
+    /// table [`Digraph::from_in_masks`] builds a graph from.
+    #[inline]
+    #[must_use]
+    pub fn in_masks(&self) -> &[AgentSet] {
+        &self.in_masks
+    }
+
     /// The set of agents reachable from `i` by a directed path (including
     /// `i`), as a bitmask.
     #[must_use]
     pub fn reachable_from(&self, i: Agent) -> AgentSet {
         assert!(i < self.n, "agent {i} out of range");
-        // Iterate out-neighborhood expansion to a fixpoint. Out-masks are
-        // recomputed once into a scratch table for word-parallel expansion.
-        let outs: Vec<AgentSet> = (0..self.n).map(|k| self.out_mask(k)).collect();
-        let mut reach = 1u64 << i;
-        loop {
-            let mut next = reach;
-            for k in BitIter(reach) {
-                next |= outs[k];
-            }
-            if next == reach {
-                return reach;
-            }
-            reach = next;
-        }
+        closure(&out_table(&self.in_masks), 1u64 << i)
     }
 
     /// The root set `R(G)`: agents that have a directed path to **all**
     /// agents (paper §7). A graph is *rooted* iff `R(G) ≠ ∅`.
     #[must_use]
     pub fn roots(&self) -> AgentSet {
-        let all = full_mask(self.n);
-        // An agent r is a root iff everything is backward-reachable from
-        // every node... simplest: forward reachability from each agent.
-        // n ≤ 64 keeps this cheap; memoize nothing.
-        let mut roots = 0u64;
-        for i in 0..self.n {
-            if self.reachable_from(i) == all {
-                roots |= 1u64 << i;
-            }
-        }
-        roots
+        // Every root reaches every agent, so the roots are exactly the
+        // agents that reach one root.
+        find_root(&self.in_masks).map_or(0, |r| closure(&self.in_masks, 1u64 << r))
     }
 
     /// Whether the graph contains a rooted spanning tree, i.e. `R(G) ≠ ∅`.
@@ -423,9 +410,7 @@ impl Digraph {
     /// consensus is solvable in a network model iff every graph is rooted.
     #[must_use]
     pub fn is_rooted(&self) -> bool {
-        // Cheaper than computing all roots: check the condensation has a
-        // unique source component. For n ≤ 64 the direct check is fine.
-        self.roots() != 0
+        find_root(&self.in_masks).is_some()
     }
 
     /// Whether the graph is *non-split*: any two agents have a common
@@ -558,6 +543,79 @@ impl Iterator for BitIter {
 /// Iterates over the agents in a bitmask set, ascending.
 pub fn agents_in(set: AgentSet) -> impl Iterator<Item = Agent> {
     BitIter(set)
+}
+
+/// Whether the graph with in-neighborhood table `in_masks` (one mask per
+/// agent, as [`Digraph::in_masks`] returns it) is rooted: the
+/// [`Digraph::is_rooted`] check for callers that edit mask tables in
+/// place and build a [`Digraph`] only for the tables they keep.
+///
+/// # Panics
+///
+/// Panics if `in_masks.len() ∉ 1..=64` or a mask has a bit at or above
+/// `in_masks.len()` (an agent that does not exist).
+#[must_use]
+pub fn in_masks_are_rooted(in_masks: &[AgentSet]) -> bool {
+    assert!(
+        (1..=MAX_AGENTS).contains(&in_masks.len()),
+        "graph size must be in 1..=64"
+    );
+    let all = full_mask(in_masks.len());
+    assert!(
+        in_masks.iter().all(|&m| m & !all == 0),
+        "in-mask names an agent out of range"
+    );
+    find_root(in_masks).is_some()
+}
+
+/// Everything reachable from `start` (included) along `step`, where
+/// `step[k]` is the set one edge away from agent `k`: the in-masks walk
+/// edges backwards, an [`out_table`] walks them forwards. Each agent is
+/// expanded once.
+fn closure(step: &[AgentSet], start: AgentSet) -> AgentSet {
+    let mut reach = start;
+    let mut wave = start;
+    while wave != 0 {
+        let mut next = 0;
+        for k in BitIter(wave) {
+            next |= step[k];
+        }
+        wave = next & !reach;
+        reach |= next;
+    }
+    reach
+}
+
+/// The out-mask table of the graph with in-masks `in_masks`, built on the
+/// stack so reachability queries never allocate.
+fn out_table(in_masks: &[AgentSet]) -> [AgentSet; MAX_AGENTS] {
+    let mut outs = [0; MAX_AGENTS];
+    for (to, &m) in in_masks.iter().enumerate() {
+        for from in BitIter(m) {
+            outs[from] |= 1u64 << to;
+        }
+    }
+    outs
+}
+
+/// Some root of the graph with in-masks `in_masks`, or `None` if it is
+/// not rooted. A root reaches agent 0, so only agents in the backward
+/// closure of agent 0 are candidates; a candidate that does not reach
+/// everyone also rules out every agent it reaches, since none of those
+/// reaches more than it does.
+fn find_root(in_masks: &[AgentSet]) -> Option<Agent> {
+    let all = full_mask(in_masks.len());
+    let outs = out_table(in_masks);
+    let mut candidates = closure(in_masks, 1);
+    while candidates != 0 {
+        let c = candidates.trailing_zeros() as usize;
+        let reach = closure(&outs, 1u64 << c);
+        if reach == all {
+            return Some(c);
+        }
+        candidates &= !reach;
+    }
+    None
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ pub mod render;
 pub mod scc;
 
 pub use csr::CsrDigraph;
-pub use graph::{agents_in, AgentSet, Digraph, DigraphError, Edges};
+pub use graph::{agents_in, in_masks_are_rooted, AgentSet, Digraph, DigraphError, Edges};
 pub use senders::{RoundTopology, SenderIter, SenderSet, WordSet};
 
 /// An agent identifier, `0 ≤ agent < n`.

@@ -102,8 +102,8 @@ pub fn condensation(g: &Digraph) -> (Vec<AgentSet>, Vec<u64>) {
 /// The root set computed via the condensation: the unique source
 /// component if there is exactly one, else `∅`.
 ///
-/// Agrees with [`Digraph::roots`] (tested); this variant is
-/// `O(V + E)` instead of `O(V·E)`.
+/// Agrees with [`Digraph::roots`], which the property tests check
+/// against this independent derivation.
 #[must_use]
 pub fn roots_via_condensation(g: &Digraph) -> AgentSet {
     let (comps, out_edges) = condensation(g);

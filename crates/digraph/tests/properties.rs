@@ -5,13 +5,63 @@
 //! the structural fact behind the amortized midpoint algorithm and the
 //! paper's Theorem 3 tightness discussion.
 
-use consensus_digraph::{families, Digraph};
+use consensus_digraph::{families, scc, Digraph};
 use proptest::prelude::*;
 
-/// Strategy: an arbitrary digraph with self-loops on `n` agents.
+/// Strategy: an arbitrary digraph with self-loops on `n ≤ 64` agents
+/// (`from_in_masks` clears the bits of agents `≥ n`).
 fn arb_digraph(n: usize) -> impl Strategy<Value = Digraph> {
-    prop::collection::vec(0u64..(1u64 << n), n)
+    prop::collection::vec(any::<u64>(), n)
         .prop_map(move |masks| Digraph::from_in_masks(&masks).expect("n validated"))
+}
+
+/// A sparse graph on `n` agents: a random spanning tree, rooted at a
+/// random agent, with one random edge added — or, on an odd `edit.0`
+/// and `n ≥ 2`, one tree edge removed, which leaves it unrooted.
+fn near_tree(n: usize, keys: &[u64], parents: &[u64], edit: (u64, u64, u64)) -> Digraph {
+    // Sorting by random keys relabels the agents, so the tree's root is
+    // not always agent 0.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| keys[i]);
+    let parent = |k: usize| order[(parents[k] % k as u64) as usize];
+    let mut g = Digraph::empty(n);
+    for (k, &child) in order.iter().enumerate().skip(1) {
+        g.add_edge(parent(k), child);
+    }
+    let (op, a, b) = edit;
+    if n >= 2 && op % 2 == 1 {
+        let k = 1 + (a % (n as u64 - 1)) as usize;
+        g.remove_edge(parent(k), order[k]);
+    } else {
+        g.add_edge((a % n as u64) as usize, (b % n as u64) as usize);
+    }
+    g
+}
+
+/// `roots`, `is_rooted`, `is_strongly_connected` and the mask-table
+/// rootedness check agree with the condensation reference, and the
+/// first root reaches everyone while the first non-root does not.
+fn roots_match_condensation(g: &Digraph) -> Result<(), String> {
+    let n = g.n();
+    let all = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+    let roots = scc::roots_via_condensation(g);
+    prop_assert_eq!(g.roots(), roots, "roots of {}", g);
+    prop_assert_eq!(g.is_rooted(), roots != 0, "is_rooted of {}", g);
+    prop_assert_eq!(
+        consensus_digraph::in_masks_are_rooted(g.in_masks()),
+        roots != 0,
+        "in_masks_are_rooted of {}",
+        g
+    );
+    prop_assert_eq!(g.is_strongly_connected(), roots == all, "{}", g);
+    if roots != 0 {
+        prop_assert_eq!(g.reachable_from(roots.trailing_zeros() as usize), all);
+    }
+    if roots != all {
+        let i = (!roots & all).trailing_zeros() as usize;
+        prop_assert!(g.reachable_from(i) != all, "non-root {} of {}", i, g);
+    }
+    Ok(())
 }
 
 /// Strategy: an arbitrary **rooted** digraph on `n` agents, built by
@@ -96,13 +146,22 @@ proptest! {
         }
     }
 
-    /// `roots` and `is_rooted` agree, and roots can reach everything.
+    /// The root predicates agree with the condensation reference at every
+    /// size `1..=64` (at 64 the full agent set is `u64::MAX`), on dense
+    /// random graphs and on sparse near-trees: dense graphs at large `n`
+    /// are almost all strongly connected, while the near-trees come out
+    /// rooted and unrooted about equally often.
     #[test]
-    fn roots_are_sound(g in arb_digraph(5)) {
-        let roots = g.roots();
-        prop_assert_eq!(roots != 0, g.is_rooted());
-        for i in consensus_digraph::agents_in(roots) {
-            prop_assert_eq!(g.reachable_from(i), (1u64 << 5) - 1);
+    fn roots_are_sound(
+        masks in prop::collection::vec(any::<u64>(), 64),
+        keys in prop::collection::vec(any::<u64>(), 64),
+        parents in prop::collection::vec(any::<u64>(), 64),
+        edit in (any::<u64>(), any::<u64>(), any::<u64>()),
+    ) {
+        for n in 1..=64 {
+            let dense = Digraph::from_in_masks(&masks[..n]).expect("1 ≤ n ≤ 64");
+            roots_match_condensation(&dense)?;
+            roots_match_condensation(&near_tree(n, &keys, &parents, edit))?;
         }
     }
 

@@ -124,7 +124,7 @@ where
             (0..self.candidates.len()).map(score).collect()
         };
         let (best, d) = det_argmax(diameters).expect("at least one candidate");
-        debug_assert!(
+        assert!(
             !d.is_nan(),
             "candidate {best} produced a NaN value diameter"
         );
@@ -133,7 +133,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use consensus_algorithms::{MeanValue, Midpoint, Point};
     use consensus_dynamics::Scenario;
@@ -229,7 +229,7 @@ mod tests {
     /// skipped (NaN fails every `>`, so the corrupted fork could never
     /// win and the corruption went unnoticed).
     #[derive(Clone, Debug)]
-    struct Poisoned;
+    pub(crate) struct Poisoned;
 
     impl Algorithm<1> for Poisoned {
         type State = Point<1>;

@@ -28,7 +28,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use consensus_algorithms::Algorithm;
-use consensus_digraph::{enumerate, families, Digraph};
+use consensus_digraph::{enumerate, families, in_masks_are_rooted, AgentSet, Digraph, MAX_AGENTS};
 use consensus_dynamics::scenario::Driver;
 use consensus_dynamics::Execution;
 
@@ -83,20 +83,20 @@ where
     }
 }
 
-/// The committed argmax over scored graphs under the canonical
-/// comparator; `None` on an empty list.
-fn commit_best(scored: &[(Digraph, f64)]) -> Option<(Digraph, f64)> {
-    let mut best: Option<&(Digraph, f64)> = None;
-    for cand in scored {
-        let better = match best {
-            None => true,
-            Some(b) => ranks_better(cand.1, &cand.0, b.1, &b.0),
-        };
-        if better {
-            best = Some(cand);
-        }
+/// The graphs one round of [`BeamSearch`] has generated so far, keyed by
+/// in-mask table so that a duplicate is dropped before any [`Digraph`]
+/// is built for it.
+type Visited = BTreeSet<Vec<AgentSet>>;
+
+/// Appends the graph with in-masks `masks` to `fresh` and marks it
+/// visited, unless the round has generated it before or `check_rooted`
+/// is set and it is not rooted.
+fn admit(masks: &[AgentSet], check_rooted: bool, visited: &mut Visited, fresh: &mut Vec<Digraph>) {
+    if visited.contains(masks) || (check_rooted && !in_masks_are_rooted(masks)) {
+        return;
     }
-    best.cloned()
+    visited.insert(masks.to_vec());
+    fresh.push(Digraph::from_in_masks(masks).expect("beam graphs have 2 ≤ n ≤ 64 agents"));
 }
 
 /// A value-aware adaptive adversary over the rooted-graph class, driven
@@ -107,11 +107,13 @@ fn commit_best(scored: &[(Digraph, f64)]) -> Option<(Digraph, f64)> {
 ///
 /// 1. seeds the frontier with the deaf family `deaf(K_n)`, the clique
 ///    `K_n`, and the graph committed in the previous round;
-/// 2. runs `depth` expansion waves: every frontier graph spawns all of
-///    its rooted single-edge toggles plus `mutations` splitmix64-seeded
-///    multi-edge mutants, fresh candidates are scored (pool-parallel
-///    with [`BeamSearch::threads`] > 1), and the `width` best scored
-///    graphs survive as the next frontier;
+/// 2. runs `depth` expansion waves: every frontier graph spawns
+///    `mutations` splitmix64-seeded multi-edge mutants on every wave,
+///    plus all of its rooted single-edge toggles on the first wave it
+///    is expanded in (later waves would only regenerate them), fresh
+///    candidates are scored (pool-parallel with
+///    [`BeamSearch::threads`] > 1), and the `width` best scored graphs
+///    survive as the next frontier;
 /// 3. commits the best graph seen overall (canonical comparator:
 ///    score descending, then smaller graph).
 ///
@@ -220,34 +222,43 @@ impl BeamSearch {
         self.n
     }
 
-    /// All rooted single-edge toggles of `g`, in deterministic
-    /// `(from, to)` order.
-    fn toggle_neighbours(g: &Digraph, out: &mut Vec<Digraph>) {
+    /// Admits every rooted single-edge toggle of the rooted graph `g`, in
+    /// deterministic `(from, to)` order, editing one stack copy of its
+    /// masks. Only removals are checked for rootedness: every supergraph
+    /// of a rooted graph is rooted.
+    fn toggle_neighbours(g: &Digraph, visited: &mut Visited, fresh: &mut Vec<Digraph>) {
         let n = g.n();
+        let mut buf = [0; MAX_AGENTS];
+        let masks = &mut buf[..n];
+        masks.copy_from_slice(g.in_masks());
         for from in 0..n {
+            let bit = 1u64 << from;
             for to in 0..n {
                 if from == to {
                     continue;
                 }
-                let mut h = g.clone();
-                if h.has_edge(from, to) {
-                    h.remove_edge(from, to);
-                } else {
-                    h.add_edge(from, to);
-                }
-                if h.is_rooted() {
-                    out.push(h);
-                }
+                masks[to] ^= bit;
+                let removed = masks[to] & bit == 0;
+                admit(masks, removed, visited, fresh);
+                masks[to] ^= bit;
             }
         }
     }
 
-    /// `count` random multi-edge mutants of `g` drawn from the
-    /// splitmix64 stream; only rooted mutants are emitted.
-    fn mutate(g: &Digraph, count: usize, rng: &mut u64, out: &mut Vec<Digraph>) {
+    /// Admits the rooted ones among `count` random multi-edge mutants of
+    /// `g` drawn from the splitmix64 stream.
+    fn mutate(
+        g: &Digraph,
+        count: usize,
+        rng: &mut u64,
+        visited: &mut Visited,
+        fresh: &mut Vec<Digraph>,
+    ) {
         let n = g.n();
         for _ in 0..count {
-            let mut h = g.clone();
+            let mut buf = [0; MAX_AGENTS];
+            let masks = &mut buf[..n];
+            masks.copy_from_slice(g.in_masks());
             // 2–3 toggles per mutant: enough to escape the single-toggle
             // neighbourhood without losing locality.
             let toggles = 2 + (splitmix64(rng) % 2) as usize;
@@ -257,22 +268,15 @@ impl BeamSearch {
                 if from == to {
                     to = (to + 1) % n;
                 }
-                if h.has_edge(from, to) {
-                    h.remove_edge(from, to);
-                } else {
-                    h.add_edge(from, to);
-                }
+                masks[to] ^= 1u64 << from;
             }
-            if h.is_rooted() {
-                out.push(h);
-            }
+            admit(masks, true, visited, fresh);
         }
     }
 
-    /// One full beam search against the configuration in `exec`;
-    /// returns the committed graph and its one-step score.
-    /// One full beam search; the third component is the number of
-    /// candidate graphs scored (for telemetry).
+    /// One full beam search against the configuration in `exec`: the
+    /// committed graph, its one-step score, and the number of candidate
+    /// graphs scored (for telemetry).
     fn search<A, const D: usize>(&self, exec: &Execution<A, D>) -> (Digraph, f64, u64)
     where
         A: Algorithm<D> + Clone + Sync,
@@ -281,47 +285,57 @@ impl BeamSearch {
     {
         // Deterministic seed frontier: the Theorem-2 deaf family, the
         // clique, and the previous round's committed graph (warm start).
-        let mut seeds: Vec<Digraph> = families::deaf_family(&Digraph::complete(self.n));
-        seeds.push(Digraph::complete(self.n));
+        let mut fresh: Vec<Digraph> = families::deaf_family(&Digraph::complete(self.n));
+        fresh.push(Digraph::complete(self.n));
         if let Some(g) = &self.committed {
-            seeds.push(g.clone());
+            fresh.push(g.clone());
         }
-        let mut visited: BTreeSet<Digraph> = BTreeSet::new();
-        seeds.retain(|g| visited.insert(g.clone()));
-
-        let scores = score_candidates(&seeds, exec, self.fork_threads);
-        let mut scored_count = seeds.len() as u64;
-        let mut frontier: Vec<(Digraph, f64)> = seeds.into_iter().zip(scores).collect();
-        let mut best = commit_best(&frontier).expect("seed frontier is non-empty");
+        let mut visited = Visited::new();
+        fresh.retain(|g| visited.insert(g.in_masks().to_vec()));
 
         // The mutation stream depends only on (seed, round): replays and
         // thread counts cannot perturb it.
         let mut rng = self.seed ^ self.round.wrapping_mul(0xA076_1D64_78BD_642F);
 
-        for _ in 0..self.depth {
-            frontier.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            frontier.truncate(self.width);
-
-            let mut fresh: Vec<Digraph> = Vec::new();
-            for (g, _) in &frontier {
-                Self::toggle_neighbours(g, &mut fresh);
-                Self::mutate(g, self.mutations, &mut rng, &mut fresh);
-            }
-            fresh.retain(|g| visited.insert(g.clone()));
-            if fresh.is_empty() {
-                break;
+        // Each entry: graph, score, and whether its toggles are generated.
+        let mut frontier: Vec<(Digraph, f64, bool)> = Vec::new();
+        let mut best: Option<(Digraph, f64)> = None;
+        let mut scored_count = 0;
+        for wave in 0..=self.depth {
+            if wave > 0 {
+                frontier.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+                frontier.truncate(self.width);
+                for (g, _, expanded) in &mut frontier {
+                    // A graph's toggles all enter `visited` the first time
+                    // it is expanded; a later wave would only regenerate
+                    // duplicates.
+                    if !*expanded {
+                        Self::toggle_neighbours(g, &mut visited, &mut fresh);
+                        *expanded = true;
+                    }
+                    // Mutants are drawn on every wave: skipping them would
+                    // shift the splitmix64 stream, and with it the search.
+                    Self::mutate(g, self.mutations, &mut rng, &mut visited, &mut fresh);
+                }
+                if fresh.is_empty() {
+                    break;
+                }
             }
 
             let scores = score_candidates(&fresh, exec, self.fork_threads);
             scored_count += fresh.len() as u64;
-            for (g, s) in fresh.into_iter().zip(scores) {
-                if ranks_better(s, &g, best.1, &best.0) {
-                    best = (g.clone(), s);
+            for (g, s) in fresh.drain(..).zip(scores) {
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, bs)| ranks_better(s, &g, *bs, b))
+                {
+                    best = Some((g.clone(), s));
                 }
-                frontier.push((g, s));
+                frontier.push((g, s, false));
             }
         }
-        (best.0, best.1, scored_count)
+        let (g, s) = best.expect("seed frontier is non-empty");
+        (g, s, scored_count)
     }
 }
 
@@ -339,7 +353,7 @@ where
             r.span_begin("beam_generation", self.round);
         }
         let (g, d, scored) = self.search(exec);
-        debug_assert!(!d.is_nan(), "beam candidate produced a NaN value diameter");
+        assert!(!d.is_nan(), "beam candidate produced a NaN value diameter");
         if let Some(mut r) = rec {
             r.counter("beam_candidates", self.round, scored);
             r.gauge("beam_best", self.round, d);
@@ -424,7 +438,7 @@ where
             }
         }
         let (i, d) = best.expect("rooted class is non-empty");
-        debug_assert!(!d.is_nan(), "candidate {i} produced a NaN value diameter");
+        assert!(!d.is_nan(), "candidate {i} produced a NaN value diameter");
         out.push(self.candidates[i].clone());
     }
 }
@@ -432,6 +446,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::tests::Poisoned;
     use consensus_algorithms::{MeanValue, Midpoint, Point};
     use consensus_dynamics::Scenario;
 
@@ -552,5 +567,21 @@ mod tests {
     #[should_panic(expected = "2 ≤ n ≤ 64")]
     fn beam_rejects_degenerate_n() {
         let _ = BeamSearch::new(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN value diameter")]
+    fn beam_surfaces_a_poisoned_candidate() {
+        let mut adv = BeamSearch::new(3, 5);
+        let exec = Execution::new(Poisoned, &spread(3));
+        Driver::next_block(&mut adv, &exec, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN value diameter")]
+    fn exhaustive_surfaces_a_poisoned_candidate() {
+        let mut adv = ExhaustiveRooted::new(3);
+        let exec = Execution::new(Poisoned, &spread(3));
+        Driver::next_block(&mut adv, &exec, &mut Vec::new());
     }
 }

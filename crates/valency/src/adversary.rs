@@ -273,7 +273,7 @@ where
         }
         let scores = self.score_candidates(exec);
         let (ci, d) = det_argmax(scores.iter().map(|&(d, _)| d)).expect("at least one candidate");
-        debug_assert!(
+        assert!(
             !d.is_nan(),
             "candidate {ci} produced a NaN valency diameter"
         );
