@@ -171,8 +171,21 @@ impl<const D: usize> IndexMut<usize> for Point<D> {
 /// The fold uses [`crate::float::det_max`], so a NaN coordinate in the
 /// data yields a NaN diameter instead of being silently dropped — the
 /// adaptive adversaries' argmaxes rely on corrupted forks surfacing.
+///
+/// For `D = 1` with only finite values the result is computed in O(n) as
+/// `dist(max, min)`, which equals the pairwise maximum bit for bit:
+/// correctly rounded subtraction is monotone in each operand, so no pair
+/// rounds to a larger difference than `max − min`, and squaring a
+/// non-negative value and `sqrt` are monotone too. Any non-finite value
+/// (`±∞ − ±∞` is NaN) falls back to the pairwise loop, so NaN
+/// propagation is unchanged.
 #[must_use]
 pub fn diameter<const D: usize>(points: &[Point<D>]) -> f64 {
+    if D == 1 {
+        if let Some((hi, lo)) = finite_extremes(points) {
+            return points[hi].dist(&points[lo]);
+        }
+    }
     let mut best: f64 = 0.0;
     for (i, a) in points.iter().enumerate() {
         for b in &points[i + 1..] {
@@ -180,6 +193,24 @@ pub fn diameter<const D: usize>(points: &[Point<D>]) -> f64 {
         }
     }
     best
+}
+
+/// The indices of a largest and a smallest first coordinate, or `None`
+/// if `points` is empty or holds a non-finite first coordinate.
+fn finite_extremes<const D: usize>(points: &[Point<D>]) -> Option<(usize, usize)> {
+    let (mut hi, mut lo) = (0, 0);
+    for (i, p) in points.iter().enumerate() {
+        let v = p.0[0];
+        if !v.is_finite() {
+            return None;
+        }
+        if v > points[hi].0[0] {
+            hi = i;
+        } else if v < points[lo].0[0] {
+            lo = i;
+        }
+    }
+    (!points.is_empty()).then_some((hi, lo))
 }
 
 /// The largest per-coordinate spread `max_c (max_i p_i[c] − min_i p_i[c])`

@@ -77,7 +77,7 @@ pub enum AdvCell {
         n: usize,
         /// Rounds driven.
         rounds: usize,
-        /// Candidate-fork pool workers (1 = serial).
+        /// Candidate-scoring pool workers (1 = serial).
         threads: usize,
     },
     /// Full-width [`BeamSearch`] (width ≥ class size, depth `n(n−1)`,

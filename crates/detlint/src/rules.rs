@@ -29,7 +29,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "R3",
         name: "wall-clock",
-        desc: "Instant::now/SystemTime reads outside crates/bench and test code: results must not depend on wall time",
+        desc: "Instant::now/SystemTime reads outside crates/bench, perfbench and test code: results must not depend on wall time",
     },
     Rule {
         id: "R4",
@@ -75,7 +75,8 @@ struct PathClass {
     /// Under a `tests/` or `benches/` directory, or an example target:
     /// the golden gates never run through this code.
     test_code: bool,
-    /// Inside `crates/bench` (the measurement harness may read clocks).
+    /// Inside `crates/bench` or `perfbench/` (the measurement harnesses
+    /// may read clocks).
     bench_crate: bool,
     /// `consensus-bench` *library* code outside the sanctioned
     /// `src/wallclock.rs` Clock impl and the `src/bin/` targets: clock
@@ -98,7 +99,7 @@ fn classify(path: &str) -> PathClass {
         .any(|s| *s == "tests" || *s == "benches" || *s == "examples");
     PathClass {
         test_code: test_dir,
-        bench_crate: path.starts_with("crates/bench/"),
+        bench_crate: path.starts_with("crates/bench/") || path.starts_with("perfbench/"),
         bench_lib: path.starts_with("crates/bench/src/")
             && !path.contains("/src/bin/")
             && !path.ends_with("/wallclock.rs"),
@@ -365,6 +366,20 @@ mod tests {
             .iter()
             .all(|id| *id != "R3"));
         assert!(finding_ids("crates/sweep/tests/t.rs", src).is_empty());
+        // The benchmark harness is exempt from R3 like crates/bench, and
+        // not from R7, which scopes consensus-bench library code.
+        let root = "#![forbid(unsafe_code)]\nlet t = Instant::now();";
+        assert!(finding_ids("perfbench/src/main.rs", root).is_empty());
+        assert!(finding_ids("perfbench/src/stats.rs", src).is_empty());
+        // Every other rule still applies there.
+        assert_eq!(
+            finding_ids("perfbench/src/grids.rs", "let m: HashMap<u32, u32> = x;"),
+            vec!["R1"]
+        );
+        assert_eq!(
+            finding_ids("perfbench/src/main.rs", "fn main() {}"),
+            vec!["R5"]
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@ use crate::{Agent, MAX_AGENTS};
 /// Only the low `n` bits are meaningful for a graph on `n` agents.
 pub type AgentSet = u64;
 
-/// Returns the full agent set `{0, …, n-1}` as a bitmask.
+/// Returns the full agent set `{0, …, n-1}` as a bitmask, `1 ≤ n ≤ 64`.
 #[inline]
-pub(crate) fn full_mask(n: usize) -> AgentSet {
+#[must_use]
+pub fn full_mask(n: usize) -> AgentSet {
     debug_assert!((1..=MAX_AGENTS).contains(&n));
     if n == MAX_AGENTS {
         u64::MAX
@@ -556,6 +557,51 @@ pub fn agents_in(set: AgentSet) -> impl Iterator<Item = Agent> {
 /// `in_masks.len()` (an agent that does not exist).
 #[must_use]
 pub fn in_masks_are_rooted(in_masks: &[AgentSet]) -> bool {
+    check_table(in_masks);
+    find_root(in_masks).is_some()
+}
+
+/// A rooted spanning tree of the graph with in-neighborhood table
+/// `in_masks`, or `None` if the graph is not rooted. The tree is given
+/// as one in-edge per agent: `tree[v]` is the one-bit mask of `v`'s
+/// parent, and `0` for the root and for every index at or past
+/// `in_masks.len()`.
+///
+/// Removing any edge outside the tree leaves the tree, and so
+/// rootedness, intact: callers that edit a rooted graph need the full
+/// [`in_masks_are_rooted`] check only when an edit removes a tree edge.
+///
+/// # Panics
+///
+/// As [`in_masks_are_rooted`].
+#[must_use]
+pub fn spanning_tree(in_masks: &[AgentSet]) -> Option<[AgentSet; MAX_AGENTS]> {
+    check_table(in_masks);
+    let root = find_root(in_masks)?;
+    let all = full_mask(in_masks.len());
+    let mut tree = [0; MAX_AGENTS];
+    // Breadth-first from the root: each agent takes its lowest in-neighbor
+    // in the previous layer as its parent.
+    let mut reached = 1u64 << root;
+    let mut layer = reached;
+    while layer != 0 {
+        let mut next = 0;
+        for v in BitIter(all & !reached) {
+            let parents = in_masks[v] & layer;
+            if parents != 0 {
+                tree[v] = parents & parents.wrapping_neg();
+                next |= 1u64 << v;
+            }
+        }
+        reached |= next;
+        layer = next;
+    }
+    Some(tree)
+}
+
+/// Panics unless `in_masks` is the in-mask table of a graph on
+/// `1..=64` agents.
+fn check_table(in_masks: &[AgentSet]) {
     assert!(
         (1..=MAX_AGENTS).contains(&in_masks.len()),
         "graph size must be in 1..=64"
@@ -565,7 +611,6 @@ pub fn in_masks_are_rooted(in_masks: &[AgentSet]) -> bool {
         in_masks.iter().all(|&m| m & !all == 0),
         "in-mask names an agent out of range"
     );
-    find_root(in_masks).is_some()
 }
 
 /// Everything reachable from `start` (included) along `step`, where

@@ -38,9 +38,10 @@ fn near_tree(n: usize, keys: &[u64], parents: &[u64], edit: (u64, u64, u64)) -> 
     g
 }
 
-/// `roots`, `is_rooted`, `is_strongly_connected` and the mask-table
-/// rootedness check agree with the condensation reference, and the
-/// first root reaches everyone while the first non-root does not.
+/// `roots`, `is_rooted`, `is_strongly_connected`, the mask-table
+/// rootedness check and `spanning_tree` agree with the condensation
+/// reference, and the first root reaches everyone while the first
+/// non-root does not.
 fn roots_match_condensation(g: &Digraph) -> Result<(), String> {
     let n = g.n();
     let all = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
@@ -57,9 +58,56 @@ fn roots_match_condensation(g: &Digraph) -> Result<(), String> {
     if roots != 0 {
         prop_assert_eq!(g.reachable_from(roots.trailing_zeros() as usize), all);
     }
+    match consensus_digraph::spanning_tree(g.in_masks()) {
+        None => prop_assert_eq!(roots, 0, "no spanning tree for rooted {}", g),
+        Some(tree) => tree_spans(g, &tree, roots)?,
+    }
     if roots != all {
         let i = (!roots & all).trailing_zeros() as usize;
         prop_assert!(g.reachable_from(i) != all, "non-root {} of {}", i, g);
+    }
+    Ok(())
+}
+
+/// `tree` is a spanning tree of `g` rooted at one of `roots`: every
+/// entry is a single in-edge of `g` (none at the root or past `n`), and
+/// following them from any agent reaches the root within `n` steps.
+fn tree_spans(g: &Digraph, tree: &[u64; 64], roots: u64) -> Result<(), String> {
+    let n = g.n();
+    prop_assert!(tree[n..].iter().all(|&m| m == 0), "entries past n in {}", g);
+    let parentless: Vec<usize> = (0..n).filter(|&v| tree[v] == 0).collect();
+    prop_assert_eq!(parentless.len(), 1, "one root in the tree of {}", g);
+    let root = parentless[0];
+    prop_assert!(
+        roots >> root & 1 == 1,
+        "tree root {} is not a root of {}",
+        root,
+        g
+    );
+    for v in 0..n {
+        if v != root {
+            prop_assert_eq!(tree[v].count_ones(), 1, "one parent for {} in {}", v, g);
+            let p = tree[v].trailing_zeros() as usize;
+            prop_assert!(
+                p != v && g.has_edge(p, v),
+                "tree edge {}→{} not in {}",
+                p,
+                v,
+                g
+            );
+        }
+        let (mut at, mut steps) = (v, 0);
+        while at != root && steps <= n {
+            at = tree[at].trailing_zeros() as usize;
+            steps += 1;
+        }
+        prop_assert_eq!(
+            at,
+            root,
+            "{} does not reach the root in the tree of {}",
+            v,
+            g
+        );
     }
     Ok(())
 }

@@ -125,14 +125,23 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     pub fn step(&mut self, g: &Digraph) {
         assert_eq!(g.n(), self.n(), "graph size must match agent count");
         self.round += 1;
-        self.msgs.clear();
-        let alg = &self.alg;
-        self.msgs.extend(self.states.iter().map(|s| alg.message(s)));
+        gather(&self.alg, &self.states, &mut self.msgs);
         for (i, state) in self.states.iter_mut().enumerate() {
             let inbox = Inbox::new(g.in_mask(i), &self.msgs);
             self.alg.step(i, state, inbox, self.round);
         }
         self.refresh_outputs();
+    }
+
+    /// The next round of this configuration, evaluated one agent at a
+    /// time: gathers the message slate once, after which
+    /// [`Lookahead::output`] returns any agent's next output under any
+    /// in-mask without stepping (or cloning) the execution.
+    #[must_use]
+    pub fn lookahead(&self) -> Lookahead<'_, A, D> {
+        let mut slate = Vec::with_capacity(self.n());
+        gather(&self.alg, &self.states, &mut slate);
+        Lookahead { exec: self, slate }
     }
 
     /// [`Execution::step`] with round-level telemetry: wraps the round
@@ -205,6 +214,57 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     }
 }
 
+/// Refills `slate` with every agent's broadcast for the next round.
+fn gather<A: Algorithm<D>, const D: usize>(alg: &A, states: &[A::State], slate: &mut Vec<A::Msg>) {
+    slate.clear();
+    slate.extend(states.iter().map(|s| alg.message(s)));
+}
+
+/// One configuration's next round, agent by agent (see
+/// [`Execution::lookahead`]).
+///
+/// An agent's transition reads only its own state, its inbox and the
+/// round number, and [`Lookahead::output`] runs it on a copy of the
+/// state with the inbox and round [`Execution::step`] would pass, so
+/// for agent `i` under `in_mask` it equals, bit for bit, `outputs()[i]`
+/// after `clone()` and `step(&g)` on any graph `g` with
+/// `g.in_mask(i) == in_mask`. An adversary scoring
+/// many candidate graphs against one configuration therefore gathers the
+/// slate once and recomputes only the agents whose in-mask differs
+/// between candidates.
+pub struct Lookahead<'a, A: Algorithm<D>, const D: usize> {
+    exec: &'a Execution<A, D>,
+    slate: Vec<A::Msg>,
+}
+
+impl<A: Algorithm<D>, const D: usize> Lookahead<'_, A, D> {
+    /// The number of agents.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.slate.len()
+    }
+
+    /// Agent `agent`'s output after the next round if it hears the
+    /// agents in `in_mask`, which must contain `agent` itself
+    /// (communication graphs have self-loops).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent ≥ n`.
+    #[must_use]
+    pub fn output(&self, agent: usize, in_mask: AgentSet) -> Point<D> {
+        debug_assert!(
+            in_mask >> agent & 1 == 1,
+            "in-masks include the agent itself"
+        );
+        let exec = self.exec;
+        let mut state = exec.states[agent].clone();
+        let inbox = Inbox::new(in_mask, &self.slate);
+        exec.alg.step(agent, &mut state, inbox, exec.round + 1);
+        exec.alg.output(&state)
+    }
+}
+
 /// The result of [`Execution::limit_estimate`]: the centroid of the
 /// final configuration plus whether the run actually converged.
 ///
@@ -247,9 +307,7 @@ impl<A: Algorithm<1, Msg = Point<1>>> Execution<A, 1> {
         let honest = all & !byzantine;
         assert!(honest != 0, "at least one honest agent required");
         self.round += 1;
-        self.msgs.clear();
-        let alg = &self.alg;
-        self.msgs.extend(self.states.iter().map(|s| alg.message(s)));
+        gather(&self.alg, &self.states, &mut self.msgs);
         // Reused scratch slate: forge only the liars' slots per receiver
         // (two-faced strategies send different lies to each agent) and
         // restore them afterwards — O(f) per receiver, no allocation.

@@ -14,7 +14,9 @@
 //!   of the paper and returns a [`Trace`];
 //! * [`Execution`] — the low-level stepper: per-agent states,
 //!   zero-allocation single-round stepping over a shared message slate,
-//!   forking (for valency probes);
+//!   forking (for valency probes), and [`Execution::lookahead`], the next
+//!   round agent by agent (for adversaries that score many candidate
+//!   graphs against one configuration);
 //! * [`scenario::Driver`] — the graph-choice abstraction behind
 //!   [`Scenario`]: pattern replay, state-dependent topologies, and the
 //!   probing lower-bound adversaries all implement it;
@@ -59,7 +61,7 @@ mod sharded;
 mod trace;
 
 pub use diameter_trace::DiameterTrace;
-pub use executor::{Execution, LimitEstimate};
+pub use executor::{Execution, LimitEstimate, Lookahead};
 pub use metric::{BoxDiameter, HullDiameter, Metric};
 pub use scenario::{FaultyScenario, Scenario};
 pub use sharded::{ShardedExecution, DEFAULT_CHUNK};

@@ -7,11 +7,14 @@ use consensus_digraph::{enumerate, families, Digraph};
 use consensus_dynamics::scenario::Driver;
 use consensus_dynamics::Execution;
 
-/// An **adaptive** [`Driver`]: each round it forks the live execution
-/// once per candidate graph, applies one round, and commits the
-/// candidate whose successor configuration has the **largest** value
-/// diameter — a greedy one-step-lookahead adversary in the spirit of
-/// the valency probes (but measuring `Δ(y)` instead of valencies).
+use crate::score::score_graphs;
+
+/// An **adaptive** [`Driver`]: each round it scores every candidate
+/// graph by the value diameter one round under it would produce (through
+/// one shared [`Execution::lookahead`]) and commits the candidate whose
+/// successor configuration has the **largest** value diameter — a
+/// greedy one-step-lookahead adversary in the spirit of the valency
+/// probes (but measuring `Δ(y)` instead of valencies).
 ///
 /// Unlike the seeded schedule adversaries, this driver is *value-aware*:
 /// its choices depend on the execution it is attacking, so different
@@ -27,7 +30,7 @@ use consensus_dynamics::Execution;
 #[derive(Debug, Clone)]
 pub struct DiameterMaximiser {
     candidates: Vec<Digraph>,
-    fork_threads: usize,
+    threads: usize,
 }
 
 impl DiameterMaximiser {
@@ -46,20 +49,20 @@ impl DiameterMaximiser {
         );
         DiameterMaximiser {
             candidates,
-            fork_threads: 1,
+            threads: 1,
         }
     }
 
-    /// Dispatches the per-round candidate forks onto `threads` pool
-    /// workers (`0` means [`consensus_pool::default_threads`]; the
-    /// default `1` evaluates candidates serially in the caller's
-    /// thread). Scores are reduced back **in candidate index order**
-    /// with a strictly-greater-wins argmax, so the committed graph — and
-    /// hence the entire adversarial schedule — is bit-for-bit identical
-    /// at every thread count.
+    /// Scores the candidates on `threads` pool workers, one contiguous
+    /// chunk of candidates each (`0` means
+    /// [`consensus_pool::default_threads`]; the default `1` scores them
+    /// serially in the caller's thread). Scores are reduced back **in
+    /// candidate index order** with a strictly-greater-wins argmax, so
+    /// the committed graph — and hence the entire adversarial schedule —
+    /// is bit-for-bit identical at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.fork_threads = if threads == 0 {
+        self.threads = if threads == 0 {
             consensus_pool::default_threads()
         } else {
             threads
@@ -113,16 +116,7 @@ where
     A::Msg: Sync,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
-        let score = |i: usize| {
-            let mut fork = exec.clone();
-            fork.step(&self.candidates[i]);
-            fork.value_diameter()
-        };
-        let diameters: Vec<f64> = if self.fork_threads > 1 {
-            consensus_pool::run_indexed(self.candidates.len(), self.fork_threads, score)
-        } else {
-            (0..self.candidates.len()).map(score).collect()
-        };
+        let diameters = score_graphs(exec, &self.candidates, self.threads);
         let (best, d) = det_argmax(diameters).expect("at least one candidate");
         assert!(
             !d.is_nan(),

@@ -11,6 +11,23 @@
 //! commits the overall best. Everything is a pure function of
 //! `(parameters, seed, execution state)`, so runs replay bit-for-bit.
 //!
+//! # Scoring
+//!
+//! A candidate's score is the value diameter one round under it would
+//! produce. All candidates of a round are scored against one
+//! [`Execution::lookahead`], which gathers the message slate once. The
+//! search keeps the output row of every frontier graph it expands, and
+//! a toggle or mutant of that graph differs from it in one to three
+//! agents' in-masks, so scoring it recomputes only those agents' outputs
+//! and measures the row. At `D = 1` the measurement is the O(n)
+//! `dist(max, min)` path of [`consensus_algorithms::diameter`], which is
+//! bit-exact with the pairwise maximum because correctly rounded
+//! subtraction, squaring and `sqrt` are monotone. Candidates live as flat
+//! in-mask rows in one per-search arena; a [`Digraph`] is built only for
+//! the committed graph. An edit is checked for rootedness only when it
+//! removes an edge of its parent's spanning tree, and each wave is scored
+//! as one contiguous chunk of candidates per pool worker.
+//!
 //! # Exactness at small `n`
 //!
 //! The rooted class is connected under single-edge toggles *through the
@@ -25,78 +42,383 @@
 //! `beam_props` suite pin this equivalence at `n ∈ {2, 3, 4}`.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
-use consensus_algorithms::Algorithm;
-use consensus_digraph::{enumerate, families, in_masks_are_rooted, AgentSet, Digraph, MAX_AGENTS};
+use consensus_algorithms::{Algorithm, Point};
+use consensus_digraph::{
+    agents_in, enumerate, full_mask, in_masks_are_rooted, spanning_tree, AgentSet, Digraph,
+    MAX_AGENTS,
+};
 use consensus_dynamics::scenario::Driver;
-use consensus_dynamics::Execution;
+use consensus_dynamics::{Execution, Lookahead};
+
+use crate::score::{rescore, score_chunks, score_graphs};
 
 /// splitmix64 step — the same mixer `consensus_sweep::cell_seed` uses,
 /// kept local so the beam's mutation stream needs no extra dependency
 /// surface.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    mix(*state)
+}
+
+/// The splitmix64 output function.
+fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// `true` iff `(a_score, a)` ranks strictly better than `(b_score, b)`
-/// under the canonical beam comparator: larger score first
+/// The canonical beam comparator, best first: larger score first
 /// (`total_cmp`, so NaN ranks above every real and surfaces loudly),
-/// ties broken towards the smaller graph in [`Digraph`]'s derived
-/// order. Both [`BeamSearch`] and [`ExhaustiveRooted`] commit with this
-/// comparator, which is what makes their argmaxes comparable.
-fn ranks_better(a_score: f64, a: &Digraph, b_score: f64, b: &Digraph) -> bool {
-    match a_score.total_cmp(&b_score) {
-        Ordering::Greater => true,
-        Ordering::Less => false,
-        Ordering::Equal => a < b,
+/// ties broken towards the lexicographically smaller in-mask table,
+/// which is [`Digraph`]'s derived order on graphs of one size. Both
+/// [`BeamSearch`] and [`ExhaustiveRooted`] commit with this comparator,
+/// which is what makes their argmaxes comparable. It is a strict total
+/// order on distinct tables.
+fn rank(a_score: f64, a: &[AgentSet], b_score: f64, b: &[AgentSet]) -> Ordering {
+    b_score.total_cmp(&a_score).then_with(|| a.cmp(b))
+}
+
+/// Marks "none": a seed's parent, a frontier graph not yet expanded, or
+/// an empty index slot.
+const NONE: u32 = u32::MAX;
+
+/// One candidate of a search.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Its in-mask row in the [`Arena`].
+    row: u32,
+    /// The expanded graph it was generated from (`NONE` for a seed).
+    parent: u32,
+    /// The agents whose in-mask differs from the parent's (all agents
+    /// for a seed).
+    changed: AgentSet,
+    score: f64,
+    /// Its slot among the expanded graphs, once expanded.
+    expanded: u32,
+}
+
+/// One search's candidates as flat in-mask rows, with a membership
+/// index that drops a duplicate before it is stored. The index is open
+/// addressing (linear probing) on [`row_hash`]; it is only probed, never
+/// iterated, so its layout cannot reach the search's result.
+///
+/// Rows are stored in blocks of [`BLOCK_ROWS`] rather than one growing
+/// buffer: adding a row never copies the table, and every block is a
+/// small allocation (at most 64 KiB), under glibc's default mmap
+/// threshold, so freeing the arena at the end of a round returns heap
+/// that the next round's allocations reuse. A multi-megabyte buffer
+/// freed every round would instead raise the allocator's mmap threshold
+/// and leave the freed heap resident.
+struct Arena {
+    n: usize,
+    blocks: Vec<Vec<AgentSet>>,
+    /// Each row's [`row_hash`], by row number.
+    hashes: Vec<u64>,
+    /// Row numbers (`NONE` = empty); a power of two, at least twice the
+    /// row count.
+    slots: Vec<u32>,
+}
+
+/// Rows per [`Arena`] block.
+const BLOCK_ROWS: usize = 128;
+
+/// Agent `agent`'s share of the hash of a row whose in-mask for it is
+/// `mask`.
+fn hash_term(agent: usize, mask: AgentSet) -> u64 {
+    mix(mask ^ (agent as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// A row's hash: the wrapping sum of its agents' [`hash_term`]s, so an
+/// edit at one agent rehashes the row in O(1) ([`rehash`]).
+fn row_hash(masks: &[AgentSet]) -> u64 {
+    masks
+        .iter()
+        .enumerate()
+        .fold(0, |h, (agent, &m)| h.wrapping_add(hash_term(agent, m)))
+}
+
+/// The [`row_hash`] of a row hashing to `hash` once agent `agent`'s
+/// in-mask changes from `old` to `new`.
+fn rehash(hash: u64, agent: usize, old: AgentSet, new: AgentSet) -> u64 {
+    hash.wrapping_sub(hash_term(agent, old))
+        .wrapping_add(hash_term(agent, new))
+}
+
+impl Arena {
+    fn new(n: usize) -> Self {
+        Arena {
+            n,
+            blocks: Vec::new(),
+            hashes: Vec::new(),
+            slots: vec![NONE; 64],
+        }
+    }
+
+    fn row(&self, k: u32) -> &[AgentSet] {
+        let k = k as usize;
+        let start = k % BLOCK_ROWS * self.n;
+        &self.blocks[k / BLOCK_ROWS][start..start + self.n]
+    }
+
+    /// Stores `masks`, whose [`row_hash`] is `hash`, as a new row and
+    /// returns its number, unless an equal row is stored already or
+    /// `keep` (asked only for a new row) rejects it.
+    fn admit(&mut self, masks: &[AgentSet], hash: u64, keep: impl FnOnce() -> bool) -> Option<u32> {
+        let wrap = self.slots.len() - 1;
+        let mut slot = hash as usize & wrap;
+        loop {
+            let k = self.slots[slot];
+            if k == NONE {
+                break;
+            }
+            if self.hashes[k as usize] == hash && self.row(k) == masks {
+                return None;
+            }
+            slot = (slot + 1) & wrap;
+        }
+        if !keep() {
+            return None;
+        }
+        let rows = self.hashes.len();
+        let k = u32::try_from(rows).expect("fewer than 2^32 candidates per round");
+        if rows.is_multiple_of(BLOCK_ROWS) {
+            self.blocks.push(Vec::with_capacity(BLOCK_ROWS * self.n));
+        }
+        let block = self.blocks.last_mut().expect("a block has room");
+        block.extend_from_slice(masks);
+        self.hashes.push(hash);
+        self.slots[slot] = k;
+        if 2 * self.hashes.len() > self.slots.len() {
+            self.slots = vec![NONE; 2 * self.slots.len()];
+            let wrap = self.slots.len() - 1;
+            for (k, &h) in (0..).zip(&self.hashes) {
+                let mut slot = h as usize & wrap;
+                while self.slots[slot] != NONE {
+                    slot = (slot + 1) & wrap;
+                }
+                self.slots[slot] = k;
+            }
+        }
+        Some(k)
     }
 }
 
-/// Scores `candidates` by one-step lookahead: fork the execution, apply
-/// the candidate for one round, measure the value diameter. Pooled when
-/// `threads > 1`; scores come back in candidate index order either way,
-/// so the downstream argmax is thread-count invariant.
-fn score_candidates<A, const D: usize>(
-    candidates: &[Digraph],
-    exec: &Execution<A, D>,
-    threads: usize,
-) -> Vec<f64>
+/// Whether a rooted graph with spanning tree `tree`, edited at the
+/// agents in `changed` into the in-masks `masks`, is still rooted. An
+/// edit that keeps every tree edge keeps the tree, so only one that
+/// removes a tree edge is checked.
+fn keeps_rooted(tree: &[AgentSet], masks: &[AgentSet], changed: AgentSet) -> bool {
+    agents_in(changed).all(|v| masks[v] & tree[v] == tree[v]) || in_masks_are_rooted(masks)
+}
+
+/// One round's beam search: the candidates generated so far and what
+/// scoring and expanding them needs.
+struct Search<'e, A: Algorithm<D>, const D: usize> {
+    n: usize,
+    la: Lookahead<'e, A, D>,
+    arena: Arena,
+    /// Candidates generated this wave, not scored yet.
+    fresh: Vec<Candidate>,
+    /// Scored candidates; after [`Search::select`], the best `width` of
+    /// them in rank order.
+    frontier: Vec<Candidate>,
+    /// The best candidate scored so far.
+    best: Option<Candidate>,
+    /// The output row after the round of each expanded graph, `n`
+    /// points per expansion slot.
+    rows: Vec<Point<D>>,
+    /// A spanning tree of each expanded graph, `n` masks per slot.
+    trees: Vec<AgentSet>,
+}
+
+impl<'e, A, const D: usize> Search<'e, A, D>
 where
-    A: Algorithm<D> + Clone + Sync,
+    A: Algorithm<D> + Sync,
     A::State: Sync,
     A::Msg: Sync,
 {
-    let score = |i: usize| {
-        let mut fork = exec.clone();
-        fork.step(&candidates[i]);
-        fork.value_diameter()
-    };
-    if threads > 1 {
-        consensus_pool::run_indexed(candidates.len(), threads, score)
-    } else {
-        (0..candidates.len()).map(score).collect()
+    fn new(la: Lookahead<'e, A, D>) -> Self {
+        let n = la.n();
+        Search {
+            n,
+            la,
+            arena: Arena::new(n),
+            fresh: Vec::new(),
+            frontier: Vec::new(),
+            best: None,
+            rows: Vec::new(),
+            trees: Vec::new(),
+        }
     }
-}
 
-/// The graphs one round of [`BeamSearch`] has generated so far, keyed by
-/// in-mask table so that a duplicate is dropped before any [`Digraph`]
-/// is built for it.
-type Visited = BTreeSet<Vec<AgentSet>>;
-
-/// Appends the graph with in-masks `masks` to `fresh` and marks it
-/// visited, unless the round has generated it before or `check_rooted`
-/// is set and it is not rooted.
-fn admit(masks: &[AgentSet], check_rooted: bool, visited: &mut Visited, fresh: &mut Vec<Digraph>) {
-    if visited.contains(masks) || (check_rooted && !in_masks_are_rooted(masks)) {
-        return;
+    /// Generates the deterministic seeds: the Theorem-2 deaf family
+    /// (`K_n` with agent `i` deaf, for each `i`), the clique, and the
+    /// graph committed in the previous round (warm start).
+    fn seed(&mut self, committed: Option<&Digraph>) {
+        let all = full_mask(self.n);
+        let mut buf = [all; MAX_AGENTS];
+        let clique = &mut buf[..self.n];
+        for i in 0..self.n {
+            clique[i] = 1 << i;
+            self.admit(clique, row_hash(clique), NONE, all, || true);
+            clique[i] = all;
+        }
+        self.admit(clique, row_hash(clique), NONE, all, || true);
+        if let Some(g) = committed {
+            let masks = g.in_masks();
+            self.admit(masks, row_hash(masks), NONE, all, || true);
+        }
     }
-    visited.insert(masks.to_vec());
-    fresh.push(Digraph::from_in_masks(masks).expect("beam graphs have 2 ≤ n ≤ 64 agents"));
+
+    /// Adds the graph with in-masks `masks` (hash `hash`), generated from
+    /// expanded graph `parent` by editing the agents in `changed`, to the
+    /// fresh candidates, unless the round has generated it before or
+    /// `keep` rejects it.
+    fn admit(
+        &mut self,
+        masks: &[AgentSet],
+        hash: u64,
+        parent: u32,
+        changed: AgentSet,
+        keep: impl FnOnce() -> bool,
+    ) {
+        if let Some(row) = self.arena.admit(masks, hash, keep) {
+            self.fresh.push(Candidate {
+                row,
+                parent,
+                changed,
+                score: 0.0,
+                expanded: NONE,
+            });
+        }
+    }
+
+    fn rank(&self, a: &Candidate, b: &Candidate) -> Ordering {
+        rank(
+            a.score,
+            self.arena.row(a.row),
+            b.score,
+            self.arena.row(b.row),
+        )
+    }
+
+    /// Keeps the `width` best frontier graphs, in rank order. The
+    /// comparator is a strict total order on distinct rows, so selecting
+    /// before sorting keeps the same graphs in the same order as sorting
+    /// everything; the stable sort also finds the sorted prefix a wave
+    /// that pruned nothing leaves behind.
+    fn select(&mut self, width: usize) {
+        let mut frontier = std::mem::take(&mut self.frontier);
+        if frontier.len() > width {
+            frontier.select_nth_unstable_by(width - 1, |a, b| self.rank(a, b));
+            frontier.truncate(width);
+        }
+        frontier.sort_by(|a, b| self.rank(a, b));
+        self.frontier = frontier;
+    }
+
+    /// Expands frontier graph `k`: stores its output row (its parent's
+    /// row with the changed agents recomputed) and a spanning tree, and
+    /// generates all of its rooted single-edge toggles, in deterministic
+    /// `(from, to)` order. Only a toggle that removes a tree edge is
+    /// checked for rootedness.
+    fn expand(&mut self, k: usize) {
+        let n = self.n;
+        let f = self.frontier[k];
+        let slot = u32::try_from(self.trees.len() / n).expect("fewer than 2^32 expanded graphs");
+        self.frontier[k].expanded = slot;
+        let mut buf = [0; MAX_AGENTS];
+        let masks = &mut buf[..n];
+        masks.copy_from_slice(self.arena.row(f.row));
+
+        let e = self.rows.len();
+        if f.parent == NONE {
+            self.rows.resize(e + n, Point::ZERO);
+        } else {
+            let p = f.parent as usize * n;
+            self.rows.extend_from_within(p..p + n);
+        }
+        for i in agents_in(f.changed) {
+            self.rows[e + i] = self.la.output(i, masks[i]);
+        }
+        let tree = spanning_tree(masks).expect("frontier graphs are rooted");
+        self.trees.extend_from_slice(&tree[..n]);
+
+        let base = row_hash(masks);
+        for from in 0..n {
+            let bit = 1u64 << from;
+            for to in (0..n).filter(|&to| to != from) {
+                let hash = rehash(base, to, masks[to], masks[to] ^ bit);
+                masks[to] ^= bit;
+                let changed = 1 << to;
+                self.admit(masks, hash, slot, changed, || {
+                    keeps_rooted(&tree, masks, changed)
+                });
+                masks[to] ^= bit;
+            }
+        }
+    }
+
+    /// Generates the rooted ones among `count` random multi-edge mutants
+    /// of expanded frontier graph `k`, drawn from the splitmix64 stream.
+    fn mutate(&mut self, k: usize, count: usize, rng: &mut u64) {
+        if count == 0 {
+            return;
+        }
+        let n = self.n;
+        let slot = self.frontier[k].expanded;
+        let (mut masks, mut tree) = ([0; MAX_AGENTS], [0; MAX_AGENTS]);
+        masks[..n].copy_from_slice(self.arena.row(self.frontier[k].row));
+        let e = slot as usize * n;
+        tree[..n].copy_from_slice(&self.trees[e..e + n]);
+        for _ in 0..count {
+            let mut mutant = masks;
+            // 2–3 toggles per mutant: enough to escape the single-toggle
+            // neighbourhood without losing locality.
+            let toggles = 2 + (splitmix64(rng) % 2) as usize;
+            for _ in 0..toggles {
+                let from = (splitmix64(rng) % n as u64) as usize;
+                let mut to = (splitmix64(rng) % n as u64) as usize;
+                if from == to {
+                    to = (to + 1) % n;
+                }
+                mutant[to] ^= 1u64 << from;
+            }
+            let mutant = &mutant[..n];
+            let changed = (0..n)
+                .filter(|&v| mutant[v] != masks[v])
+                .fold(0, |set, v| set | 1 << v);
+            let keep = || keeps_rooted(&tree, mutant, changed);
+            self.admit(mutant, row_hash(mutant), slot, changed, keep);
+        }
+    }
+
+    /// Scores the fresh candidates on `threads` pool workers, one
+    /// contiguous chunk each, and moves them to the frontier.
+    fn score_fresh(&mut self, threads: usize) {
+        let n = self.n;
+        let scores = score_chunks(self.fresh.len(), threads, n, |k, row| {
+            let c = &self.fresh[k];
+            if c.parent != NONE {
+                let p = c.parent as usize * n;
+                row.copy_from_slice(&self.rows[p..p + n]);
+            }
+            rescore(&self.la, self.arena.row(c.row), c.changed, row)
+        });
+        let mut fresh = std::mem::take(&mut self.fresh);
+        for (mut c, s) in fresh.drain(..).zip(scores) {
+            c.score = s;
+            if self
+                .best
+                .is_none_or(|b| self.rank(&c, &b) == Ordering::Less)
+            {
+                self.best = Some(c);
+            }
+            self.frontier.push(c);
+        }
+        self.fresh = fresh;
+    }
 }
 
 /// A value-aware adaptive adversary over the rooted-graph class, driven
@@ -111,9 +433,9 @@ fn admit(masks: &[AgentSet], check_rooted: bool, visited: &mut Visited, fresh: &
 ///    `mutations` splitmix64-seeded multi-edge mutants on every wave,
 ///    plus all of its rooted single-edge toggles on the first wave it
 ///    is expanded in (later waves would only regenerate them), fresh
-///    candidates are scored (pool-parallel with
-///    [`BeamSearch::threads`] > 1), and the `width` best scored graphs
-///    survive as the next frontier;
+///    candidates are scored (in contiguous chunks on
+///    [`BeamSearch::threads`] pool workers), and the `width` best scored
+///    graphs survive as the next frontier;
 /// 3. commits the best graph seen overall (canonical comparator:
 ///    score descending, then smaller graph).
 ///
@@ -129,7 +451,7 @@ pub struct BeamSearch {
     depth: usize,
     mutations: usize,
     seed: u64,
-    fork_threads: usize,
+    threads: usize,
     committed: Option<Digraph>,
     round: u64,
     trace: consensus_obs::TraceHandle,
@@ -152,7 +474,7 @@ impl BeamSearch {
             depth: 2,
             mutations: 4,
             seed,
-            fork_threads: 1,
+            threads: 1,
             committed: None,
             round: 0,
             trace: consensus_obs::TraceHandle::disabled(),
@@ -202,13 +524,14 @@ impl BeamSearch {
         self
     }
 
-    /// Dispatches candidate scoring onto `threads` pool workers (`0`
-    /// means [`consensus_pool::default_threads`]; the default `1` scores
+    /// Scores each wave's candidates on `threads` pool workers, one
+    /// contiguous chunk of candidates each (`0` means
+    /// [`consensus_pool::default_threads`]; the default `1` scores
     /// serially). The committed schedule is bit-for-bit identical at
     /// every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.fork_threads = if threads == 0 {
+        self.threads = if threads == 0 {
             consensus_pool::default_threads()
         } else {
             threads
@@ -222,120 +545,47 @@ impl BeamSearch {
         self.n
     }
 
-    /// Admits every rooted single-edge toggle of the rooted graph `g`, in
-    /// deterministic `(from, to)` order, editing one stack copy of its
-    /// masks. Only removals are checked for rootedness: every supergraph
-    /// of a rooted graph is rooted.
-    fn toggle_neighbours(g: &Digraph, visited: &mut Visited, fresh: &mut Vec<Digraph>) {
-        let n = g.n();
-        let mut buf = [0; MAX_AGENTS];
-        let masks = &mut buf[..n];
-        masks.copy_from_slice(g.in_masks());
-        for from in 0..n {
-            let bit = 1u64 << from;
-            for to in 0..n {
-                if from == to {
-                    continue;
-                }
-                masks[to] ^= bit;
-                let removed = masks[to] & bit == 0;
-                admit(masks, removed, visited, fresh);
-                masks[to] ^= bit;
-            }
-        }
-    }
-
-    /// Admits the rooted ones among `count` random multi-edge mutants of
-    /// `g` drawn from the splitmix64 stream.
-    fn mutate(
-        g: &Digraph,
-        count: usize,
-        rng: &mut u64,
-        visited: &mut Visited,
-        fresh: &mut Vec<Digraph>,
-    ) {
-        let n = g.n();
-        for _ in 0..count {
-            let mut buf = [0; MAX_AGENTS];
-            let masks = &mut buf[..n];
-            masks.copy_from_slice(g.in_masks());
-            // 2–3 toggles per mutant: enough to escape the single-toggle
-            // neighbourhood without losing locality.
-            let toggles = 2 + (splitmix64(rng) % 2) as usize;
-            for _ in 0..toggles {
-                let from = (splitmix64(rng) % n as u64) as usize;
-                let mut to = (splitmix64(rng) % n as u64) as usize;
-                if from == to {
-                    to = (to + 1) % n;
-                }
-                masks[to] ^= 1u64 << from;
-            }
-            admit(masks, true, visited, fresh);
-        }
-    }
-
     /// One full beam search against the configuration in `exec`: the
     /// committed graph, its one-step score, and the number of candidate
     /// graphs scored (for telemetry).
     fn search<A, const D: usize>(&self, exec: &Execution<A, D>) -> (Digraph, f64, u64)
     where
-        A: Algorithm<D> + Clone + Sync,
+        A: Algorithm<D> + Sync,
         A::State: Sync,
         A::Msg: Sync,
     {
-        // Deterministic seed frontier: the Theorem-2 deaf family, the
-        // clique, and the previous round's committed graph (warm start).
-        let mut fresh: Vec<Digraph> = families::deaf_family(&Digraph::complete(self.n));
-        fresh.push(Digraph::complete(self.n));
-        if let Some(g) = &self.committed {
-            fresh.push(g.clone());
-        }
-        let mut visited = Visited::new();
-        fresh.retain(|g| visited.insert(g.in_masks().to_vec()));
-
+        assert_eq!(exec.n(), self.n, "graph size must match agent count");
+        let mut s = Search::new(exec.lookahead());
+        s.seed(self.committed.as_ref());
         // The mutation stream depends only on (seed, round): replays and
         // thread counts cannot perturb it.
         let mut rng = self.seed ^ self.round.wrapping_mul(0xA076_1D64_78BD_642F);
-
-        // Each entry: graph, score, and whether its toggles are generated.
-        let mut frontier: Vec<(Digraph, f64, bool)> = Vec::new();
-        let mut best: Option<(Digraph, f64)> = None;
         let mut scored_count = 0;
         for wave in 0..=self.depth {
             if wave > 0 {
-                frontier.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                frontier.truncate(self.width);
-                for (g, _, expanded) in &mut frontier {
-                    // A graph's toggles all enter `visited` the first time
+                s.select(self.width);
+                for k in 0..s.frontier.len() {
+                    // A graph's toggles all enter the arena the first time
                     // it is expanded; a later wave would only regenerate
                     // duplicates.
-                    if !*expanded {
-                        Self::toggle_neighbours(g, &mut visited, &mut fresh);
-                        *expanded = true;
+                    if s.frontier[k].expanded == NONE {
+                        s.expand(k);
                     }
                     // Mutants are drawn on every wave: skipping them would
                     // shift the splitmix64 stream, and with it the search.
-                    Self::mutate(g, self.mutations, &mut rng, &mut visited, &mut fresh);
+                    s.mutate(k, self.mutations, &mut rng);
                 }
-                if fresh.is_empty() {
+                if s.fresh.is_empty() {
                     break;
                 }
             }
-
-            let scores = score_candidates(&fresh, exec, self.fork_threads);
-            scored_count += fresh.len() as u64;
-            for (g, s) in fresh.drain(..).zip(scores) {
-                if best
-                    .as_ref()
-                    .is_none_or(|(b, bs)| ranks_better(s, &g, *bs, b))
-                {
-                    best = Some((g.clone(), s));
-                }
-                frontier.push((g, s, false));
-            }
+            scored_count += s.fresh.len() as u64;
+            s.score_fresh(self.threads);
         }
-        let (g, s) = best.expect("seed frontier is non-empty");
-        (g, s, scored_count)
+        let best = s.best.expect("seed frontier is non-empty");
+        let g = Digraph::from_in_masks(s.arena.row(best.row))
+            .expect("beam graphs have 2 ≤ n ≤ 64 agents");
+        (g, best.score, scored_count)
     }
 }
 
@@ -378,7 +628,7 @@ where
 #[derive(Debug, Clone)]
 pub struct ExhaustiveRooted {
     candidates: Vec<Digraph>,
-    fork_threads: usize,
+    threads: usize,
 }
 
 impl ExhaustiveRooted {
@@ -395,16 +645,16 @@ impl ExhaustiveRooted {
         );
         ExhaustiveRooted {
             candidates: enumerate::rooted_graphs(n).collect(),
-            fork_threads: 1,
+            threads: 1,
         }
     }
 
-    /// Dispatches scoring onto `threads` pool workers (`0` means
-    /// [`consensus_pool::default_threads`]); results are thread-count
-    /// invariant.
+    /// Scores the candidates on `threads` pool workers, one contiguous
+    /// chunk each (`0` means [`consensus_pool::default_threads`]);
+    /// results are thread-count invariant.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.fork_threads = if threads == 0 {
+        self.threads = if threads == 0 {
             consensus_pool::default_threads()
         } else {
             threads
@@ -426,13 +676,13 @@ where
     A::Msg: Sync,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
-        let scores = score_candidates(&self.candidates, exec, self.fork_threads);
+        let scores = score_graphs(exec, &self.candidates, self.threads);
         let mut best: Option<(usize, f64)> = None;
         for (i, &s) in scores.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some((bi, bs)) => ranks_better(s, &self.candidates[i], bs, &self.candidates[bi]),
-            };
+            let better = best.is_none_or(|(bi, bs)| {
+                let (a, b) = (&self.candidates[i], &self.candidates[bi]);
+                rank(s, a.in_masks(), bs, b.in_masks()) == Ordering::Less
+            });
             if better {
                 best = Some((i, s));
             }
@@ -447,8 +697,9 @@ where
 mod tests {
     use super::*;
     use crate::adaptive::tests::Poisoned;
-    use consensus_algorithms::{MeanValue, Midpoint, Point};
+    use consensus_algorithms::{MeanValue, Midpoint};
     use consensus_dynamics::Scenario;
+    use proptest::prelude::*;
 
     fn spread(n: usize) -> Vec<Point<1>> {
         (0..n).map(|i| Point([i as f64 / (n - 1) as f64])).collect()
@@ -551,6 +802,53 @@ mod tests {
         assert_eq!(t4.merged().content(), s1.content());
     }
 
+    /// Every candidate of a pruning, mutating search scores exactly what
+    /// replaying the execution and stepping the candidate gives, and
+    /// every expanded graph's stored row is that step's output row: the
+    /// changed-agents bookkeeping never leaves a stale output behind.
+    #[test]
+    fn every_candidate_scores_as_a_replayed_step() {
+        let n = 9;
+        let mut warm = Digraph::complete(n).make_deaf(2);
+        warm.remove_edge(4, 7);
+        let warm = [warm, Digraph::complete(n).make_deaf(5)];
+        // The warm-up rounds, then optionally one round under `masks`.
+        let replay = |masks: Option<&[AgentSet]>| {
+            let mut exec = Execution::new(MeanValue, &spread(n));
+            let last = masks.map(|m| Digraph::from_in_masks(m).expect("2 ≤ n ≤ 64"));
+            for g in warm.iter().chain(&last) {
+                exec.step(g);
+            }
+            exec
+        };
+
+        let exec = replay(None);
+        let mut s = Search::new(exec.lookahead());
+        s.seed(None);
+        let mut rng = 11;
+        for wave in 0..=3 {
+            if wave > 0 {
+                s.select(4);
+                for k in 0..s.frontier.len() {
+                    if s.frontier[k].expanded == NONE {
+                        s.expand(k);
+                        let slot = s.frontier[k].expanded as usize;
+                        let stepped = replay(Some(s.arena.row(s.frontier[k].row)));
+                        assert_eq!(&s.rows[slot * n..(slot + 1) * n], stepped.outputs_slice());
+                    }
+                    s.mutate(k, 3, &mut rng);
+                }
+            }
+            let fresh = s.fresh.len();
+            assert!(fresh > 0, "wave {wave} generates candidates");
+            s.score_fresh(1);
+            for c in &s.frontier[s.frontier.len() - fresh..] {
+                let want = replay(Some(s.arena.row(c.row))).value_diameter();
+                assert_eq!(c.score.to_bits(), want.to_bits(), "wave {wave}");
+            }
+        }
+    }
+
     #[test]
     fn committed_graphs_are_always_rooted() {
         let n = 6;
@@ -570,6 +868,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "graph size must match agent count")]
+    fn beam_rejects_an_execution_of_another_size() {
+        let exec = Execution::new(Midpoint, &spread(4));
+        Driver::next_block(&mut BeamSearch::new(3, 0), &exec, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "graph size must match agent count")]
+    fn exhaustive_rejects_an_execution_of_another_size() {
+        let exec = Execution::new(Midpoint, &spread(4));
+        Driver::next_block(&mut ExhaustiveRooted::new(3), &exec, &mut Vec::new());
+    }
+
+    #[test]
     #[should_panic(expected = "NaN value diameter")]
     fn beam_surfaces_a_poisoned_candidate() {
         let mut adv = BeamSearch::new(3, 5);
@@ -583,5 +895,109 @@ mod tests {
         let mut adv = ExhaustiveRooted::new(3);
         let exec = Execution::new(Poisoned, &spread(3));
         Driver::next_block(&mut adv, &exec, &mut Vec::new());
+    }
+
+    /// A rooted graph on `n` agents: a spanning tree (each agent, in a
+    /// random order, hears a random earlier one) plus every other edge
+    /// with probability `density / 4`.
+    fn rooted_masks(n: usize, density: u64, rng: &mut u64) -> Vec<AgentSet> {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, (splitmix64(rng) % (i as u64 + 1)) as usize);
+        }
+        let mut masks: Vec<AgentSet> = (0..n).map(|v| 1 << v).collect();
+        for k in 1..n {
+            let parent = order[(splitmix64(rng) % k as u64) as usize];
+            masks[order[k]] |= 1 << parent;
+        }
+        for mask in &mut masks {
+            for from in 0..n {
+                if splitmix64(rng) % 4 < density {
+                    *mask |= 1 << from;
+                }
+            }
+        }
+        masks
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The spanning-tree shortcut admits exactly the edits a
+        /// brute-force rootedness filter admits: every single-edge
+        /// toggle, and random 2–3-toggle mutants, of random rooted graphs
+        /// from trees (where most tree-edge removals unroot) to cliques.
+        #[test]
+        fn tree_shortcut_admits_exactly_the_rooted_edits(seed in any::<u64>()) {
+            let mut rng = seed;
+            let (mut kept, mut dropped) = (0, 0);
+            for n in 2..=16 {
+                for density in 0..=4 {
+                    let masks = rooted_masks(n, density, &mut rng);
+                    let tree = spanning_tree(&masks).expect("a planted tree is rooted");
+                    let mut edited = masks.clone();
+                    for from in 0..n {
+                        for to in (0..n).filter(|&to| to != from) {
+                            edited[to] ^= 1 << from;
+                            let rooted = in_masks_are_rooted(&edited);
+                            prop_assert_eq!(keeps_rooted(&tree, &edited, 1 << to), rooted);
+                            if rooted { kept += 1 } else { dropped += 1 }
+                            edited[to] ^= 1 << from;
+                        }
+                    }
+                    for _ in 0..16 {
+                        let mut mutant = masks.clone();
+                        for _ in 0..2 + splitmix64(&mut rng) % 2 {
+                            let from = (splitmix64(&mut rng) % n as u64) as usize;
+                            let to = (from + 1 + (splitmix64(&mut rng) % (n as u64 - 1)) as usize) % n;
+                            mutant[to] ^= 1 << from;
+                        }
+                        let changed = (0..n)
+                            .filter(|&v| mutant[v] != masks[v])
+                            .fold(0, |set, v| set | 1 << v);
+                        prop_assert_eq!(
+                            keeps_rooted(&tree, &mutant, changed),
+                            in_masks_are_rooted(&mutant)
+                        );
+                    }
+                }
+            }
+            prop_assert!(kept > 0 && dropped > 0, "both outcomes occur");
+        }
+    }
+
+    #[test]
+    fn arena_drops_duplicates_and_rejected_rows_across_growth() {
+        let n = 3;
+        let mut arena = Arena::new(n);
+        let row = |k: u64| [k, k.rotate_left(21), !k];
+        // Enough rows to grow the slot table several times.
+        for k in 0..1000 {
+            let masks = row(k);
+            if k % 7 == 0 {
+                assert_eq!(arena.admit(&masks, row_hash(&masks), || false), None);
+            }
+            let stored = arena.admit(&masks, row_hash(&masks), || true);
+            assert!(stored.is_some(), "row {k} is new");
+        }
+        for k in 0..1000 {
+            let masks = row(k);
+            let again = arena.admit(&masks, row_hash(&masks), || panic!("asked for a duplicate"));
+            assert_eq!(again, None, "row {k} is stored");
+            assert_eq!(
+                arena.row(k as u32),
+                masks,
+                "row numbers follow admission order"
+            );
+        }
+    }
+
+    #[test]
+    fn rehash_is_the_row_hash_of_the_edited_row() {
+        let mut masks = vec![0b011, 0b111, 0b100];
+        let base = row_hash(&masks);
+        let edited = rehash(base, 2, masks[2], masks[2] ^ 1);
+        masks[2] ^= 1;
+        assert_eq!(edited, row_hash(&masks));
     }
 }

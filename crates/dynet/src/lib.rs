@@ -21,10 +21,11 @@
 //!   spanning trees whose root rotates every round.
 //! * [`BoundedChurnAdversary`] — *bounded-influence churn*: the edge set
 //!   mutates by at most `k` edges per round around a fixed rooted core.
-//! * [`DiameterMaximiser`] — an *adaptive* driver that forks the live
-//!   execution against a small candidate graph set each round and picks
-//!   the graph maximising the next-round value diameter (a greedy
-//!   value-aware adversary in the spirit of the valency probes).
+//! * [`DiameterMaximiser`] — an *adaptive* driver that scores a small
+//!   candidate graph set by one-step lookahead against the live
+//!   execution each round and picks the graph maximising the next-round
+//!   value diameter (a greedy value-aware adversary in the spirit of the
+//!   valency probes).
 //! * [`BeamSearch`] — the scalable form of the adaptive adversary:
 //!   seeded beam search over the rooted-graph class (single-edge
 //!   toggles + splitmix64 mutations), replacing the `n ≤ 4` exhaustive
@@ -65,6 +66,7 @@ pub mod beam;
 pub mod churn;
 pub mod grid;
 pub mod rotating;
+mod score;
 pub mod tinterval;
 mod util;
 

@@ -5,7 +5,7 @@
 //! initial configuration, not just the spread the unit tests use. The
 //! pooled scorer must also be invisible: any thread count, same bits.
 
-use consensus_algorithms::{Midpoint, Point};
+use consensus_algorithms::{MeanValue, Midpoint, Point};
 use consensus_dynamics::Scenario;
 use consensus_dynet::{BeamSearch, ExhaustiveRooted};
 use proptest::prelude::*;
@@ -71,6 +71,40 @@ proptest! {
         for threads in [1, 4] {
             let beam = drive_beam(n, &start, rounds, threads);
             for (a, b) in beam.iter().zip(exact.iter()) {
+                prop_assert_eq!(a[0].to_bits(), b[0].to_bits(), "threads={}", threads);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A pruning, mutating beam scores each wave in one contiguous chunk
+    /// per worker; at 2 and 3 workers the chunk boundaries fall mid-wave
+    /// (and at different candidates), and the schedule must not notice.
+    #[test]
+    fn mutating_beam_is_thread_count_invariant(
+        n in 5usize..13,
+        seed in any::<u64>(),
+        raw in proptest::collection::vec(0.0f64..1.0, 12),
+    ) {
+        let start = inits(n, &raw);
+        let run = |threads: usize| {
+            let mut sc = Scenario::new(MeanValue, &start).adversary(
+                BeamSearch::new(n, seed)
+                    .width(4)
+                    .depth(3)
+                    .mutations(3)
+                    .threads(threads),
+            );
+            sc.advance(4);
+            sc.execution().outputs_slice().to_vec()
+        };
+        let serial = run(1);
+        for threads in [2, 3] {
+            let pooled = run(threads);
+            for (a, b) in pooled.iter().zip(serial.iter()) {
                 prop_assert_eq!(a[0].to_bits(), b[0].to_bits(), "threads={}", threads);
             }
         }
