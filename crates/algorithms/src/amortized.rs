@@ -88,6 +88,7 @@ impl<const D: usize> Algorithm<D> for AmortizedMidpoint {
         (state.lo, state.hi)
     }
 
+    #[inline]
     fn step(
         &self,
         _agent: Agent,

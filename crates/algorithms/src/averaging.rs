@@ -36,6 +36,7 @@ impl<const D: usize> Algorithm<D> for MeanValue {
         *state
     }
 
+    #[inline]
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         debug_assert!(!inbox.is_empty());
         let mut acc = Point::ZERO;
@@ -98,6 +99,7 @@ impl<const D: usize> Algorithm<D> for SelfWeightedAverage {
         *state
     }
 
+    #[inline]
     fn step(&self, agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         let mut acc = Point::ZERO;
         let mut count = 0usize;

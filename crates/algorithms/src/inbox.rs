@@ -6,12 +6,12 @@
 //! Nothing is cloned and nothing is allocated per agent — stepping a
 //! round is O(n) slate writes plus the algorithms' own reads.
 //!
-//! The sender restriction is a [`SenderSet`]: the dense executor hands
-//! in the classic `u64` in-neighborhood bitmask (the `Mask` fast path,
-//! `n ≤ 64`), while the sharded large-`n` executor hands in a borrowed
-//! CSR row or word-array set — same `Inbox` API, no allocation, and
-//! ascending iteration order on every representation so algorithm folds
-//! are bit-identical across paths.
+//! The sender restriction is a [`SenderSet`]: a round on a dense graph
+//! hands in the classic `u64` in-neighborhood bitmask (the `Mask` fast
+//! path, `n ≤ 64`), while a round on a sparse large-`n` graph hands in a
+//! borrowed CSR row or word-array set — same `Inbox` API, no allocation,
+//! and ascending iteration order on every representation so algorithm
+//! folds are bit-identical across topologies.
 //!
 //! Unit tests and harnesses that want to hand-craft an inbox without an
 //! executor use [`InboxBuffer`], the owned counterpart (no longer

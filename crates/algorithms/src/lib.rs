@@ -55,7 +55,6 @@ mod multidim;
 mod nonconvex;
 mod point;
 mod quantized;
-mod scalar;
 pub mod stochastic;
 mod trimmed;
 mod two_agent;
@@ -71,7 +70,6 @@ pub use point::{
     farthest_pair, in_bounding_box, in_convex_hull, per_coordinate_rates, HullPlanes, Point,
 };
 pub use quantized::QuantizedMidpoint;
-pub use scalar::ScalarKernel;
 pub use trimmed::TrimmedMean;
 pub use two_agent::TwoAgentThirds;
 
@@ -91,11 +89,14 @@ pub type Agent = consensus_digraph::Agent;
 /// Determinism is part of the model: identical inboxes must produce
 /// identical states (the lower bounds' indistinguishability arguments
 /// rely on it). Implementations must not use randomness or ambient state.
-pub trait Algorithm<const D: usize> {
+///
+/// Algorithms, states and messages are shareable across threads, so
+/// every executor can split a round's agents across pool workers.
+pub trait Algorithm<const D: usize>: Sync {
     /// Per-agent local state.
-    type State: Clone + std::fmt::Debug;
+    type State: Clone + std::fmt::Debug + Send + Sync;
     /// The message broadcast each round.
-    type Msg: Clone + std::fmt::Debug;
+    type Msg: Clone + std::fmt::Debug + Send + Sync;
 
     /// A short human-readable name (used in bench tables). Borrowed for
     /// the common parameter-free case; parameterised algorithms return
@@ -112,6 +113,12 @@ pub trait Algorithm<const D: usize> {
     /// message slate (ascending sender order, always containing the
     /// agent's own message); nothing is cloned per agent. `round` counts
     /// from 1 as in the paper.
+    ///
+    /// The executor calls this for every agent of every round from one
+    /// loop that is generic over topology and step policy. The
+    /// implementations in this crate are `#[inline]`: without the hint,
+    /// self-weighted averaging's `step` stayed an out-of-line call in
+    /// that loop and the ensemble sweep ran about 30% slower.
     fn step(&self, agent: Agent, state: &mut Self::State, inbox: Inbox<'_, Self::Msg>, round: u64);
 
     /// The current output value `y_i(t)`.

@@ -35,6 +35,7 @@ impl<const D: usize> Algorithm<D> for Midpoint {
         *state
     }
 
+    #[inline]
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         debug_assert!(!inbox.is_empty(), "self-loop guarantees a message");
         let mut it = inbox.iter();
@@ -108,6 +109,7 @@ impl<const D: usize> Algorithm<D> for WindowedMidpoint {
         state.y
     }
 
+    #[inline]
     fn step(
         &self,
         _agent: Agent,

@@ -63,6 +63,7 @@ impl<const D: usize> Algorithm<D> for MidpointCoordinatewise {
         *state
     }
 
+    #[inline]
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         debug_assert!(!inbox.is_empty(), "self-loop guarantees a message");
         let (_, &first) = inbox.first();
@@ -117,6 +118,7 @@ impl<const D: usize> Algorithm<D> for MidpointSimplex {
         *state
     }
 
+    #[inline]
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         debug_assert!(!inbox.is_empty(), "self-loop guarantees a message");
         // O(k²) scan over the received pairs without allocating: the

@@ -75,6 +75,7 @@ impl<const D: usize> Algorithm<D> for MassSplitting {
         *state
     }
 
+    #[inline]
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         let mut acc = Point::ZERO;
         for (from, p) in inbox {
@@ -150,6 +151,7 @@ impl<const D: usize> Algorithm<D> for Overshoot {
         state.y
     }
 
+    #[inline]
     fn step(
         &self,
         _agent: Agent,

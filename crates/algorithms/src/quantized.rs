@@ -70,6 +70,7 @@ impl<const D: usize> Algorithm<D> for QuantizedMidpoint {
         *state
     }
 
+    #[inline]
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         let mut it = inbox.iter();
         let (_, &first) = it.next().expect("self-loop guarantees a message");

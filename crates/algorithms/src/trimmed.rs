@@ -68,6 +68,7 @@ impl<const D: usize> Algorithm<D> for TrimmedMean {
         *state
     }
 
+    #[inline]
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         let mut out = Point::ZERO;
         for c in 0..D {

@@ -36,6 +36,7 @@ impl<const D: usize> Algorithm<D> for TwoAgentThirds {
         *state
     }
 
+    #[inline]
     fn step(&self, agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         let mut others = Point::ZERO;
         let mut count = 0usize;

@@ -33,9 +33,7 @@ pub fn minimal_decision_round<A, const D: usize>(
     max_rounds: usize,
 ) -> Option<u64>
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     Scenario::new(alg, inits)
         .adversary(adversary.driver())
@@ -62,9 +60,7 @@ pub fn minimal_decision_round_with<A, M, const D: usize>(
     max_rounds: usize,
 ) -> Option<u64>
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
     M: Metric<D>,
 {
     Scenario::new(alg, inits)
@@ -86,9 +82,7 @@ pub fn decision_time_series<A, const D: usize>(
     max_rounds: usize,
 ) -> Vec<(f64, Option<u64>)>
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     let delta = consensus_algorithms::diameter(inits);
     ratios

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmark: per-round executor cost, legacy
 //! gather-and-clone inboxes vs the zero-allocation [`Inbox`] slate path,
-//! plus the **large-`n` sharded executor** measurement the CI gate
+//! plus the **large-`n` chunked executor** measurement the CI gate
 //! uploads as `BENCH_executor.json`.
 //!
 //! The legacy path replicates the seed semantics: per agent per round,
@@ -9,9 +9,9 @@
 //! `Execution::step`: one shared slate written once per round, per-agent
 //! views are a bitmask + slice borrow — no per-round heap allocation.
 //!
-//! The sharded section times `ShardedExecution` (flat SoA state, CSR
-//! ring-lattice topology, intra-round chunk parallelism) at
-//! `n ∈ {10³, 10⁴, 10⁵}` — well past the dense path's `n ≤ 64` cap —
+//! The large-`n` section times `Execution` on a CSR ring-lattice
+//! topology with intra-round chunk parallelism at
+//! `n ∈ {10³, 10⁴, 10⁵}` — well past the dense graph's `n ≤ 64` cap —
 //! at one thread and at the full worker pool, and writes the measured
 //! throughput to `BENCH_executor.json` (override the path with the
 //! `BENCH_EXECUTOR_OUT` environment variable).
@@ -78,21 +78,21 @@ fn round_throughput(c: &mut Criterion) {
 
 criterion_group!(benches, round_throughput);
 
-/// In-degree (excluding the self-loop) of the sharded benchmark's ring
+/// In-degree (excluding the self-loop) of the large-`n` benchmark's ring
 /// lattice — bounded-degree, strongly connected at every `n`.
 const LATTICE_K: usize = 6;
 
-/// One measured sharded run: `rounds` midpoint rounds over a
+/// One measured chunked run: `rounds` midpoint rounds over a
 /// `ring_lattice(n, LATTICE_K)` with the given worker count. Returns
 /// `(elapsed_seconds, final_diameter)` — the diameter doubles as the
 /// do-not-optimize sink and a sanity check that the run really
 /// contracted.
-fn sharded_run(n: usize, rounds: u64, threads: usize) -> (f64, f64) {
-    let vals: Vec<f64> = (0..n)
-        .map(|i| ((i * 2_654_435_761 % 1_000_003) as f64) / 1_000_003.0)
+fn chunked_run(n: usize, rounds: u64, threads: usize) -> (f64, f64) {
+    let vals: Vec<Point<1>> = (0..n)
+        .map(|i| Point([((i * 2_654_435_761 % 1_000_003) as f64) / 1_000_003.0]))
         .collect();
     let g = CsrDigraph::ring_lattice(n, LATTICE_K);
-    let mut e = ShardedExecution::new(Midpoint, &vals).threads(threads);
+    let mut e = Execution::new(Midpoint, &vals).threads(threads);
     let start = Instant::now();
     for _ in 0..rounds {
         e.step(black_box(&g));
@@ -112,10 +112,10 @@ fn emit_executor_json() {
         &[1]
     };
     let mut runs = String::new();
-    println!("\nsharded executor throughput (ring_lattice k={LATTICE_K}, midpoint):");
+    println!("\nchunked executor throughput (ring_lattice k={LATTICE_K}, midpoint):");
     for &(n, rounds) in &[(1_000usize, 400u64), (10_000, 100), (100_000, 25)] {
         for &threads in configs {
-            let (elapsed, final_diameter) = sharded_run(n, rounds, threads);
+            let (elapsed, final_diameter) = chunked_run(n, rounds, threads);
             let rounds_per_s = rounds as f64 / elapsed;
             let updates_per_s = rounds_per_s * n as f64;
             println!(

@@ -216,9 +216,7 @@ fn valency_outcome<A, const D: usize>(
     steps: usize,
 ) -> CellOutcome
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     let trace = adv.drive(&mut exec, steps);
     CellOutcome {
@@ -500,8 +498,10 @@ pub fn run_adversary_traced(
 /// The grid's cross-cell invariants, as `(description, holds)` rows:
 /// every serial/pooled (and beam/exhaustive) pair with the same
 /// [`AdvCell::pair_key`] must have identical fingerprints, the
-/// deaf-family diameter-max rate must be exactly 1/2, and the large-`n`
-/// beam must contract strictly slower than 1/2 per round.
+/// deaf-family diameter-max rate must be exactly 1/2, the large-`n`
+/// beam must contract strictly slower than 1/2 per round, and the
+/// Theorem 3 valency rate δ̂ must reach the paper's lower bound
+/// `(1/2)^{1/(n−2)}`.
 #[must_use]
 pub fn adversary_checks(spec: &AdversarySpec, report: &SweepReport) -> Vec<(String, bool)> {
     assert_eq!(spec.cells.len(), report.outcomes.len(), "one row per cell");
@@ -551,6 +551,10 @@ pub fn adversary_checks(spec: &AdversarySpec, report: &SweepReport) -> Vec<(Stri
             AdvCell::Theorem2 { .. } | AdvCell::DeafValency { .. } => checks.push((
                 format!("{} rate = 1/2 (±1e-6)", cell.pair_key()),
                 (report.outcomes[i].rate - 0.5).abs() < 1e-6,
+            )),
+            AdvCell::Theorem3 { n, .. } => checks.push((
+                format!("thm3 n={n} δ̂ ≥ (1/2)^(1/(n−2))"),
+                report.outcomes[i].rate >= bounds::theorem3_lower(n),
             )),
             _ => {}
         }

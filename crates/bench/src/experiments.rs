@@ -38,9 +38,7 @@ fn run_cases<R: Send>(cases: Vec<Case<R>>) -> Vec<R> {
 
 fn drive_rate<A>(alg: A, adv: &GreedyValencyAdversary, inits: &[Point<1>], steps: usize) -> f64
 where
-    A: Algorithm<1> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<1> + Clone,
 {
     let mut sc = Scenario::new(alg, inits).adversary(adv.driver());
     sc.advance(steps * adv.block_len());
@@ -285,7 +283,7 @@ pub fn contraction_rates(quick: bool) -> String {
 
     /// One Theorem-1 cell (the adversary is rebuilt inside the cell, so
     /// the closure captures only plain data).
-    fn thm1<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync + 'static>(
+    fn thm1<A: Algorithm<1> + Clone + 'static>(
         name: &'static str,
         alg: A,
         steps: usize,
@@ -303,7 +301,7 @@ pub fn contraction_rates(quick: bool) -> String {
     }
 
     /// One Theorem-2 cell on deaf(K_4).
-    fn thm2<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync + 'static>(
+    fn thm2<A: Algorithm<1> + Clone + 'static>(
         name: &'static str,
         alg: A,
         steps: usize,

@@ -16,8 +16,8 @@ const N: usize = 2000;
 const ROUNDS: usize = 200;
 const REPS: usize = 5;
 
-fn inits(n: usize) -> Vec<f64> {
-    (0..n).map(|i| i as f64 / (n - 1) as f64).collect()
+fn inits(n: usize) -> Vec<Point<1>> {
+    (0..n).map(|i| Point([i as f64 / (n - 1) as f64])).collect()
 }
 
 /// Best-of-`REPS` wall time of `f`, in nanoseconds, after one untimed
@@ -41,7 +41,7 @@ fn observed_executor_overhead_stays_small() {
     let xs = inits(N);
 
     let (base_ns, d_base) = best_of(|| {
-        let mut exec = ShardedExecution::new(MeanValue, &xs).threads(1);
+        let mut exec = Execution::new(MeanValue, &xs);
         for _ in 0..ROUNDS {
             exec.step(&g);
         }
@@ -50,7 +50,7 @@ fn observed_executor_overhead_stays_small() {
 
     let trace = TraceHandle::enabled();
     let (obs_ns, d_obs) = best_of(|| {
-        let mut exec = ShardedExecution::new(MeanValue, &xs).threads(1);
+        let mut exec = Execution::new(MeanValue, &xs);
         let rec = trace.recorder(0, lane::EXECUTOR).expect("trace is enabled");
         // Stride keeps the recorder under its cap across repetitions
         // while still exercising the telemetry branch every round.

@@ -74,14 +74,14 @@ pub mod prelude {
     pub use consensus_algorithms::float::{det_argmax, det_max, det_min, det_min_max};
     pub use consensus_algorithms::{
         Algorithm, AmortizedMidpoint, Inbox, InboxBuffer, MassSplitting, MeanValue, Midpoint,
-        MidpointCoordinatewise, MidpointSimplex, Overshoot, Point, QuantizedMidpoint, ScalarKernel,
+        MidpointCoordinatewise, MidpointSimplex, Overshoot, Point, QuantizedMidpoint,
         SelfWeightedAverage, TrimmedMean, TwoAgentThirds, WindowedMidpoint,
     };
     pub use consensus_approx::{rules as decision_rules, Decider};
     pub use consensus_controlplane::{CellExecutor, Metrics, RunConfig, SweepPlan};
     pub use consensus_digraph::{families, CsrDigraph, Digraph, RoundTopology, SenderSet, WordSet};
     pub use consensus_dynamics::{
-        pattern, scenario, BoxDiameter, DiameterTrace, Execution, HullDiameter, Metric, Scenario,
+        pattern, scenario, BoxDiameter, Execution, HullDiameter, Metric, Scenario,
         ShardedExecution, Trace,
     };
     pub use consensus_dynet::{

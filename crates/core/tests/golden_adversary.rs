@@ -56,12 +56,19 @@ fn every_cross_cell_invariant_holds() {
     let report = run_adversary(&spec, None);
     assert_eq!(report.summary.failures, 0, "every probe must converge");
     let checks = adversary_checks(&spec, &report);
-    // The quick preset carries all four invariant families: the two
+    // The quick preset carries all five invariant families: the two
     // serial/pooled pairs, the beam/exhaustive pair, the exact-1/2
-    // diameter-max rows, and the large-n beam bound.
+    // diameter-max rows, the large-n beam bound, and the Theorem 3
+    // lower bound.
     assert!(
         checks.len() >= 8,
         "expected the full check set, got {checks:?}"
+    );
+    assert!(
+        checks
+            .iter()
+            .any(|(desc, _)| desc.starts_with("thm3 n=5 δ̂ ≥")),
+        "the Theorem 3 row is checked against its bound: {checks:?}"
     );
     for (desc, ok) in &checks {
         assert!(ok, "invariant failed: {desc}");

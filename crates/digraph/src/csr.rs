@@ -3,7 +3,7 @@
 //! [`Digraph`] stores one `u64` in-neighborhood bitmask per agent —
 //! perfect for the paper-scale experiments (`n ≤ 64`) but structurally
 //! incapable of representing agent 64. [`CsrDigraph`] is the scale-out
-//! representation behind the sharded executor: per-agent in-neighbor
+//! representation behind large-`n` executions: per-agent in-neighbor
 //! rows stored back-to-back in one flat array, ascending within each
 //! row, with mandatory self-loops exactly like the dense type.
 //!

@@ -362,20 +362,24 @@ pub trait RoundTopology: Sync {
 }
 
 impl RoundTopology for crate::Digraph {
+    #[inline]
     fn n(&self) -> usize {
         self.n()
     }
 
+    #[inline]
     fn sender_set(&self, i: Agent) -> SenderSet<'_> {
         crate::Digraph::sender_set(self, i)
     }
 }
 
 impl RoundTopology for crate::CsrDigraph {
+    #[inline]
     fn n(&self) -> usize {
         self.n()
     }
 
+    #[inline]
     fn sender_set(&self, i: Agent) -> SenderSet<'_> {
         crate::CsrDigraph::sender_set(self, i)
     }

@@ -1,10 +1,60 @@
 //! The [`Execution`] engine: states, rounds, forking.
 
 use consensus_algorithms::{diameter, Algorithm, Inbox, Point};
-use consensus_digraph::{agents_in, AgentSet, Digraph};
+use consensus_digraph::{AgentSet, RoundTopology, SenderSet};
 
 use crate::byzantine::ByzantineStrategy;
 use crate::pattern::PatternSource;
+
+/// Default agents-per-chunk of [`Execution::threads`]: large enough to
+/// amortize scheduling, small enough to load-balance a million agents
+/// over any realistic core count.
+const DEFAULT_CHUNK: usize = 4096;
+
+/// How one round's agent transitions are scheduled: [`Serial`] (the
+/// default) or [`Chunked`].
+///
+/// A transition reads only its own agent's state, the round's shared
+/// message slate and the round number, and writes only its own agent's
+/// state, so every policy produces the same bits.
+pub trait StepPolicy {
+    /// Calls `f(i, &mut states[i])` once for every agent `i`.
+    fn for_each_agent<S: Send>(&self, states: &mut [S], f: impl Fn(usize, &mut S) + Sync);
+}
+
+/// Every agent on the calling thread, in ascending order. Zero-sized:
+/// the executor that [`crate::Scenario`], drivers and adversaries use
+/// carries no thread count and never branches on one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Serial;
+
+impl StepPolicy for Serial {
+    #[inline]
+    fn for_each_agent<S: Send>(&self, states: &mut [S], f: impl Fn(usize, &mut S) + Sync) {
+        for (i, state) in states.iter_mut().enumerate() {
+            f(i, state);
+        }
+    }
+}
+
+/// Agents split into contiguous chunks stepped on up to `threads`
+/// workers ([`consensus_pool::for_each_chunk_mut`]); see
+/// [`Execution::threads`] and [`Execution::chunk_size`].
+#[derive(Debug, Clone, Copy)]
+pub struct Chunked {
+    threads: usize,
+    chunk: usize,
+}
+
+impl StepPolicy for Chunked {
+    fn for_each_agent<S: Send>(&self, states: &mut [S], f: impl Fn(usize, &mut S) + Sync) {
+        consensus_pool::for_each_chunk_mut(states, self.chunk, self.threads, |start, chunk| {
+            for (k, state) in chunk.iter_mut().enumerate() {
+                f(start + k, state);
+            }
+        });
+    }
+}
 
 /// A live execution of an algorithm: one state per agent, advanced one
 /// communication-closed round at a time (paper §2).
@@ -12,14 +62,21 @@ use crate::pattern::PatternSource;
 /// `Execution` is the low-level stepper: it owns the per-agent states,
 /// a reused message slate (gathered once per round — stepping performs
 /// **no per-round heap allocation** after warm-up), and a cache of the
-/// current outputs. High-level runs (patterns, adversaries, faults,
-/// decision measurement) go through [`crate::Scenario`].
+/// current outputs. Rounds run over any [`RoundTopology`]: the dense
+/// [`Digraph`](consensus_digraph::Digraph) (`n ≤ 64`) or the sparse
+/// [`CsrDigraph`](consensus_digraph::CsrDigraph) (any `n`). High-level
+/// runs (patterns, adversaries, faults, decision measurement) go
+/// through [`crate::Scenario`].
+///
+/// The [`StepPolicy`] parameter `P` schedules each round's transitions:
+/// [`Serial`] by default, [`Chunked`] after [`Execution::threads`].
+/// Thread count and chunk size never change an output bit.
 ///
 /// `Execution` is [`Clone`] (when the algorithm is), which is how the
 /// valency engine forks a configuration `C` into the different successor
 /// executions `G.C` needed by the lower-bound adversaries.
 #[derive(Clone)]
-pub struct Execution<A: Algorithm<D>, const D: usize> {
+pub struct Execution<A: Algorithm<D>, const D: usize, P = Serial> {
     alg: A,
     states: Vec<A::State>,
     /// Cached `y(t)`, refreshed after every step.
@@ -30,6 +87,7 @@ pub struct Execution<A: Algorithm<D>, const D: usize> {
     /// (empty unless faults are injected).
     fault_msgs: Vec<A::Msg>,
     round: u64,
+    policy: P,
 }
 
 impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
@@ -38,10 +96,10 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     ///
     /// # Panics
     ///
-    /// Panics if `inits` is empty or has more than 64 agents.
+    /// Panics if `inits` is empty.
     #[must_use]
     pub fn new(alg: A, inits: &[Point<D>]) -> Self {
-        assert!(!inits.is_empty() && inits.len() <= 64, "need 1..=64 agents");
+        assert!(!inits.is_empty(), "need at least one agent");
         let states: Vec<A::State> = inits
             .iter()
             .enumerate()
@@ -55,9 +113,60 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
             msgs: Vec::with_capacity(inits.len()),
             fault_msgs: Vec::new(),
             round: 0,
+            policy: Serial,
         }
     }
 
+    /// Steps each round's agents in chunks of 4096 on up to `threads`
+    /// pool workers (`threads ≤ 1` runs the chunks in place). Thread
+    /// count never affects results, only wall-clock time.
+    #[must_use]
+    pub fn threads(self, threads: usize) -> Execution<A, D, Chunked> {
+        Execution {
+            alg: self.alg,
+            states: self.states,
+            outs: self.outs,
+            msgs: self.msgs,
+            fault_msgs: self.fault_msgs,
+            round: self.round,
+            policy: Chunked {
+                threads: threads.max(1),
+                chunk: DEFAULT_CHUNK,
+            },
+        }
+    }
+
+    /// The next round of this configuration, evaluated one agent at a
+    /// time: gathers the message slate once, after which
+    /// [`Lookahead::output`] returns any agent's next output under any
+    /// in-mask without stepping (or cloning) the execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64`: [`Lookahead::output`] takes `u64` in-masks.
+    #[must_use]
+    pub fn lookahead(&self) -> Lookahead<'_, A, D> {
+        assert!(
+            self.n() <= 64,
+            "lookahead takes u64 in-masks: need 1..=64 agents"
+        );
+        let mut slate = Vec::with_capacity(self.n());
+        gather(&self.alg, &self.states, &mut slate);
+        Lookahead { exec: self, slate }
+    }
+}
+
+impl<A: Algorithm<D>, const D: usize> Execution<A, D, Chunked> {
+    /// Sets the agents-per-chunk granularity of [`Execution::threads`].
+    /// Chunk size never affects results, only load balance.
+    #[must_use]
+    pub fn chunk_size(mut self, chunk: usize) -> Self {
+        self.policy.chunk = chunk.max(1);
+        self
+    }
+}
+
+impl<A: Algorithm<D>, const D: usize, P> Execution<A, D, P> {
     /// The number of agents.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -113,35 +222,26 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
         let alg = &self.alg;
         self.outs.extend(self.states.iter().map(|s| alg.output(s)));
     }
+}
 
-    /// Executes one round with communication graph `g`: gather all
-    /// messages once into the shared slate, hand every agent an
-    /// [`Inbox`] view masked by its in-neighborhood (self included),
-    /// apply the transition function everywhere.
+impl<A: Algorithm<D>, const D: usize, P: StepPolicy> Execution<A, D, P> {
+    /// Executes one round with topology `g`: gather all messages once
+    /// into the shared slate, hand every agent an [`Inbox`] view
+    /// restricted to its in-neighborhood (self included), apply the
+    /// transition function everywhere.
     ///
     /// # Panics
     ///
     /// Panics if `g.n() != self.n()`.
-    pub fn step(&mut self, g: &Digraph) {
+    pub fn step<G: RoundTopology>(&mut self, g: &G) {
         assert_eq!(g.n(), self.n(), "graph size must match agent count");
         self.round += 1;
         gather(&self.alg, &self.states, &mut self.msgs);
-        for (i, state) in self.states.iter_mut().enumerate() {
-            let inbox = Inbox::new(g.in_mask(i), &self.msgs);
-            self.alg.step(i, state, inbox, self.round);
-        }
+        let (alg, msgs, round) = (&self.alg, &self.msgs[..], self.round);
+        self.policy.for_each_agent(&mut self.states, |i, state| {
+            alg.step(i, state, Inbox::from_senders(g.sender_set(i), msgs), round);
+        });
         self.refresh_outputs();
-    }
-
-    /// The next round of this configuration, evaluated one agent at a
-    /// time: gathers the message slate once, after which
-    /// [`Lookahead::output`] returns any agent's next output under any
-    /// in-mask without stepping (or cloning) the execution.
-    #[must_use]
-    pub fn lookahead(&self) -> Lookahead<'_, A, D> {
-        let mut slate = Vec::with_capacity(self.n());
-        gather(&self.alg, &self.states, &mut slate);
-        Lookahead { exec: self, slate }
     }
 
     /// [`Execution::step`] with round-level telemetry: wraps the round
@@ -158,7 +258,11 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     /// # Panics
     ///
     /// Panics if `g.n() != self.n()`.
-    pub fn step_observed(&mut self, g: &Digraph, tel: &mut consensus_obs::RoundTelemetry) {
+    pub fn step_observed<G: RoundTopology>(
+        &mut self,
+        g: &G,
+        tel: &mut consensus_obs::RoundTelemetry,
+    ) {
         let round = self.round + 1;
         if !tel.needs_diameter(round) {
             // A decimated round no emitted ratio depends on: run the
@@ -168,9 +272,7 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
         }
         tel.begin_round(round);
         self.step(g);
-        let receptions: u64 = (0..self.n())
-            .map(|i| u64::from(g.in_mask(i).count_ones()))
-            .sum();
+        let receptions: u64 = (0..self.n()).map(|i| g.sender_set(i).len() as u64).sum();
         tel.end_round(round, self.value_diameter(), receptions);
     }
 
@@ -188,9 +290,9 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     /// it as one is exactly the bug that can make a valency
     /// under-approximation `δ̂` unsound, so callers must check the flag
     /// (or run in a strict mode that refuses truncated probes).
-    pub fn limit_estimate<P: PatternSource>(
+    pub fn limit_estimate<Pat: PatternSource>(
         &mut self,
-        pattern: &mut P,
+        pattern: &mut Pat,
         tol: f64,
         max_rounds: usize,
     ) -> LimitEstimate<D> {
@@ -285,42 +387,50 @@ pub struct LimitEstimate<const D: usize> {
     pub rounds: u64,
 }
 
-impl<A: Algorithm<1, Msg = Point<1>>> Execution<A, 1> {
-    /// Executes one round with the agents in `byzantine` replaced by
-    /// `strategy`: honest agents receive the slate with the liars' slots
-    /// overwritten by forged values (per receiver — two-faced faults),
-    /// Byzantine agents' states are frozen. Only scalar-message
-    /// algorithms can be attacked this way.
+impl<A: Algorithm<1, Msg = Point<1>>, P> Execution<A, 1, P> {
+    /// Executes one round with the agents in `byzantine` (a `u64` mask
+    /// for `n ≤ 64`, a [`WordSet`](consensus_digraph::WordSet) for any
+    /// `n`) replaced by `strategy`: honest agents receive the slate with
+    /// the liars' slots overwritten by forged values (per receiver —
+    /// two-faced faults), Byzantine agents' states are frozen. Only
+    /// scalar-message algorithms can be attacked this way.
+    ///
+    /// The round runs serially under every [`StepPolicy`]: the strategy
+    /// is stateful (`&mut`), and it is called for receivers in
+    /// ascending order and, per receiver, for its liars in ascending
+    /// order, so its forgeries stay deterministic.
     ///
     /// # Panics
     ///
     /// Panics if `g.n() != self.n()` or every agent is Byzantine.
-    pub fn step_with_faults(
+    pub fn step_with_faults<'b, G: RoundTopology>(
         &mut self,
-        g: &Digraph,
-        byzantine: AgentSet,
+        g: &G,
+        byzantine: impl Into<SenderSet<'b>>,
         strategy: &mut dyn ByzantineStrategy,
     ) {
         assert_eq!(g.n(), self.n(), "graph size must match agent count");
+        let byzantine = byzantine.into();
         let n = self.n();
-        let all: AgentSet = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let honest = all & !byzantine;
-        assert!(honest != 0, "at least one honest agent required");
+        assert!(
+            (0..n).any(|i| !byzantine.contains(i)),
+            "at least one honest agent required"
+        );
         self.round += 1;
         gather(&self.alg, &self.states, &mut self.msgs);
         // Reused scratch slate: forge only the liars' slots per receiver
         // (two-faced strategies send different lies to each agent) and
-        // restore them afterwards — O(f) per receiver, no allocation.
+        // restore them afterwards — no allocation.
         self.fault_msgs.clear();
         self.fault_msgs.extend(self.msgs.iter().copied());
-        for i in agents_in(honest) {
-            let forged = g.in_mask(i) & byzantine;
-            for j in agents_in(forged) {
+        for i in (0..n).filter(|&i| !byzantine.contains(i)) {
+            let senders = g.sender_set(i);
+            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
                 self.fault_msgs[j] = Point([strategy.forge(self.round, j, i)]);
             }
-            let inbox = Inbox::new(g.in_mask(i), &self.fault_msgs);
+            let inbox = Inbox::from_senders(senders, &self.fault_msgs);
             self.alg.step(i, &mut self.states[i], inbox, self.round);
-            for j in agents_in(forged) {
+            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
                 self.fault_msgs[j] = self.msgs[j];
             }
         }
@@ -328,7 +438,7 @@ impl<A: Algorithm<1, Msg = Point<1>>> Execution<A, 1> {
     }
 }
 
-impl<A: Algorithm<D> + std::fmt::Debug, const D: usize> std::fmt::Debug for Execution<A, D> {
+impl<A: Algorithm<D> + std::fmt::Debug, const D: usize, P> std::fmt::Debug for Execution<A, D, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Execution")
             .field("alg", &self.alg)
@@ -344,7 +454,7 @@ mod tests {
     use crate::pattern::{ConstantPattern, PeriodicPattern};
     use crate::Scenario;
     use consensus_algorithms::{MeanValue, Midpoint, TwoAgentThirds};
-    use consensus_digraph::families;
+    use consensus_digraph::{families, Digraph};
 
     fn pts(vals: &[f64]) -> Vec<Point<1>> {
         vals.iter().map(|&v| Point([v])).collect()
@@ -486,6 +596,7 @@ mod tests {
 mod edge_tests {
     use super::*;
     use consensus_algorithms::{MeanValue, Midpoint};
+    use consensus_digraph::Digraph;
 
     #[test]
     fn single_agent_execution_is_trivial() {
@@ -506,10 +617,12 @@ mod edge_tests {
         );
     }
 
+    /// Executions of any size run on a `CsrDigraph`, but a lookahead
+    /// takes `u64` in-masks and refuses agents they cannot hold.
     #[test]
     #[should_panic(expected = "1..=64")]
     fn sixty_five_agents_rejected() {
         let inits: Vec<Point<1>> = (0..65).map(|i| Point([i as f64])).collect();
-        let _ = Execution::new(MeanValue, &inits);
+        let _ = Execution::new(MeanValue, &inits).lookahead();
     }
 }

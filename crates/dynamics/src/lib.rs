@@ -13,10 +13,13 @@
 //!   driver × faults × stop condition* that runs any experiment shape
 //!   of the paper and returns a [`Trace`];
 //! * [`Execution`] — the low-level stepper: per-agent states,
-//!   zero-allocation single-round stepping over a shared message slate,
-//!   forking (for valency probes), and [`Execution::lookahead`], the next
-//!   round agent by agent (for adversaries that score many candidate
-//!   graphs against one configuration);
+//!   zero-allocation single-round stepping over a shared message slate
+//!   on any [`RoundTopology`](consensus_digraph::RoundTopology) (the
+//!   dense `Digraph` or the sparse `CsrDigraph`, any `n`), optional
+//!   chunked intra-round parallelism ([`Execution::threads`]), forking
+//!   (for valency probes), and [`Execution::lookahead`], the next round
+//!   agent by agent (for adversaries that score many candidate graphs
+//!   against one configuration);
 //! * [`scenario::Driver`] — the graph-choice abstraction behind
 //!   [`Scenario`]: pattern replay, state-dependent topologies, and the
 //!   probing lower-bound adversaries all implement it;
@@ -52,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod byzantine;
-mod diameter_trace;
 mod executor;
 pub mod metric;
 pub mod pattern;
@@ -60,9 +62,8 @@ pub mod scenario;
 mod sharded;
 mod trace;
 
-pub use diameter_trace::DiameterTrace;
-pub use executor::{Execution, LimitEstimate, Lookahead};
+pub use executor::{Chunked, Execution, LimitEstimate, Lookahead, Serial, StepPolicy};
 pub use metric::{BoxDiameter, HullDiameter, Metric};
 pub use scenario::{FaultyScenario, Scenario};
-pub use sharded::{ShardedExecution, DEFAULT_CHUNK};
+pub use sharded::ShardedExecution;
 pub use trace::{estimate_rates, RateEstimate, Trace};

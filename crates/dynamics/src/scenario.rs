@@ -163,8 +163,17 @@ impl<A: Algorithm<D>, const D: usize> Scenario<A, NoDriver, D> {
 
     /// Continues from an existing (possibly forked or partially run)
     /// execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the execution has more than 64 agents: drivers emit
+    /// dense [`Digraph`] rounds.
     #[must_use]
     pub fn resume(exec: Execution<A, D>) -> Self {
+        assert!(
+            exec.n() <= 64,
+            "drivers emit Digraph rounds: need 1..=64 agents"
+        );
         Scenario {
             exec,
             driver: NoDriver,
@@ -748,6 +757,13 @@ mod tests {
             .metric(leader)
             .decide(1e-9);
         assert_eq!(sc.decision_round(16), Some(1), "clique agrees in 1 round");
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64")]
+    fn sixty_five_agent_scenario_rejected() {
+        let inits: Vec<Point<1>> = (0..65).map(|i| Point([i as f64])).collect();
+        let _ = Scenario::new(Midpoint, &inits);
     }
 
     #[test]

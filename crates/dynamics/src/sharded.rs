@@ -1,351 +1,36 @@
-//! The sharded large-`n` executor: flat scalar state, sparse
-//! topologies, intra-round parallelism.
-//!
-//! [`Execution`](crate::Execution) is the reference stepper: generic
-//! over algorithm state, dense `u64`-mask graphs, `n ≤ 64`.
-//! [`ShardedExecution`] is the production-scale path for scalar
-//! ([`Point<1>`](consensus_algorithms::Point)) algorithms at
-//! `n ≈ 10⁵–10⁶`:
-//!
-//! * **SoA state** — all agent values live in one flat `Vec<f64>`
-//!   (double-buffered), stepped through a [`ScalarKernel`] in
-//!   cache-friendly chunks instead of per-agent `Point<1>` wrappers;
-//! * **sparse topologies** — rounds step over anything implementing
-//!   [`RoundTopology`]: the dense [`Digraph`](consensus_digraph::Digraph)
-//!   mask path or a [`CsrDigraph`](consensus_digraph::CsrDigraph) CSR
-//!   row per agent, borrowed with zero per-round allocation;
-//! * **intra-round sharding** — agents are split into chunks and
-//!   stepped on the work-stealing pool
-//!   ([`consensus_pool::for_each_chunk_mut`]). Writes are disjoint and
-//!   each agent's update is a pure function of the previous round, so
-//!   results are **bit-identical at every thread count** — and, by the
-//!   [`ScalarKernel`] contract, bit-identical to the dense
-//!   [`Execution`](crate::Execution) wherever both apply (`n ≤ 64`).
-//!   The `tests/large_executor.rs` identity suite pins both claims.
+//! [`ShardedExecution`]: an [`Execution`] built from plain `f64` values.
 
-use consensus_algorithms::{Inbox, ScalarKernel};
-use consensus_digraph::{RoundTopology, WordSet};
+use consensus_algorithms::{Algorithm, Point};
 
-use crate::byzantine::ByzantineStrategy;
+use crate::Execution;
 
-/// Default agents-per-chunk for intra-round sharding: large enough to
-/// amortize scheduling, small enough to load-balance a million agents
-/// over any realistic core count.
-pub const DEFAULT_CHUNK: usize = 4096;
+/// The constructor of a scalar [`Execution`] from plain `f64` initial
+/// values, kept for call sites written against the former large-`n`
+/// stepper. Large-`n` runs are an [`Execution`] stepped on a
+/// [`CsrDigraph`](consensus_digraph::CsrDigraph), chunked across pool
+/// workers by [`Execution::threads`].
+pub enum ShardedExecution {}
 
-/// A large-`n` execution of a scalar algorithm: one `f64` per agent,
-/// advanced one communication-closed round at a time.
-///
-/// See the module docs for the design; see
-/// [`crate::DiameterTrace`] for recording at this scale (a full
-/// [`Trace`](crate::Trace) clones every round's outputs, which at
-/// `n = 10⁶` is the difference between megabytes and gigabytes).
-#[derive(Debug, Clone)]
-pub struct ShardedExecution<K: ScalarKernel + Sync> {
-    alg: K,
-    /// Current value per agent (the SoA state).
-    vals: Vec<f64>,
-    /// Double buffer for the next round's values.
-    next: Vec<f64>,
-    /// Reused per-round message slate.
-    msgs: Vec<f64>,
-    /// Reused forged-slate scratch for [`ShardedExecution::step_with_faults`].
-    fault_msgs: Vec<f64>,
-    /// Reused per-chunk `(min, max, receptions)` slots for
-    /// [`ShardedExecution::step_observed`].
-    stat_buf: Vec<(f64, f64, u64)>,
-    round: u64,
-    threads: usize,
-    chunk: usize,
-}
-
-impl<K: ScalarKernel + Sync> ShardedExecution<K> {
-    /// Starts an execution of `alg` from the given initial values (one
-    /// per agent — any `n ≥ 1`, there is no 64-agent cap here).
+impl ShardedExecution {
+    /// `Execution::new(alg, inits)` with each `f64` as a `Point<1>`.
     ///
     /// # Panics
     ///
     /// Panics if `inits` is empty.
+    #[allow(clippy::new_ret_no_self)] // a constructor for `Execution`, not for this namespace
     #[must_use]
-    pub fn new(alg: K, inits: &[f64]) -> Self {
-        assert!(!inits.is_empty(), "need at least one agent");
-        ShardedExecution {
-            alg,
-            vals: inits.to_vec(),
-            next: vec![0.0; inits.len()],
-            msgs: Vec::with_capacity(inits.len()),
-            fault_msgs: Vec::new(),
-            stat_buf: Vec::new(),
-            round: 0,
-            threads: consensus_pool::default_threads(),
-            chunk: DEFAULT_CHUNK,
-        }
+    pub fn new<A: Algorithm<1>>(alg: A, inits: &[f64]) -> Execution<A, 1> {
+        let inits: Vec<Point<1>> = inits.iter().map(|&v| Point([v])).collect();
+        Execution::new(alg, &inits)
     }
-
-    /// Sets the worker count for intra-round sharding (1 ⇒ sequential).
-    /// Thread count never affects results, only wall-clock time.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the agents-per-chunk granularity of intra-round sharding.
-    /// Chunk size never affects results, only load balance.
-    #[must_use]
-    pub fn chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
-    }
-
-    /// The number of agents.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// The number of completed rounds.
-    #[must_use]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The algorithm being executed.
-    #[must_use]
-    pub fn algorithm(&self) -> &K {
-        &self.alg
-    }
-
-    /// The current value vector, borrowed — no allocation.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.vals
-    }
-
-    /// The current value spread `Δ(y(t))` — one `max − min` scan (for
-    /// scalars the Euclidean and box diameters coincide).
-    #[must_use]
-    pub fn value_diameter(&self) -> f64 {
-        let (lo, hi) = min_max(&self.vals);
-        hi - lo
-    }
-
-    /// Executes one round with topology `g`: gather every agent's
-    /// broadcast once into the shared slate, then step all agents in
-    /// parallel chunks, each reading its in-neighborhood through a
-    /// borrowed [`Inbox`] and writing its slot of the double buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.n() != self.n()`.
-    pub fn step<G: RoundTopology>(&mut self, g: &G) {
-        assert_eq!(g.n(), self.n(), "graph size must match agent count");
-        self.round += 1;
-        let round = self.round;
-        let ShardedExecution {
-            alg,
-            vals,
-            next,
-            msgs,
-            threads,
-            chunk,
-            ..
-        } = self;
-        msgs.clear();
-        msgs.extend(vals.iter().map(|&v| alg.message_scalar(v)));
-        let (alg, vals, msgs) = (&*alg, &*vals, &*msgs);
-        consensus_pool::for_each_chunk_mut(next, *chunk, *threads, |start, out| {
-            for (k, slot) in out.iter_mut().enumerate() {
-                let i = start + k;
-                let inbox = Inbox::from_senders(g.sender_set(i), msgs);
-                *slot = alg.step_scalar(i, vals[i], inbox, round);
-            }
-        });
-        std::mem::swap(&mut self.vals, &mut self.next);
-    }
-
-    /// [`ShardedExecution::step`] with round-level telemetry: wraps the
-    /// round in a `round` span and emits the resulting diameter, the
-    /// contraction ratio Δ(t)/Δ(t−1), and the round's reception count
-    /// through `tel`, plus a profile-class `shard_imbalance` gauge
-    /// (max/mean chunks per worker) when the round ran on several
-    /// workers.
-    ///
-    /// The reception count rides the parallel chunk pass
-    /// ([`consensus_pool::for_each_chunk_mut_stat`]): each chunk fills
-    /// its own statistics slot and the slots are reduced in chunk-index
-    /// order, so the observed step stays bit-identical to
-    /// [`ShardedExecution::step`] at every thread count. The diameter
-    /// is one sequential unrolled scan after the swap (the `min_max`
-    /// helper's shape is fixed, so it too never depends on the worker
-    /// count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.n() != self.n()`.
-    pub fn step_observed<G: RoundTopology>(
-        &mut self,
-        g: &G,
-        tel: &mut consensus_obs::RoundTelemetry,
-    ) {
-        assert_eq!(g.n(), self.n(), "graph size must match agent count");
-        if !tel.needs_diameter(self.round + 1) {
-            // A decimated round no emitted ratio depends on: run the
-            // plain step — zero telemetry overhead.
-            self.step(g);
-            return;
-        }
-        self.round += 1;
-        let round = self.round;
-        tel.begin_round(round);
-        let ShardedExecution {
-            alg,
-            vals,
-            next,
-            msgs,
-            stat_buf,
-            threads,
-            chunk,
-            ..
-        } = self;
-        msgs.clear();
-        msgs.extend(vals.iter().map(|&v| alg.message_scalar(v)));
-        let (alg, vals, msgs) = (&*alg, &*vals, &*msgs);
-        // One (min, max, receptions) slot per chunk, reduced in chunk
-        // order below — no cross-worker accumulation anywhere. The
-        // buffer is reused across rounds so the observed step performs
-        // no per-round allocation; the step loop itself is identical to
-        // [`ShardedExecution::step`]'s, and the chunk's extremes come
-        // from a cache-hot [`min_max`] pass over the freshly written
-        // slots rather than a fold inside the hot loop. Any reduction
-        // shape over finite values yields the same extreme bits, and
-        // the chunk grid is a pure function of `n` and `chunk`, so the
-        // emitted diameter never depends on the worker count.
-        let n_chunks = next.len().div_ceil(*chunk);
-        stat_buf.clear();
-        stat_buf.resize(n_chunks, (f64::INFINITY, f64::NEG_INFINITY, 0));
-        let per_worker = consensus_pool::for_each_chunk_mut_stat(
-            next,
-            stat_buf,
-            *chunk,
-            *threads,
-            |start, out, stat| {
-                let mut recv = 0u64;
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let i = start + k;
-                    let senders = g.sender_set(i);
-                    recv += senders.len() as u64;
-                    let inbox = Inbox::from_senders(senders, msgs);
-                    *slot = alg.step_scalar(i, vals[i], inbox, round);
-                }
-                let (lo, hi) = min_max(out);
-                *stat = (lo, hi, recv);
-            },
-        );
-        std::mem::swap(&mut self.vals, &mut self.next);
-        let (mut lo, mut hi, mut receptions) = (f64::INFINITY, f64::NEG_INFINITY, 0u64);
-        for &(clo, chi, crecv) in &self.stat_buf {
-            lo = lo.min(clo);
-            hi = hi.max(chi);
-            receptions += crecv;
-        }
-        tel.end_round(round, hi - lo, receptions);
-        if per_worker.len() > 1 {
-            let max = per_worker.iter().copied().max().unwrap_or(0) as f64;
-            let mean = per_worker.iter().sum::<u64>() as f64 / per_worker.len() as f64;
-            if mean > 0.0 {
-                tel.recorder_mut()
-                    .profile_gauge("shard_imbalance", round, max / mean);
-            }
-        }
-    }
-
-    /// Executes one round with the agents in `byzantine` replaced by
-    /// `strategy`: honest agents receive the slate with the liars'
-    /// slots overwritten per receiver (two-faced faults), Byzantine
-    /// agents' values are frozen. The fault path is sequential — the
-    /// strategy is stateful (`&mut`) and must see receivers in agent
-    /// order to stay deterministic, exactly like the dense
-    /// [`Execution::step_with_faults`](crate::Execution::step_with_faults).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.n() != self.n()` or every agent is Byzantine.
-    pub fn step_with_faults<G: RoundTopology>(
-        &mut self,
-        g: &G,
-        byzantine: &WordSet,
-        strategy: &mut dyn ByzantineStrategy,
-    ) {
-        assert_eq!(g.n(), self.n(), "graph size must match agent count");
-        let n = self.n();
-        assert!(
-            (0..n).any(|i| !byzantine.contains(i)),
-            "at least one honest agent required"
-        );
-        self.round += 1;
-        let round = self.round;
-        self.msgs.clear();
-        let alg = &self.alg;
-        self.msgs
-            .extend(self.vals.iter().map(|&v| alg.message_scalar(v)));
-        // Reused scratch slate: forge only the liars' slots per
-        // receiver and restore them afterwards — O(deg) per receiver,
-        // no allocation.
-        self.fault_msgs.clear();
-        self.fault_msgs.extend(self.msgs.iter().copied());
-        for i in 0..n {
-            if byzantine.contains(i) {
-                self.next[i] = self.vals[i];
-                continue;
-            }
-            let senders = g.sender_set(i);
-            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
-                self.fault_msgs[j] = strategy.forge(round, j, i);
-            }
-            let inbox = Inbox::from_senders(senders, &self.fault_msgs);
-            self.next[i] = self.alg.step_scalar(i, self.vals[i], inbox, round);
-            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
-                self.fault_msgs[j] = self.msgs[j];
-            }
-        }
-        std::mem::swap(&mut self.vals, &mut self.next);
-    }
-}
-
-/// `(min, max)` of a value vector in one pass, unrolled into four
-/// independent accumulator lanes so the chain of `min`/`max` data
-/// dependencies doesn't serialise the scan. The lane shape is fixed
-/// (it depends only on `xs.len()`), so the result is deterministic —
-/// and since `f64::min`/`f64::max` return one of their (finite)
-/// operands, it is bit-identical to the naive left-to-right fold.
-fn min_max(xs: &[f64]) -> (f64, f64) {
-    let mut lo = [f64::INFINITY; 4];
-    let mut hi = [f64::NEG_INFINITY; 4];
-    let mut chunks = xs.chunks_exact(4);
-    for c in &mut chunks {
-        for j in 0..4 {
-            lo[j] = lo[j].min(c[j]);
-            hi[j] = hi[j].max(c[j]);
-        }
-    }
-    for (j, &v) in chunks.remainder().iter().enumerate() {
-        lo[j] = lo[j].min(v);
-        hi[j] = hi[j].max(v);
-    }
-    (
-        lo[0].min(lo[1]).min(lo[2]).min(lo[3]),
-        hi[0].max(hi[1]).max(hi[2]).max(hi[3]),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::byzantine::SplitAttack;
-    use crate::Execution;
-    use consensus_algorithms::{MeanValue, Midpoint, Point, SelfWeightedAverage};
-    use consensus_digraph::{CsrDigraph, Digraph};
+    use consensus_algorithms::{MeanValue, Midpoint, SelfWeightedAverage};
+    use consensus_digraph::{CsrDigraph, Digraph, WordSet};
 
     fn inits(n: usize) -> Vec<f64> {
         // Deterministic, non-uniform, sign-mixed values.
@@ -354,14 +39,17 @@ mod tests {
             .collect()
     }
 
+    fn bits<A: Algorithm<1>, P>(e: &Execution<A, 1, P>) -> Vec<u64> {
+        e.outputs_slice().iter().map(|p| p[0].to_bits()).collect()
+    }
+
     #[test]
     fn matches_dense_execution_bitwise_at_small_n() {
         let vals = inits(23);
-        let pts: Vec<Point<1>> = vals.iter().map(|&v| Point([v])).collect();
         let g = Digraph::complete(23).make_deaf(4);
         let csr = CsrDigraph::from_dense(&g);
         for threads in [1, 2, 7] {
-            let mut dense = Execution::new(Midpoint, &pts);
+            let mut dense = ShardedExecution::new(Midpoint, &vals);
             let mut shard = ShardedExecution::new(Midpoint, &vals)
                 .threads(threads)
                 .chunk_size(5);
@@ -371,11 +59,8 @@ mod tests {
                 shard.step(&g);
                 shard_csr.step(&csr);
             }
-            for i in 0..23 {
-                let want = dense.outputs_slice()[i][0].to_bits();
-                assert_eq!(want, shard.values()[i].to_bits(), "dense path, agent {i}");
-                assert_eq!(want, shard_csr.values()[i].to_bits(), "CSR path, agent {i}");
-            }
+            assert_eq!(bits(&dense), bits(&shard), "dense graph, chunked");
+            assert_eq!(bits(&dense), bits(&shard_csr), "CSR graph, chunked");
         }
     }
 
@@ -383,7 +68,7 @@ mod tests {
     fn thread_and_chunk_count_never_change_results() {
         let vals = inits(501);
         let csr = CsrDigraph::ring_lattice(501, 3);
-        let mut reference = ShardedExecution::new(MeanValue, &vals).threads(1);
+        let mut reference = ShardedExecution::new(MeanValue, &vals);
         for _ in 0..9 {
             reference.step(&csr);
         }
@@ -395,8 +80,8 @@ mod tests {
                 e.step(&csr);
             }
             assert_eq!(
-                reference.values(),
-                e.values(),
+                bits(&reference),
+                bits(&e),
                 "threads={threads} chunk={chunk}"
             );
         }
@@ -421,30 +106,24 @@ mod tests {
 
     #[test]
     fn faulty_step_matches_dense_execution() {
+        // The same liars as a `u64` mask on the dense graph and as a
+        // word set on the CSR graph: one fault body, same bits.
         let vals = inits(9);
-        let pts: Vec<Point<1>> = vals.iter().map(|&v| Point([v])).collect();
         let g = Digraph::complete(9);
+        let csr = CsrDigraph::from_dense(&g);
         let byz_mask: u64 = 0b100000010; // agents 1 and 8
-        let mut byz = WordSet::with_capacity(9);
-        byz.insert(1);
-        byz.insert(8);
+        let byz: WordSet = [1, 8].into_iter().collect();
 
         let alg = SelfWeightedAverage::new(0.5);
-        let mut dense = Execution::new(alg, &pts);
+        let mut dense = ShardedExecution::new(alg, &vals);
         let mut shard = ShardedExecution::new(alg, &vals).threads(3);
         let mut s1 = SplitAttack { magnitude: 2.0 };
         let mut s2 = s1;
         for _ in 0..6 {
             dense.step_with_faults(&g, byz_mask, &mut s1);
-            shard.step_with_faults(&g, &byz, &mut s2);
+            shard.step_with_faults(&csr, &byz, &mut s2);
         }
-        for i in 0..9 {
-            assert_eq!(
-                dense.outputs_slice()[i][0].to_bits(),
-                shard.values()[i].to_bits(),
-                "agent {i}"
-            );
-        }
+        assert_eq!(bits(&dense), bits(&shard));
     }
 
     #[test]
@@ -465,16 +144,12 @@ mod tests {
             plain.step(&csr);
             observed.step_observed(&csr, &mut tel);
         }
-        assert_eq!(plain.values(), observed.values(), "telemetry is inert");
+        assert_eq!(bits(&plain), bits(&observed), "telemetry is inert");
         trace.commit(tel.finish());
         let s = trace.merged();
         let diameters = s.gauge_values("diameter");
         assert_eq!(diameters.len(), 7);
-        assert_eq!(
-            diameters[6].to_bits(),
-            plain.value_diameter().to_bits(),
-            "fused per-chunk reduction equals the value_diameter scan"
-        );
+        assert_eq!(diameters[6].to_bits(), plain.value_diameter().to_bits());
         assert_eq!(s.gauge_values("contraction").len(), 7);
         // Ring lattice with k=3: every agent hears 4 agents (self + 3
         // predecessors), for 7 rounds.
@@ -508,7 +183,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "graph size")]
     fn size_mismatch_panics() {
-        let mut e = ShardedExecution::new(Midpoint, &[0.0, 1.0]);
+        let mut e = ShardedExecution::new(Midpoint, &[0.0, 1.0]).threads(2);
         e.step(&CsrDigraph::ring_lattice(3, 1));
     }
 
@@ -518,6 +193,6 @@ mod tests {
         let mut e = ShardedExecution::new(Midpoint, &[0.0, 1.0]);
         let byz = WordSet::full(2);
         let mut s = |_: u64, _: usize, _: usize| 0.0;
-        e.step_with_faults(&Digraph::complete(2), &byz, &mut s);
+        e.step_with_faults(&CsrDigraph::complete(2), &byz, &mut s);
     }
 }

@@ -164,9 +164,8 @@ impl<const D: usize> Trace<D> {
 /// Contraction-rate estimates from a per-round diameter sequence
 /// (`diameters[t] = Δ(y(t))`, `t = 0` the initial configuration).
 ///
-/// This is the estimator behind [`Trace::rates`], exposed standalone so
-/// [`crate::DiameterTrace`] (which records only diameters, not outputs)
-/// produces bit-identical estimates to a full trace of the same run.
+/// This is the estimator behind [`Trace::rates`], exposed standalone
+/// for runs that record only diameters, not outputs.
 /// Returns all-zero estimates for an empty or all-degenerate sequence.
 #[must_use]
 pub fn estimate_rates(diameters: &[f64]) -> RateEstimate {

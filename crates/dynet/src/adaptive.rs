@@ -111,9 +111,7 @@ impl DiameterMaximiser {
 
 impl<A, const D: usize> Driver<A, D> for DiameterMaximiser
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
         let diameters = score_graphs(exec, &self.candidates, self.threads);

@@ -234,9 +234,7 @@ struct Search<'e, A: Algorithm<D>, const D: usize> {
 
 impl<'e, A, const D: usize> Search<'e, A, D>
 where
-    A: Algorithm<D> + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D>,
 {
     fn new(la: Lookahead<'e, A, D>) -> Self {
         let n = la.n();
@@ -550,9 +548,7 @@ impl BeamSearch {
     /// graphs scored (for telemetry).
     fn search<A, const D: usize>(&self, exec: &Execution<A, D>) -> (Digraph, f64, u64)
     where
-        A: Algorithm<D> + Sync,
-        A::State: Sync,
-        A::Msg: Sync,
+        A: Algorithm<D>,
     {
         assert_eq!(exec.n(), self.n, "graph size must match agent count");
         let mut s = Search::new(exec.lookahead());
@@ -591,9 +587,7 @@ impl BeamSearch {
 
 impl<A, const D: usize> Driver<A, D> for BeamSearch
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
         let mut rec = self
@@ -671,9 +665,7 @@ impl ExhaustiveRooted {
 
 impl<A, const D: usize> Driver<A, D> for ExhaustiveRooted
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
         let scores = score_graphs(exec, &self.candidates, self.threads);

@@ -120,9 +120,7 @@ pub enum DynAdversary {
 
 impl<A, const D: usize> Driver<A, D> for DynAdversary
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
         match self {

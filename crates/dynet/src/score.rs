@@ -64,9 +64,7 @@ pub(crate) fn score_graphs<A, const D: usize>(
     threads: usize,
 ) -> Vec<f64>
 where
-    A: Algorithm<D> + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D>,
 {
     let n = exec.n();
     assert!(

@@ -127,11 +127,6 @@ impl Recorder {
         self.record(Event::counter(name, index, value).profile());
     }
 
-    /// Records a profile-class gauge (scheduling-dependent data).
-    pub fn profile_gauge(&mut self, name: &'static str, index: u64, value: f64) {
-        self.record(Event::gauge(name, index, value).profile());
-    }
-
     /// Events recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {

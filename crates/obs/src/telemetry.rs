@@ -1,12 +1,11 @@
 //! Round-level executor telemetry: the [`RoundTelemetry`] observer the
-//! dense and sharded executors emit through.
+//! executor's observed step emits through.
 //!
-//! Where `DiameterTrace` retains a decimated tail of diameters for
-//! post-hoc plotting, `RoundTelemetry` emits the live convergence curve
-//! as structured events: per-round diameter, the contraction ratio
-//! Δ(t)/Δ(t−1), and the round's message (reception) count, wrapped in
-//! `round` spans whose begin/end timestamps populate the timing
-//! side-channel when a real clock is injected.
+//! `RoundTelemetry` emits the live convergence curve as structured
+//! events: per-round diameter, the contraction ratio Δ(t)/Δ(t−1), and
+//! the round's message (reception) count, wrapped in `round` spans
+//! whose begin/end timestamps populate the timing side-channel when a
+//! real clock is injected.
 
 use crate::recorder::Recorder;
 
@@ -90,12 +89,6 @@ impl RoundTelemetry {
             self.rec.span_end("round", round);
         }
         self.prev_diameter = Some(diameter);
-    }
-
-    /// The underlying recorder, for extra observations (shard imbalance
-    /// profile gauges, run-level counters).
-    pub fn recorder_mut(&mut self) -> &mut Recorder {
-        &mut self.rec
     }
 
     /// Consumes the telemetry into its recorder, ready to commit.

@@ -203,8 +203,8 @@ impl EventStream {
     /// equal `content()` streams regardless of thread count or clock.
     ///
     /// `seq` is renumbered per `(shard, lane)` over the surviving
-    /// events: whether a profile-class event (say, a shard-imbalance
-    /// gauge only emitted on multi-worker runs) occupied a slot in the
+    /// events: whether a profile-class event (say, a pool steal count
+    /// only emitted on multi-worker runs) occupied a slot in the
     /// original recorder must not leak into the content stream.
     #[must_use]
     pub fn content(&self) -> EventStream {

@@ -1,6 +1,6 @@
 //! A hand-rolled work-stealing thread pool for embarrassingly parallel
-//! workloads: sweep cell grids, the sharded executor's intra-round
-//! chunks, and the sweep control plane's cell dispatch.
+//! workloads: sweep cell grids, the executor's intra-round chunks, and
+//! the sweep control plane's cell dispatch.
 //!
 //! The build environment has no registry access, so instead of `rayon`
 //! this crate implements the minimal scheduler those consumers need:
@@ -31,10 +31,7 @@
 //! For observability, [`try_run_indexed_profiled`] additionally fills a
 //! [`PoolProfile`] with per-worker own/steal counts and per-cell
 //! durations (timed through an injected `consensus-obs` [`Clock`] —
-//! this crate reads no wall clocks itself), and
-//! [`for_each_chunk_mut_stat`] fuses a per-chunk statistics slot into
-//! the parallel pass so the sharded executor can observe rounds with a
-//! deterministic per-chunk reduction instead of cross-worker counters.
+//! this crate reads no wall clocks itself).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -455,7 +452,7 @@ where
 /// Applies `f` to disjoint chunks of `items`, in parallel across up to
 /// `threads` workers. Each call receives the chunk's starting index in
 /// `items` and the mutable chunk slice; chunks are `chunk_len` items
-/// (the last one shorter). Used by the sharded executor to split a
+/// (the last one shorter). Used by the chunked executor to split a
 /// round's state writes across cores: chunks are disjoint, so results
 /// are independent of the worker count and interleaving whenever `f`
 /// writes each slot as a pure function of the slot's global index.
@@ -501,87 +498,6 @@ where
             });
         }
     });
-}
-
-/// [`for_each_chunk_mut`] with a fused per-chunk statistics slot: chunk
-/// `k` of `items` is processed together with `stats[k]`, so a round
-/// observer can collect per-chunk reductions (min/max, message counts)
-/// in the same parallel pass with no extra synchronization — the
-/// deterministic alternative to reducing across workers. Returns how
-/// many chunks each worker processed (length = workers used), the raw
-/// material for shard-imbalance profiling; the *contents* of `stats`
-/// never depend on it.
-///
-/// `threads ≤ 1` (or a single chunk) runs sequentially in place.
-///
-/// # Panics
-///
-/// Panics if `stats.len()` is not the chunk count
-/// (`items.len().div_ceil(chunk_len)`).
-pub fn for_each_chunk_mut_stat<T, S, F>(
-    items: &mut [T],
-    stats: &mut [S],
-    chunk_len: usize,
-    threads: usize,
-    f: F,
-) -> Vec<u64>
-where
-    T: Send,
-    S: Send,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        assert!(stats.is_empty(), "one stat slot per chunk");
-        return Vec::new();
-    }
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = n.div_ceil(chunk_len);
-    assert_eq!(stats.len(), n_chunks, "one stat slot per chunk");
-    let workers = threads.max(1).min(n_chunks);
-    if workers <= 1 {
-        for ((k, chunk), stat) in items
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .zip(stats.iter_mut())
-        {
-            f(k * chunk_len, chunk, stat);
-        }
-        return vec![n_chunks as u64];
-    }
-
-    let jobs: Mutex<Vec<(usize, &mut [T], &mut S)>> = Mutex::new(
-        items
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .zip(stats.iter_mut())
-            .map(|((k, chunk), stat)| (k * chunk_len, chunk, stat))
-            .collect(),
-    );
-    let mut per_worker = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ran = 0u64;
-                    loop {
-                        let job = jobs.lock().expect("chunk queue poisoned").pop();
-                        match job {
-                            Some((start, chunk, stat)) => {
-                                f(start, chunk, stat);
-                                ran += 1;
-                            }
-                            None => break ran,
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            per_worker.push(h.join().expect("pool worker infrastructure panicked"));
-        }
-    });
-    per_worker
 }
 
 /// Pops the next job for worker `w`: own deque front first, then steal
@@ -824,37 +740,6 @@ mod tests {
     fn empty_chunked_slice_is_fine() {
         let mut v: Vec<u8> = Vec::new();
         for_each_chunk_mut(&mut v, 8, 4, |_, _| unreachable!("no chunks"));
-    }
-
-    #[test]
-    fn chunk_stats_land_on_their_own_chunk() {
-        for threads in [1, 3, 8] {
-            let mut v: Vec<u64> = (0..100).collect();
-            let mut sums = vec![0u64; 100usize.div_ceil(7)];
-            let per_worker =
-                for_each_chunk_mut_stat(&mut v, &mut sums, 7, threads, |_, chunk, sum| {
-                    *sum = chunk.iter().sum();
-                });
-            let expected: Vec<u64> = (0..100u64)
-                .collect::<Vec<_>>()
-                .chunks(7)
-                .map(|c| c.iter().sum())
-                .collect();
-            assert_eq!(sums, expected, "threads={threads}");
-            assert_eq!(
-                per_worker.iter().sum::<u64>(),
-                sums.len() as u64,
-                "every chunk counted exactly once"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one stat slot per chunk")]
-    fn chunk_stats_arity_is_checked() {
-        let mut v = vec![0u8; 10];
-        let mut s = vec![0u8; 1];
-        let _ = for_each_chunk_mut_stat(&mut v, &mut s, 4, 2, |_, _, _| {});
     }
 
     #[test]

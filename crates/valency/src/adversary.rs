@@ -165,9 +165,7 @@ impl GreedyValencyAdversary {
         steps: usize,
     ) -> AdversaryTrace
     where
-        A: Algorithm<D> + Clone + Sync,
-        A::State: Sync,
-        A::Msg: Sync,
+        A: Algorithm<D> + Clone,
     {
         let mut driver = self.driver();
         driver.sample_initial(exec);
@@ -216,9 +214,7 @@ impl ValencyDriver<'_> {
 
     fn sample_initial<A, const D: usize>(&mut self, exec: &Execution<A, D>)
     where
-        A: Algorithm<D> + Clone + Sync,
-        A::State: Sync,
-        A::Msg: Sync,
+        A: Algorithm<D> + Clone,
     {
         if self.record.deltas.is_empty() {
             let est = self.adv.probes.estimate(exec);
@@ -234,9 +230,7 @@ impl ValencyDriver<'_> {
     /// come back in candidate index order either way.
     fn score_candidates<A, const D: usize>(&self, exec: &Execution<A, D>) -> Vec<(f64, bool)>
     where
-        A: Algorithm<D> + Clone + Sync,
-        A::State: Sync,
-        A::Msg: Sync,
+        A: Algorithm<D> + Clone,
     {
         let score = |ci: usize| {
             let cand = &self.adv.candidates[ci];
@@ -257,9 +251,7 @@ impl ValencyDriver<'_> {
 
 impl<A, const D: usize> Driver<A, D> for ValencyDriver<'_>
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     fn block_len(&self) -> usize {
         self.adv.block_len

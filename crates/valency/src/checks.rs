@@ -25,9 +25,7 @@ pub fn lemma8_initial_valency<A, const D: usize>(
     inits: &[Point<D>],
 ) -> (f64, f64)
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     assert!(
         model.every_agent_deaf_somewhere(),
@@ -54,9 +52,7 @@ pub fn lemma3_monotonicity<A, const D: usize>(
     inits: &[Point<D>],
 ) -> (f64, f64)
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     assert!(
         sub.graphs().iter().all(|g| full.contains(g)),
@@ -88,9 +84,7 @@ pub fn lemma7_intersection<A, const D: usize>(
     ell: usize,
 ) -> f64
 where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
+    A: Algorithm<D> + Clone,
 {
     let n = g.n();
     assert!(i < n && j < n && ell < n && i != j && ell != i && ell != j);

@@ -311,9 +311,7 @@ impl ProbeSet {
     #[must_use]
     pub fn estimate<A, const D: usize>(&self, exec: &Execution<A, D>) -> ValencyEstimate<D>
     where
-        A: Algorithm<D> + Clone + Sync,
-        A::State: Sync,
-        A::Msg: Sync,
+        A: Algorithm<D> + Clone,
     {
         match self.try_estimate(exec) {
             Ok(est) => est,
@@ -330,9 +328,7 @@ impl ProbeSet {
         exec: &Execution<A, D>,
     ) -> Result<ValencyEstimate<D>, ProbeTruncation>
     where
-        A: Algorithm<D> + Clone + Sync,
-        A::State: Sync,
-        A::Msg: Sync,
+        A: Algorithm<D> + Clone,
     {
         let runs: Vec<LimitEstimate<D>> = if self.threads > 1 {
             consensus_pool::run_indexed(self.patterns.len(), self.threads, |i| {

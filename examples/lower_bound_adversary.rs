@@ -13,7 +13,7 @@ use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::valency::adversary::{AdversaryTrace, GreedyValencyAdversary};
 
 /// Runs `alg` for `steps` adversary steps and returns the δ̂ record.
-fn drive<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync>(
+fn drive<A: Algorithm<1> + Clone>(
     alg: A,
     inits: &[Point<1>],
     adv: &GreedyValencyAdversary,

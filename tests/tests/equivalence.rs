@@ -76,11 +76,7 @@ fn check_patterns<A: Algorithm<1> + Clone>(alg: A, n: usize) {
 
 /// Extracts the graph sequence an adversary plays against `alg`, then
 /// replays it through the reference semantics.
-fn check_adversary<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync>(
-    alg: A,
-    n: usize,
-    adv: &GreedyValencyAdversary,
-) {
+fn check_adversary<A: Algorithm<1> + Clone>(alg: A, n: usize, adv: &GreedyValencyAdversary) {
     let inits: Vec<Point<1>> = (0..n)
         .map(|i| Point([i as f64 / (n - 1).max(1) as f64]))
         .collect();

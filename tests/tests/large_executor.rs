@@ -1,9 +1,11 @@
-//! The large-`n` executor identity suite: the sharded SoA/CSR path
-//! must reproduce the dense reference **bit for bit** wherever both
-//! apply (`n ≤ 64`, any thread count, any chunk size), and must run
-//! correctly *past* the old silent `n ≤ 64` inbox cap — a 65+-agent
-//! scenario end-to-end, where the pre-`SenderSet` bitmask would have
-//! silently dropped agent 64's messages.
+//! The large-`n` executor identity suite: an [`Execution`] stepped on a
+//! [`CsrDigraph`], with its agents chunked across pool workers, must
+//! reproduce the serial execution on the dense [`Digraph`] **bit for
+//! bit** wherever both apply (`n ≤ 64`, any thread count, any chunk
+//! size, stateless or stateful rules, any dimension), and must run
+//! correctly *past* the old silent `n ≤ 64` inbox cap — 65+-agent runs
+//! end-to-end, where the pre-`SenderSet` bitmask would have silently
+//! dropped agent 64's messages.
 
 use tight_bounds_consensus::prelude::*;
 
@@ -11,6 +13,18 @@ use tight_bounds_consensus::prelude::*;
 fn inits(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| ((i * 2_654_435_761 % 1_000_003) as f64) / 1_000_003.0 - 0.5)
+        .collect()
+}
+
+fn points(vals: &[f64]) -> Vec<Point<1>> {
+    vals.iter().map(|&v| Point([v])).collect()
+}
+
+/// Every coordinate of every output, as bits.
+fn bits<A: Algorithm<D>, const D: usize, P>(e: &Execution<A, D, P>) -> Vec<[u64; D]> {
+    e.outputs_slice()
+        .iter()
+        .map(|p| p.0.map(f64::to_bits))
         .collect()
 }
 
@@ -30,68 +44,87 @@ fn scrambled_digraph(n: usize, salt: u64) -> Digraph {
     Digraph::from_in_masks(&masks).expect("n validated")
 }
 
-fn check_identity<K: ScalarKernel + Sync + Copy>(alg: K, n: usize, rounds: usize) {
-    let vals = inits(n);
-    let pts: Vec<Point<1>> = vals.iter().map(|&v| Point([v])).collect();
+/// Steps `alg` serially on scrambled dense graphs, then chunked on the
+/// same graphs (dense and CSR) at every (threads, chunk) shape, and
+/// requires every output bit to agree.
+fn check_identity<A: Algorithm<D> + Clone, const D: usize>(
+    alg: A,
+    inits: &[Point<D>],
+    rounds: usize,
+) {
+    let n = inits.len();
     let graphs: Vec<Digraph> = (0..rounds)
         .map(|r| scrambled_digraph(n, r as u64))
         .collect();
     let csrs: Vec<CsrDigraph> = graphs.iter().map(CsrDigraph::from_dense).collect();
 
-    let mut dense = Execution::new(alg, &pts);
+    let mut dense = Execution::new(alg.clone(), inits);
     for g in &graphs {
         dense.step(g);
     }
-    let reference: Vec<u64> = dense
-        .outputs_slice()
-        .iter()
-        .map(|p| p[0].to_bits())
-        .collect();
+    let reference = bits(&dense);
 
     for (threads, chunk) in [(1, usize::MAX), (2, 3), (7, 16), (13, 1)] {
-        let mut soa = ShardedExecution::new(alg, &vals)
+        let mut chunked = Execution::new(alg.clone(), inits)
             .threads(threads)
             .chunk_size(chunk);
-        let mut csr = ShardedExecution::new(alg, &vals)
+        let mut csr = Execution::new(alg.clone(), inits)
             .threads(threads)
             .chunk_size(chunk);
         for (g, c) in graphs.iter().zip(&csrs) {
-            soa.step(g);
+            chunked.step(g);
             csr.step(c);
         }
-        for (i, &expect) in reference.iter().enumerate() {
-            assert_eq!(
-                expect,
-                soa.values()[i].to_bits(),
-                "SoA/dense-graph path diverged: n={n} agent {i} threads={threads} chunk={chunk}"
-            );
-            assert_eq!(
-                expect,
-                csr.values()[i].to_bits(),
-                "SoA/CSR path diverged: n={n} agent {i} threads={threads} chunk={chunk}"
-            );
-        }
+        let what = format!("{} n={n} threads={threads} chunk={chunk}", alg.name());
+        assert_eq!(
+            reference,
+            bits(&chunked),
+            "dense-graph path diverged: {what}"
+        );
+        assert_eq!(reference, bits(&csr), "CSR path diverged: {what}");
     }
 }
 
 #[test]
 fn sharded_is_bit_identical_to_dense_midpoint() {
     for n in [1, 2, 23, 64] {
-        check_identity(Midpoint, n, 12);
+        check_identity(Midpoint, &points(&inits(n)), 12);
     }
 }
 
 #[test]
 fn sharded_is_bit_identical_to_dense_mean_value() {
     for n in [3, 31, 64] {
-        check_identity(MeanValue, n, 12);
+        check_identity(MeanValue, &points(&inits(n)), 12);
     }
 }
 
 #[test]
 fn sharded_is_bit_identical_to_dense_self_weighted() {
     for n in [5, 48, 64] {
-        check_identity(SelfWeightedAverage::new(1.0 / 3.0), n, 12);
+        check_identity(SelfWeightedAverage::new(1.0 / 3.0), &points(&inits(n)), 12);
+    }
+}
+
+/// Rules with per-agent state beyond the value (the macro-round phase
+/// and interval, a window of past inboxes) or a sort per step: none of
+/// them had a chunked path before `Execution` took a step policy.
+#[test]
+fn chunked_stateful_rules_are_bit_identical_to_dense() {
+    for n in [7, 40, 64] {
+        let pts = points(&inits(n));
+        check_identity(AmortizedMidpoint::new(n - 1), &pts, 2 * n);
+        check_identity(WindowedMidpoint::new(3), &pts, 12);
+        check_identity(TrimmedMean::new(1), &pts, 12);
+    }
+}
+
+#[test]
+fn chunked_simplex_is_bit_identical_to_dense_in_the_plane() {
+    for n in [4, 29, 64] {
+        let vals = inits(2 * n);
+        let pts: Vec<Point<2>> = vals.chunks(2).map(|c| Point([c[0], c[1]])).collect();
+        check_identity(MidpointSimplex, &pts, 12);
     }
 }
 
@@ -114,7 +147,7 @@ fn sixty_five_agents_reach_exact_midpoint_consensus() {
     let expect = (lo + hi) * 0.5;
 
     let g = CsrDigraph::complete(n);
-    let mut e = ShardedExecution::new(Midpoint, &vals).threads(4);
+    let mut e = Execution::new(Midpoint, &points(&vals)).threads(4);
     e.step(&g);
     assert_eq!(e.round(), 1);
     assert_eq!(
@@ -122,9 +155,9 @@ fn sixty_five_agents_reach_exact_midpoint_consensus() {
         0.0,
         "complete graph agrees in one round"
     );
-    for (i, &v) in e.values().iter().enumerate() {
+    for (i, p) in e.outputs_slice().iter().enumerate() {
         assert_eq!(
-            v.to_bits(),
+            p[0].to_bits(),
             expect.to_bits(),
             "agent {i} must agree on the midpoint of ALL 65 inputs"
         );
@@ -135,10 +168,12 @@ fn sixty_five_agents_reach_exact_midpoint_consensus() {
     );
 }
 
-/// A longer 65+-agent run on a sparse topology with diameter-only
-/// recording: converges under the decision tolerance, stays inside the
-/// initial hull (validity), and the thin trace's scalars match the
-/// executor's own measurements.
+/// A stateful rule past the cap: amortized midpoint with macro-rounds
+/// of `n − 1 = 129` rounds on a 130-agent ring lattice, chunked over 4
+/// workers. Every agent is within 22 hops of every other, so the first
+/// macro-round relays the whole initial interval to everyone and every
+/// agent lands on its midpoint at round 129 — the first round any
+/// output moves, and inside the initial hull.
 #[test]
 fn large_sparse_scenario_converges_end_to_end() {
     let n = 130;
@@ -150,37 +185,30 @@ fn large_sparse_scenario_converges_end_to_end() {
         });
     let g = CsrDigraph::ring_lattice(n, 6);
     assert!(g.is_strongly_connected());
-    let mut e = ShardedExecution::new(Midpoint, &vals).threads(4);
-    let mut trace = DiameterTrace::new(e.value_diameter())
-        .decimated(10)
-        .ring(64);
+    let mut e = Execution::new(AmortizedMidpoint::new(n - 1), &points(&vals))
+        .threads(4)
+        .chunk_size(16);
     let tol = 1e-9;
     let mut decided = None;
-    for r in 1..=20_000u64 {
+    for r in 1..=20 * n as u64 {
         e.step(&g);
-        trace.record(e.value_diameter());
         if e.value_diameter() <= tol {
             decided = Some(r);
             break;
         }
     }
-    let decided = decided.expect("a strongly connected lattice must converge");
-    assert_eq!(e.round(), decided);
-    assert!(trace.converged(tol));
     assert_eq!(
-        trace.final_diameter().to_bits(),
-        e.value_diameter().to_bits()
+        decided,
+        Some(n as u64 - 1),
+        "one macro-round spans the lattice"
     );
-    for &v in e.values() {
+    for p in e.outputs_slice() {
         assert!(
-            v >= lo0 - 1e-12 && v <= hi0 + 1e-12,
-            "validity: {v} escaped the initial interval [{lo0}, {hi0}]"
+            (lo0..=hi0).contains(&p[0]),
+            "validity: {} escaped the initial interval [{lo0}, {hi0}]",
+            p[0]
         );
     }
-    assert!(
-        trace.samples().count() <= 64,
-        "ring retention bounds memory no matter the horizon"
-    );
 }
 
 /// Byzantine faults past the cap: agent 64 lies two-facedly on a
@@ -194,7 +222,7 @@ fn byzantine_agent_past_the_cap_is_survivable() {
     let g = CsrDigraph::complete(n);
     let mut byz = WordSet::with_capacity(n);
     byz.insert(64);
-    let mut e = ShardedExecution::new(SelfWeightedAverage::new(0.5), &vals).threads(3);
+    let mut e = Execution::new(SelfWeightedAverage::new(0.5), &points(&vals)).threads(3);
     let mut strategy = |round: u64, from: usize, to: usize| {
         debug_assert_eq!(from, 64);
         if (round + to as u64).is_multiple_of(2) {
@@ -206,7 +234,7 @@ fn byzantine_agent_past_the_cap_is_survivable() {
     for _ in 0..200 {
         e.step_with_faults(&g, &byz, &mut strategy);
     }
-    let honest: Vec<f64> = e.values()[..64].to_vec();
+    let honest: Vec<f64> = e.outputs_slice()[..64].iter().map(|p| p[0]).collect();
     let spread = honest.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v))
         - honest.iter().fold(f64::INFINITY, |m, &v| m.min(v));
     // A single liar among 64 honest in-neighbors can keep the honest
@@ -220,5 +248,9 @@ fn byzantine_agent_past_the_cap_is_survivable() {
         honest.iter().all(|&v| (-0.55..=0.55).contains(&v)),
         "honest values stay near the honest/forged range"
     );
-    assert_eq!(e.values()[64], vals[64], "the liar's own state is frozen");
+    assert_eq!(
+        e.outputs_slice()[64][0],
+        vals[64],
+        "the liar's own state is frozen"
+    );
 }

@@ -2,8 +2,8 @@
 //! counts and chunk sizes must never change a single output bit.
 //!
 //! The determinism contract (see the README) says parallelism in this
-//! workspace is an *implementation detail*: `ShardedExecution`, the
-//! `Sweep` harness, and the raw pool primitives all promise results
+//! workspace is an *implementation detail*: chunked `Execution` rounds,
+//! the `Sweep` harness, and the raw pool primitives all promise results
 //! bit-identical to their single-thread baselines at every worker
 //! count and chunk granularity. The existing suites pin a few
 //! hand-picked configurations; this one fuzzes the schedule space with
@@ -15,27 +15,27 @@ use tight_bounds_consensus::pool;
 use tight_bounds_consensus::prelude::*;
 
 /// Seeded initial values in `[-1, 1]`, non-uniform and sign-mixed.
-fn random_inits(n: usize, rng: &mut StdRng) -> Vec<f64> {
-    (0..n).map(|_| rng.random_range(-1.0..=1.0)).collect()
+fn random_inits(n: usize, rng: &mut StdRng) -> Vec<Point<1>> {
+    (0..n)
+        .map(|_| Point([rng.random_range(-1.0..=1.0)]))
+        .collect()
 }
 
 /// Runs `alg` for `rounds` on `csr` under one (threads, chunk) config
 /// and returns the final value bits.
-fn run_sharded<K: ScalarKernel + Sync + Copy>(
-    alg: K,
-    vals: &[f64],
+fn run_chunked<A: Algorithm<1>>(
+    alg: A,
+    vals: &[Point<1>],
     csr: &CsrDigraph,
     rounds: usize,
     threads: usize,
     chunk: usize,
 ) -> Vec<u64> {
-    let mut e = ShardedExecution::new(alg, vals)
-        .threads(threads)
-        .chunk_size(chunk);
+    let mut e = Execution::new(alg, vals).threads(threads).chunk_size(chunk);
     for _ in 0..rounds {
         e.step(csr);
     }
-    e.values().iter().map(|v| v.to_bits()).collect()
+    e.outputs_slice().iter().map(|p| p[0].to_bits()).collect()
 }
 
 #[test]
@@ -48,8 +48,10 @@ fn sharded_execution_is_schedule_independent_under_random_configs() {
         let vals = random_inits(n, &mut rng);
         let csr = CsrDigraph::ring_lattice(n, degree);
 
-        let base_mid = run_sharded(Midpoint, &vals, &csr, rounds, 1, n);
-        let base_mean = run_sharded(MeanValue, &vals, &csr, rounds, 1, n);
+        let period = rng.random_range(1usize..=rounds);
+        let base_mid = run_chunked(Midpoint, &vals, &csr, rounds, 1, n);
+        let base_mean = run_chunked(MeanValue, &vals, &csr, rounds, 1, n);
+        let base_amortized = run_chunked(AmortizedMidpoint::new(period), &vals, &csr, rounds, 1, n);
         for _ in 0..4 {
             let threads = rng.random_range(2usize..=16);
             // Deliberately include degenerate shapes: chunk of 1 and
@@ -57,13 +59,25 @@ fn sharded_execution_is_schedule_independent_under_random_configs() {
             let chunk = rng.random_range(1usize..=2 * n);
             assert_eq!(
                 base_mid,
-                run_sharded(Midpoint, &vals, &csr, rounds, threads, chunk),
+                run_chunked(Midpoint, &vals, &csr, rounds, threads, chunk),
                 "trial {trial}: Midpoint diverged at threads={threads} chunk={chunk}"
             );
             assert_eq!(
                 base_mean,
-                run_sharded(MeanValue, &vals, &csr, rounds, threads, chunk),
+                run_chunked(MeanValue, &vals, &csr, rounds, threads, chunk),
                 "trial {trial}: MeanValue diverged at threads={threads} chunk={chunk}"
+            );
+            assert_eq!(
+                base_amortized,
+                run_chunked(
+                    AmortizedMidpoint::new(period),
+                    &vals,
+                    &csr,
+                    rounds,
+                    threads,
+                    chunk
+                ),
+                "trial {trial}: AmortizedMidpoint diverged at threads={threads} chunk={chunk}"
             );
         }
     }
@@ -75,18 +89,19 @@ fn sharded_execution_is_schedule_independent_under_random_configs() {
 fn cell_digest(steps: u64, ctx: CellCtx) -> u64 {
     let mut crng = ctx.rng();
     let n = crng.random_range(2usize..=48);
-    let vals: Vec<f64> = (0..n).map(|_| crng.random_range(-1.0..=1.0)).collect();
+    let vals: Vec<Point<1>> = (0..n)
+        .map(|_| Point([crng.random_range(-1.0..=1.0)]))
+        .collect();
     let csr = CsrDigraph::ring_lattice(n, 1);
     // Each cell itself shards internally — nested parallelism is part
     // of the contract, not an exception to it.
-    let mut e = ShardedExecution::new(Midpoint, &vals)
-        .threads(2)
-        .chunk_size(3);
+    let mut e = Execution::new(Midpoint, &vals).threads(2).chunk_size(3);
     for _ in 0..steps {
         e.step(&csr);
     }
-    e.values().iter().fold(ctx.seed, |acc, v| {
-        acc.wrapping_mul(0x100_0000_01B3).wrapping_add(v.to_bits())
+    e.outputs_slice().iter().fold(ctx.seed, |acc, p| {
+        acc.wrapping_mul(0x100_0000_01B3)
+            .wrapping_add(p[0].to_bits())
     })
 }
 
@@ -163,10 +178,7 @@ fn adaptive_search_paths_are_thread_count_independent() {
     for trial in 0..5 {
         let n = rng.random_range(3usize..=8);
         let steps = rng.random_range(2usize..=6);
-        let inits: Vec<Point<1>> = random_inits(n, &mut rng)
-            .into_iter()
-            .map(|v| Point([v]))
-            .collect();
+        let inits = random_inits(n, &mut rng);
         let baseline = adaptive_digest(n, &inits, steps, 1);
         for _ in 0..3 {
             let threads = rng.random_range(2usize..=16);

@@ -7,7 +7,7 @@ use tight_bounds_consensus::valency::adversary::{AdversaryTrace, GreedyValencyAd
 
 /// Drives `alg` for `steps` adversary steps via the Scenario facade and
 /// returns the recorded δ̂ trace.
-fn drive<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync>(
+fn drive<A: Algorithm<1> + Clone>(
     alg: A,
     inits: &[Point<1>],
     adv: &GreedyValencyAdversary,
