@@ -466,8 +466,14 @@ pub fn try_adversary_spec(preset: &str) -> Result<AdversarySpec, SpecError> {
 }
 
 /// Runs an adversary-search spec on the sweep pool (`threads = None` ⇒
-/// all cores; the report is identical at any thread count — outer sweep
-/// parallelism and inner fork pools are both index-ordered).
+/// all cores). With one sweep thread, each cell's inner fork pool gets
+/// up to the cell's own `threads` workers: the greedy valency
+/// candidates always fork, while beam and diameter-max rounds fork only
+/// chunks over the scorer's fork grain, which no preset cell reaches.
+/// With more sweep threads, a cell runs on a pool worker and its inner
+/// pool calls run inline there. The report is identical at any thread
+/// count: outer sweep parallelism and inner fork pools are both
+/// index-ordered.
 #[must_use]
 pub fn run_adversary(spec: &AdversarySpec, threads: Option<usize>) -> SweepReport {
     run_adversary_traced(spec, threads, consensus_obs::TraceHandle::disabled())

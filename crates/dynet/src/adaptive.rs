@@ -53,10 +53,15 @@ impl DiameterMaximiser {
         }
     }
 
-    /// Scores the candidates on `threads` pool workers, one contiguous
-    /// chunk of candidates each (`0` means
+    /// Scores the candidates on up to `threads` pool workers, in
+    /// contiguous chunks of candidates (`0` means
     /// [`consensus_pool::default_threads`]; the default `1` scores them
-    /// serially in the caller's thread). Scores are reduced back **in
+    /// serially in the caller's thread). `threads` is an upper bound: a
+    /// round forks only into chunks that carry at least a fork grain of
+    /// work (2¹⁷ message receptions, at `n(n+1)` per candidate), so the
+    /// `n` deaf candidates of [`DiameterMaximiser::deaf_complete`] fork
+    /// only from about `n = 50` on, and a round of a drive that itself
+    /// runs on a pool worker scores inline. Scores are reduced back **in
     /// candidate index order** with a strictly-greater-wins argmax, so
     /// the committed graph — and hence the entire adversarial schedule —
     /// is bit-for-bit identical at every thread count.

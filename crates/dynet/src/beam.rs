@@ -25,8 +25,11 @@
 //! subtraction, squaring and `sqrt` are monotone. Candidates live as flat
 //! in-mask rows in one per-search arena; a [`Digraph`] is built only for
 //! the committed graph. An edit is checked for rootedness only when it
-//! removes an edge of its parent's spanning tree, and each wave is scored
-//! as one contiguous chunk of candidates per pool worker.
+//! removes an edge of its parent's spanning tree. Each wave is scored in
+//! contiguous chunks of candidates, at most one per pool worker, and
+//! only when a chunk carries enough work to repay a fork: a candidate
+//! costs about `2n` message receptions, so every wave at `n ≤ 24` scores
+//! inline and the waves of `n = 48`–`64` beams fork.
 //!
 //! # Exactness at small `n`
 //!
@@ -392,11 +395,13 @@ where
         }
     }
 
-    /// Scores the fresh candidates on `threads` pool workers, one
-    /// contiguous chunk each, and moves them to the frontier.
+    /// Scores the fresh candidates on up to `threads` pool workers and
+    /// moves them to the frontier. A candidate costs about `2n`
+    /// receptions: its one to three changed agents' outputs (a seed
+    /// recomputes all of them, but seeds are few) and the O(n) diameter.
     fn score_fresh(&mut self, threads: usize) {
         let n = self.n;
-        let scores = score_chunks(self.fresh.len(), threads, n, |k, row| {
+        let scores = score_chunks(self.fresh.len(), 2 * n, threads, n, |k, row| {
             let c = &self.fresh[k];
             if c.parent != NONE {
                 let p = c.parent as usize * n;
@@ -431,7 +436,7 @@ where
 ///    `mutations` splitmix64-seeded multi-edge mutants on every wave,
 ///    plus all of its rooted single-edge toggles on the first wave it
 ///    is expanded in (later waves would only regenerate them), fresh
-///    candidates are scored (in contiguous chunks on
+///    candidates are scored (in contiguous chunks on up to
 ///    [`BeamSearch::threads`] pool workers), and the `width` best scored
 ///    graphs survive as the next frontier;
 /// 3. commits the best graph seen overall (canonical comparator:
@@ -522,11 +527,15 @@ impl BeamSearch {
         self
     }
 
-    /// Scores each wave's candidates on `threads` pool workers, one
-    /// contiguous chunk of candidates each (`0` means
+    /// Scores each wave's candidates on up to `threads` pool workers, in
+    /// contiguous chunks of candidates (`0` means
     /// [`consensus_pool::default_threads`]; the default `1` scores
-    /// serially). The committed schedule is bit-for-bit identical at
-    /// every thread count.
+    /// serially). `threads` is an upper bound: a wave forks only into
+    /// chunks that carry at least a fork grain of work (2¹⁷ message
+    /// receptions, at about `2n` per candidate), so a smaller wave scores
+    /// inline on the calling thread, as does a wave of a search that
+    /// itself runs on a pool worker. The committed schedule is bit-for-bit
+    /// identical at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
@@ -643,9 +652,12 @@ impl ExhaustiveRooted {
         }
     }
 
-    /// Scores the candidates on `threads` pool workers, one contiguous
-    /// chunk each (`0` means [`consensus_pool::default_threads`]);
-    /// results are thread-count invariant.
+    /// Scores the candidates on up to `threads` pool workers, in
+    /// contiguous chunks (`0` means [`consensus_pool::default_threads`]).
+    /// `threads` is an upper bound: a round forks only into chunks that
+    /// carry at least a fork grain of work (2¹⁷ message receptions, at
+    /// `n(n+1)` per candidate), so at `n ≤ 4` every round scores inline.
+    /// Results are thread-count invariant.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {

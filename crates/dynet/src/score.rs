@@ -29,20 +29,29 @@ pub(crate) fn rescore<A: Algorithm<D>, const D: usize>(
     diameter(row)
 }
 
-/// `score(i, row)` for every `i < len`, in index order, on up to
-/// `threads` pool workers that each take one contiguous chunk of
-/// indices. Each chunk reuses one scratch `row` of `n` points, as the
-/// previous call left it; a `score` that writes every row entry before
-/// reading it depends only on `i`, which makes the result independent
-/// of `threads`.
+/// The message receptions a chunk of scoring must carry before it is
+/// worth a fork: at 2–5 ns per reception, 0.26–0.66 ms of work, several
+/// times the 35–64 µs a pool dispatch costs on a 2-vCPU host.
+pub(crate) const FORK_GRAIN: usize = 1 << 17;
+
+/// `score(i, row)` for every `i < len`, in index order, where one call
+/// costs about `cost` message receptions. The indices are split into
+/// contiguous chunks of at least [`FORK_GRAIN`] receptions, at most one
+/// per pool worker of `threads`, so a batch under the grain scores
+/// inline on the calling thread. Each chunk reuses one scratch `row` of
+/// `n` points, as the previous call left it; a `score` that writes every
+/// row entry before reading it depends only on `i`, which makes the
+/// result independent of `threads`.
 pub(crate) fn score_chunks<const D: usize>(
     len: usize,
+    cost: usize,
     threads: usize,
     n: usize,
     score: impl Fn(usize, &mut [Point<D>]) -> f64 + Sync,
 ) -> Vec<f64> {
     let mut scores = vec![0.0; len];
-    let chunk = len.div_ceil(threads.max(1));
+    let grain = FORK_GRAIN.div_ceil(cost.max(1));
+    let chunk = len.div_ceil(threads.max(1)).max(grain);
     consensus_pool::for_each_chunk_mut(&mut scores, chunk, threads, |start, out| {
         let mut row = vec![Point::ZERO; n];
         for (k, s) in out.iter_mut().enumerate() {
@@ -53,7 +62,8 @@ pub(crate) fn score_chunks<const D: usize>(
 }
 
 /// The score of every graph of `graphs` against the configuration in
-/// `exec`, in order, on up to `threads` pool workers.
+/// `exec`, in order, on up to `threads` pool workers. A graph's score
+/// recomputes all `n` outputs (`n²` receptions) and measures the row.
 ///
 /// # Panics
 ///
@@ -73,7 +83,69 @@ where
     );
     let la = exec.lookahead();
     let all = full_mask(n);
-    score_chunks(graphs.len(), threads, n, |i, row| {
+    score_chunks(graphs.len(), n * (n + 1), threads, n, |i, row| {
         rescore(&la, graphs[i].in_masks(), all, row)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use consensus_obs::NullClock;
+    use consensus_pool::{CancelToken, PoolProfile};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    use std::thread;
+
+    /// Overwrites the row from `i`, then reads it back.
+    fn score(i: usize, row: &mut [Point<1>]) -> f64 {
+        for (k, p) in row.iter_mut().enumerate() {
+            *p = Point([((i * 7 + k * 3) % 11) as f64 / 3.0]);
+        }
+        diameter(row) + i as f64
+    }
+
+    /// Whether this thread runs a worker's share of a forked pool call,
+    /// as opposed to an inline one: a pool call made there runs on one
+    /// worker.
+    fn on_forked_worker() -> bool {
+        let profile = PoolProfile::new();
+        let cancel = CancelToken::new();
+        consensus_pool::try_run_indexed(2, 2, &cancel, &NullClock, |_| (), |_, _| {}, &profile)
+            .expect("no cell panics");
+        profile.workers().len() == 1
+    }
+
+    #[test]
+    fn work_under_the_grain_scores_on_the_caller() {
+        let me = thread::current().id();
+        let (off_caller, forked) = (AtomicBool::new(false), AtomicBool::new(false));
+        let scores = score_chunks(64, FORK_GRAIN / 64 - 1, 3, 5, |i, row| {
+            off_caller.fetch_or(thread::current().id() != me, Ordering::SeqCst);
+            if i == 0 {
+                forked.store(on_forked_worker(), Ordering::SeqCst);
+            }
+            score(i, row)
+        });
+        assert!(!off_caller.load(Ordering::SeqCst));
+        assert!(!forked.load(Ordering::SeqCst));
+        assert_eq!(scores, score_chunks(64, 1, 1, 5, score));
+    }
+
+    #[test]
+    fn work_over_the_grain_forks_bit_identically() {
+        // Three chunks of eight items, each item an eighth of the grain.
+        // The first items of chunks 0 and 1 wait for each other, which
+        // only two threads scoring at once can satisfy.
+        let meet = Barrier::new(2);
+        let pooled = score_chunks(24, FORK_GRAIN / 8, 3, 5, |i, row| {
+            if i == 0 || i == 8 {
+                meet.wait();
+            }
+            score(i, row)
+        });
+        let serial = score_chunks(24, FORK_GRAIN / 8, 1, 5, score);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pooled), bits(&serial));
+    }
 }

@@ -80,9 +80,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A pruning, mutating beam scores each wave in one contiguous chunk
-    /// per worker; at 2 and 3 workers the chunk boundaries fall mid-wave
-    /// (and at different candidates), and the schedule must not notice.
+    /// A pruning, mutating beam commits the same schedule at every
+    /// thread count. At `n ≤ 12` a wave carries far less than the fork
+    /// grain, so it scores inline whatever `threads` says;
+    /// `beam_waves_over_the_fork_grain_are_thread_count_invariant` covers
+    /// waves that fork.
     #[test]
     fn mutating_beam_is_thread_count_invariant(
         n in 5usize..13,
@@ -109,4 +111,32 @@ proptest! {
             }
         }
     }
+}
+
+/// At `n = 48` a width-2 expansion wave holds about `2 · 48 · 47 = 4512`
+/// candidates of `2n = 96` receptions each, over three fork grains, so at
+/// 3 threads it is scored in three chunks on three workers. The
+/// schedule must be bit-identical to the serial one.
+#[test]
+fn beam_waves_over_the_fork_grain_are_thread_count_invariant() {
+    let n = 48;
+    let start: Vec<Point<1>> = (0..n)
+        .map(|i| Point([((i * 37) % n) as f64 / n as f64]))
+        .collect();
+    let run = |threads: usize| {
+        let mut sc = Scenario::new(MeanValue, &start).adversary(
+            BeamSearch::new(n, 0x48)
+                .width(2)
+                .depth(1)
+                .mutations(2)
+                .threads(threads),
+        );
+        sc.advance(2);
+        sc.execution()
+            .outputs_slice()
+            .iter()
+            .map(|p| p[0].to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(run(3), run(1));
 }

@@ -1,14 +1,13 @@
 //! A hand-rolled work-stealing thread pool for embarrassingly parallel
-//! workloads: sweep cell grids, the executor's intra-round chunks, and
-//! the sweep control plane's cell dispatch.
+//! workloads: sweep cell grids, the executor's intra-round chunks, the
+//! adaptive adversaries' candidate scoring, and the sweep control
+//! plane's cell dispatch.
 //!
 //! The build environment has no registry access, so instead of `rayon`
 //! this crate implements the minimal scheduler those consumers need:
 //! every worker owns a deque of job indices (dealt round-robin up
 //! front), pops work from its own front, and when empty steals from the
-//! back of the other workers' deques. All threads are scoped
-//! ([`std::thread::scope`]), so runners may borrow from the caller's
-//! stack — no `'static` bounds, no `Arc` plumbing.
+//! back of the other workers' deques.
 //!
 //! Results are returned **in cell order** regardless of which worker
 //! ran which cell and in which interleaving, which is what makes every
@@ -18,26 +17,53 @@
 //! in-place parallel writes: chunks are disjoint, so any pure-per-slot
 //! writer is deterministic at every worker count.
 //!
-//! Two extensions serve the checkpointing control plane:
+//! # Forks
+//!
+//! All three entry points — [`run_indexed`], [`try_run_indexed`] and
+//! [`for_each_chunk_mut`] — fork through one core:
+//!
+//! * **The caller participates.** A call on `t` workers spawns `t − 1`
+//!   scoped helper threads ([`std::thread::scope`]) and runs worker 0's
+//!   share on the calling thread, which would otherwise only wait in
+//!   the join. Scoped threads let runners borrow from the caller's
+//!   stack — no `'static` bounds, no `Arc` plumbing.
+//! * **Nested calls run inline.** A pool call made on a thread that is
+//!   running one worker's share of a forked call (a sweep cell whose
+//!   adversary scores candidates, say) runs every item on that thread:
+//!   the outer call already occupies the workers it was given, and a
+//!   nested fork would only oversubscribe the machine. A call on one
+//!   worker runs inline without marking its thread, so the cells of a
+//!   1-thread sweep still fork their own pool calls.
+//!
+//! There are no spawn-once workers. A persistent thread can run a
+//! closure that borrows the caller's stack only once the closure's
+//! lifetime is erased, which takes `unsafe` code, and every crate root
+//! of the workspace forbids it. Each forked call therefore pays a thread
+//! spawn per helper, and callers keep small jobs off the pool instead:
+//! the adversaries' candidate scoring forks only chunks large enough to
+//! repay a dispatch.
+//!
+//! Two extensions of [`try_run_indexed`] serve the checkpointing
+//! control plane:
 //!
 //! * [`CancelToken`] — a shared stop flag. A cancelled run stops
 //!   *pulling* new jobs but drains the cells already in flight, so a
 //!   coordinator shutdown never tears a half-written result out of a
 //!   worker's hands.
-//! * [`try_run_indexed_observed`] — invokes an observer on the worker
-//!   thread the moment each cell completes (the streaming-checkpoint
-//!   hook), and reports **every** panicking cell, not just the first.
+//! * An observer invoked on the worker thread the moment each cell
+//!   completes (the streaming-checkpoint hook); every panicking cell is
+//!   reported, not just the first.
 //!
-//! For observability, [`try_run_indexed_profiled`] additionally fills a
-//! [`PoolProfile`] with per-worker own/steal counts and per-cell
-//! durations (timed through an injected `consensus-obs` [`Clock`] —
-//! this crate reads no wall clocks itself).
+//! For observability it also fills a [`PoolProfile`] with per-worker
+//! own/steal counts and per-cell durations (timed through an injected
+//! `consensus-obs` [`Clock`] — this crate reads no wall clocks itself).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -134,7 +160,7 @@ impl std::error::Error for PoolError {}
 /// What one worker did during a profiled pool run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerProfile {
-    /// The worker's index (0-based; the sequential path is worker 0).
+    /// The worker's index (0-based; worker 0 runs on the calling thread).
     pub worker: usize,
     /// Cells popped from the worker's own deque.
     pub own: u64,
@@ -146,7 +172,7 @@ pub struct WorkerProfile {
     pub cell_nanos: Vec<(usize, u64)>,
 }
 
-/// Per-worker statistics collected by [`try_run_indexed_profiled`].
+/// Per-worker statistics collected by [`try_run_indexed`].
 ///
 /// The profile is **scheduling-dependent by nature** (which worker ran
 /// or stole which cell varies run to run), which is why the
@@ -219,9 +245,9 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs `f(0), f(1), …, f(n_cells - 1)` on up to `threads` workers and
 /// returns the results in index order.
 ///
-/// `threads ≤ 1` (or a single cell) degrades to a plain sequential loop
-/// with no thread or lock overhead. Worker identity never influences the
-/// result: the output of cell `i` is `f(i)`, full stop.
+/// The calling thread is worker 0; a call made on a pool worker runs
+/// every cell inline (see [Forks](crate#forks)). Worker identity never
+/// influences the result: the output of cell `i` is `f(i)`, full stop.
 ///
 /// # Panics
 ///
@@ -232,99 +258,54 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    match try_run_indexed(n_cells, threads, f) {
-        Ok(out) => out,
-        Err(e) => panic!("sweep worker panicked: {e}"),
-    }
-}
-
-/// Like [`run_indexed`], but panicking cell runners are reported as a
-/// [`PoolError`] naming **every** bad cell instead of tearing the
-/// caller down.
-///
-/// All cells run to completion even when some panic (a panicking cell
-/// is caught and recorded, and its worker moves on), so the error is a
-/// complete census of the poisoned cells — deterministic regardless of
-/// interleaving, ascending by index. The closure is wrapped in
-/// [`AssertUnwindSafe`]: a panicking cell may leave caller-owned shared
-/// state (atomics, mutexes) partially updated, as with any propagated
-/// panic.
-///
-/// # Errors
-///
-/// Returns every panicking cell with its panic message, ascending by
-/// cell index.
-pub fn try_run_indexed<R, F>(n_cells: usize, threads: usize, f: F) -> Result<Vec<R>, PoolError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let slots = try_run_indexed_observed(n_cells, threads, &CancelToken::new(), f, |_, _| {})?;
-    // No cancellation and no error ⇒ every cell completed.
-    Ok(slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("cell {i} never ran")))
-        .collect())
-}
-
-/// The streaming, cancellable core of the pool: runs the cells of
-/// `0..n_cells` on up to `threads` workers, invoking `observe(i, &r)`
-/// **on the worker thread** the moment cell `i` completes — the hook a
-/// checkpointing coordinator uses to stream results to disk in
-/// completion order — and stopping the dispatch of *new* cells once
-/// `cancel` is raised (in-flight cells drain and are still observed).
-///
-/// Returns one slot per cell: `Some(result)` for cells that ran,
-/// `None` for cells skipped because of cancellation. Without
-/// cancellation every slot is `Some`.
-///
-/// A panic inside `f` *or* `observe` is recorded against the cell and
-/// the worker moves on; all such cells are reported together.
-///
-/// # Errors
-///
-/// Returns every panicking cell with its panic message, ascending by
-/// cell index.
-pub fn try_run_indexed_observed<R, F, O>(
-    n_cells: usize,
-    threads: usize,
-    cancel: &CancelToken,
-    f: F,
-    observe: O,
-) -> Result<Vec<Option<R>>, PoolError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    O: Fn(usize, &R) + Sync,
-{
-    try_run_indexed_profiled(
+    let slots = try_run_indexed(
         n_cells,
         threads,
-        cancel,
+        &CancelToken::new(),
         &NullClock,
         f,
-        observe,
+        |_, _| {},
         &PoolProfile::new(),
     )
+    .unwrap_or_else(|e| panic!("sweep worker panicked: {e}"));
+    slots
+        .into_iter()
+        .map(|r| r.expect("an uncancelled run completes every cell"))
+        .collect()
 }
 
-/// [`try_run_indexed_observed`] plus profiling: per-worker own/steal
-/// cell counts and — when `clock` reports time — per-cell durations,
-/// flushed into `profile`.
+/// The fallible, streaming, cancellable, profiled form of
+/// [`run_indexed`]: runs the cells of `0..n_cells` on up to `threads`
+/// workers, invoking `observe(i, &r)` **on the worker thread** the
+/// moment cell `i` completes — the hook a checkpointing coordinator uses
+/// to stream results to disk in completion order — and stopping the
+/// dispatch of *new* cells once `cancel` is raised (in-flight cells
+/// drain and are still observed).
 ///
-/// The profile is flushed by every worker before the run returns,
-/// **including when cells panic**: an `Err` still leaves `profile`
-/// holding the complete queue/steal census, so post-mortem traces of
-/// failed cells are never blind. Under the [`NullClock`] the per-cell
-/// timing overhead is two virtual calls per cell.
+/// Returns one slot per cell: `Some(result)` for cells that ran, `None`
+/// for cells skipped because of cancellation. Without cancellation every
+/// slot is `Some`.
+///
+/// A panic inside `f` *or* `observe` is caught and recorded against the
+/// cell, and its worker moves on, so every cell runs even when some
+/// panic and the error is a complete census of the poisoned cells —
+/// deterministic regardless of interleaving. The closures are wrapped
+/// in [`AssertUnwindSafe`]: a panicking cell may leave caller-owned
+/// shared state (atomics, mutexes) partially updated, as with any
+/// propagated panic.
+///
+/// `profile` receives every worker's own/steal cell counts and — when
+/// `clock` reports time — per-cell durations. Every worker flushes its
+/// stats before the run returns, **including when cells panic**, so an
+/// `Err` still leaves `profile` a complete census. Under the
+/// [`NullClock`] the timing costs two virtual calls per cell.
 ///
 /// # Errors
 ///
 /// Returns every panicking cell with its panic message, ascending by
 /// cell index.
 #[allow(clippy::too_many_arguments)]
-pub fn try_run_indexed_profiled<R, F, O>(
+pub fn try_run_indexed<R, F, O>(
     n_cells: usize,
     threads: usize,
     cancel: &CancelToken,
@@ -338,7 +319,6 @@ where
     F: Fn(usize) -> R + Sync,
     O: Fn(usize, &R) + Sync,
 {
-    let workers = threads.max(1).min(n_cells.max(1));
     let run_one = |i: usize, wp: &mut WorkerProfile| -> Result<R, CellPanic> {
         let t0 = clock.now_nanos();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -356,97 +336,59 @@ where
         result
     };
 
-    if workers <= 1 {
-        let mut wp = WorkerProfile::default();
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n_cells);
-        let mut failures = Vec::new();
-        for i in 0..n_cells {
-            if cancel.is_cancelled() {
-                out.push(None);
-                continue;
-            }
-            wp.own += 1;
-            match run_one(i, &mut wp) {
-                Ok(r) => out.push(Some(r)),
-                Err(p) => {
-                    failures.push(p);
-                    out.push(None);
-                }
-            }
-        }
-        profile.push(wp);
-        if failures.is_empty() {
-            return Ok(out);
-        }
-        return Err(PoolError { failures });
-    }
-
     // Deal the cells round-robin so every deque starts with work spread
     // across the whole grid (neighboring cells often cost alike; dealing
     // them apart balances better than contiguous chunks).
+    let workers = width(threads, n_cells);
     let mut deques: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
     for i in 0..n_cells {
         deques[i % workers].push_back(i);
     }
     let deques: Vec<Mutex<VecDeque<usize>>> = deques.into_iter().map(Mutex::new).collect();
 
-    let mut collected: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-    let mut failures: Vec<CellPanic> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let deques = &deques;
-                let run_one = &run_one;
-                scope.spawn(move || {
-                    let mut wp = WorkerProfile {
-                        worker: w,
-                        ..WorkerProfile::default()
-                    };
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    let mut bad: Vec<CellPanic> = Vec::new();
-                    while !cancel.is_cancelled() {
-                        match next_job(deques, w) {
-                            Some((i, stolen)) => {
-                                if stolen {
-                                    wp.stolen += 1;
-                                } else {
-                                    wp.own += 1;
-                                }
-                                match run_one(i, &mut wp) {
-                                    Ok(r) => done.push((i, r)),
-                                    Err(p) => bad.push(p),
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                    // Flush before the join so the profile is complete
-                    // even when `bad` turns the run into an error.
-                    profile.push(wp);
-                    (done, bad)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (done, bad) = h.join().expect("pool worker infrastructure panicked");
-            collected.push(done);
-            failures.extend(bad);
+    let per_worker = fork(workers, |w| {
+        let mut wp = WorkerProfile {
+            worker: w,
+            ..WorkerProfile::default()
+        };
+        let mut done: Vec<(usize, R)> = Vec::new();
+        let mut bad: Vec<CellPanic> = Vec::new();
+        while !cancel.is_cancelled() {
+            let Some((i, stolen)) = next_job(&deques, w) else {
+                break;
+            };
+            if stolen {
+                wp.stolen += 1;
+            } else {
+                wp.own += 1;
+            }
+            match run_one(i, &mut wp) {
+                Ok(r) => done.push((i, r)),
+                Err(p) => bad.push(p),
+            }
         }
+        // Flush before returning so the profile is complete even when
+        // `bad` turns the run into an error.
+        profile.push(wp);
+        (done, bad)
     });
-
-    if !failures.is_empty() {
-        failures.sort_by_key(|p| p.cell);
-        return Err(PoolError { failures });
-    }
 
     // Reassemble in cell order; every index appears at most once because
     // jobs are only produced by the up-front deal.
     let mut slots: Vec<Option<R>> = (0..n_cells).map(|_| None).collect();
-    for (i, r) in collected.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "cell {i} ran twice");
-        slots[i] = Some(r);
+    let mut failures: Vec<CellPanic> = Vec::new();
+    for (done, bad) in per_worker {
+        for (i, r) in done {
+            debug_assert!(slots[i].is_none(), "cell {i} ran twice");
+            slots[i] = Some(r);
+        }
+        failures.extend(bad);
     }
-    Ok(slots)
+    if failures.is_empty() {
+        return Ok(slots);
+    }
+    failures.sort_by_key(|p| p.cell);
+    Err(PoolError { failures })
 }
 
 /// Applies `f` to disjoint chunks of `items`, in parallel across up to
@@ -457,47 +399,94 @@ where
 /// are independent of the worker count and interleaving whenever `f`
 /// writes each slot as a pure function of the slot's global index.
 ///
-/// `threads ≤ 1` (or a single chunk) runs sequentially in place.
+/// # Panics
+///
+/// Propagates a panic of `f` once every worker has finished.
 pub fn for_each_chunk_mut<T, F>(items: &mut [T], chunk_len: usize, threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
     let chunk_len = chunk_len.max(1);
-    let n_chunks = n.div_ceil(chunk_len);
-    let workers = threads.max(1).min(n_chunks);
-    if workers <= 1 {
-        for (k, chunk) in items.chunks_mut(chunk_len).enumerate() {
-            f(k * chunk_len, chunk);
-        }
-        return;
-    }
-
-    // Hand out the (disjoint) chunk slices through one shared queue;
-    // chunk granularity is coarse, so the lock is uncontended in
-    // practice.
-    let jobs: Mutex<Vec<(usize, &mut [T])>> = Mutex::new(
-        items
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(k, chunk)| (k * chunk_len, chunk))
-            .collect(),
-    );
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let job = jobs.lock().expect("chunk queue poisoned").pop();
-                match job {
-                    Some((start, chunk)) => f(start, chunk),
-                    None => break,
-                }
-            });
+    let workers = width(threads, items.len().div_ceil(chunk_len));
+    // Hand the chunks out in ascending order through one shared iterator;
+    // chunk granularity is coarse, so the lock is uncontended in practice.
+    let jobs = Mutex::new(items.chunks_mut(chunk_len).enumerate());
+    fork(workers, |_| loop {
+        let job = jobs.lock().expect("chunk queue poisoned").next();
+        match job {
+            Some((k, chunk)) => f(k * chunk_len, chunk),
+            None => break,
         }
     });
+}
+
+thread_local! {
+    /// Whether this thread is running one worker's share of a forked
+    /// pool call (see [`fork`]).
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as a pool worker until dropped, then
+/// restores the previous mark — on unwind too, so a panicking cell
+/// cannot leave its thread marked.
+struct PoolMark(bool);
+
+impl PoolMark {
+    fn enter() -> Self {
+        PoolMark(IN_POOL.replace(true))
+    }
+}
+
+impl Drop for PoolMark {
+    fn drop(&mut self) {
+        IN_POOL.set(self.0);
+    }
+}
+
+/// The number of workers a call with `threads` and `jobs` runs on:
+/// `threads`, capped by the job count, or 1 — inline — on a thread that
+/// is already a pool worker, whose siblings keep the machine busy.
+fn width(threads: usize, jobs: usize) -> usize {
+    if IN_POOL.get() {
+        1
+    } else {
+        threads.clamp(1, jobs.max(1))
+    }
+}
+
+/// The fork core behind every pool call: runs `work(w)` for each worker
+/// `w < workers` and returns the results in worker order. Worker 0 runs
+/// on the calling thread, which would otherwise idle in the join; the
+/// others run on scoped helper threads, so `work` may borrow from the
+/// caller's stack. While they run, forked workers are marked as pool
+/// workers, which makes a pool call inside `work` run inline. One
+/// worker runs inline and unmarked.
+///
+/// A panic of `work` propagates with its original payload once every
+/// worker has finished.
+fn fork<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if workers <= 1 {
+        return vec![work(0)];
+    }
+    let marked = |w| {
+        let _mark = PoolMark::enter();
+        work(w)
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|w| {
+                let marked = &marked;
+                scope.spawn(move || marked(w))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(workers);
+        out.push(marked(0));
+        for h in helpers {
+            out.push(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        out
+    })
 }
 
 /// Pops the next job for worker `w`: own deque front first, then steal
@@ -528,6 +517,57 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::thread::{self, ThreadId};
+
+    /// The plain fallible run: no cancellation, clock or observer.
+    fn try_run<R: Send>(
+        n_cells: usize,
+        threads: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Result<Vec<R>, PoolError> {
+        let slots = try_run_indexed(
+            n_cells,
+            threads,
+            &CancelToken::new(),
+            &NullClock,
+            f,
+            |_, _| {},
+            &PoolProfile::new(),
+        )?;
+        Ok(slots.into_iter().map(Option::unwrap).collect())
+    }
+
+    /// The thread of each cell of a 2-worker run whose two cells wait
+    /// for each other. They run at once on two threads, and cell 0 —
+    /// the head of worker 0's deque, which the other worker can only
+    /// steal once its own cell 1 is done — runs on the caller.
+    fn rendezvous_threads() -> Vec<ThreadId> {
+        let meet = Barrier::new(2);
+        run_indexed(2, 2, |_| {
+            meet.wait();
+            thread::current().id()
+        })
+    }
+
+    /// A 16-cell runner for 2 workers whose cell 0 blocks until every
+    /// other cell has run: cell 0's worker is stuck in it, so the other
+    /// worker must steal from cell 0's deque.
+    fn cell_zero_waits_for_the_rest() -> impl Fn(usize) -> usize + Sync {
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        move |i| {
+            if i == 0 {
+                let rx = rx.lock().expect("one waiter");
+                for _ in 1..16 {
+                    rx.recv().expect("the other cells hold a sender");
+                }
+            } else {
+                tx.send(()).expect("cell 0 holds the receiver");
+            }
+            i
+        }
+    }
 
     #[test]
     fn results_are_in_cell_order() {
@@ -565,14 +605,69 @@ mod tests {
 
     #[test]
     fn stealing_drains_imbalanced_loads() {
-        // Cell 0 is slow; the other worker must steal the rest.
-        let out = run_indexed(16, 2, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-            }
-            i
-        });
+        let out = run_indexed(16, 2, cell_zero_waits_for_the_rest());
         assert_eq!(out, (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_caller_runs_worker_zeros_share() {
+        let me = thread::current().id();
+        let ids = rendezvous_threads();
+        assert_eq!(ids[0], me, "worker 0's cell ran on the caller");
+        assert_ne!(ids[1], me, "worker 1's cell ran on a helper");
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_cell_thread() {
+        let meet = Barrier::new(2);
+        let inline = run_indexed(2, 2, |_| {
+            // Both cells run at once, so each runs on a forked worker.
+            meet.wait();
+            let me = Some(thread::current().id());
+            let items = run_indexed(8, 4, |_| Some(thread::current().id()));
+            let mut chunks = vec![None; 8];
+            for_each_chunk_mut(&mut chunks, 1, 4, |_, c| {
+                c[0] = Some(thread::current().id());
+            });
+            // A fork whose caller happened to drain every item would
+            // pass the thread check; its profile would list 4 workers.
+            let profile = PoolProfile::new();
+            let nested = try_run_indexed(
+                8,
+                4,
+                &CancelToken::new(),
+                &NullClock,
+                |i| i,
+                |_, _| {},
+                &profile,
+            );
+            nested.is_ok()
+                && profile.workers().len() == 1
+                && items.iter().chain(&chunks).all(|&t| t == me)
+        });
+        assert_eq!(inline, vec![true, true]);
+    }
+
+    #[test]
+    fn top_level_calls_fork_again_after_a_nested_panic() {
+        let me = thread::current().id();
+        let meet = Barrier::new(2);
+        let mut v = vec![0u8; 2];
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            for_each_chunk_mut(&mut v, 1, 2, |_, _| {
+                // Both chunks run at once; the caller's panics in a
+                // nested call, unwinding through its worker share.
+                meet.wait();
+                if thread::current().id() == me {
+                    run_indexed(2, 2, |_| -> u8 { panic!("nested boom") });
+                }
+            });
+        }));
+        let message = payload_message(unwound.unwrap_err());
+        assert!(message.contains("nested boom"), "{message}");
+        assert!(!IN_POOL.get(), "the unwind restored the caller's mark");
+        let ids = rendezvous_threads();
+        assert_eq!((ids[0] == me, ids[1] == me), (true, false));
     }
 
     #[test]
@@ -585,9 +680,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "chunk two is poisoned")]
+    fn chunk_panics_propagate_with_their_payload() {
+        let mut v = vec![0u8; 4];
+        for_each_chunk_mut(&mut v, 1, 2, |start, _| {
+            assert!(start != 2, "chunk two is poisoned");
+        });
+    }
+
+    #[test]
     fn try_run_reports_the_poisoned_cell() {
         for threads in [1, 2, 4] {
-            let err = try_run_indexed(8, threads, |i| {
+            let err = try_run(8, threads, |i| {
                 assert!(i != 5, "cell five is poisoned");
                 i * 10
             })
@@ -607,7 +711,7 @@ mod tests {
     #[test]
     fn try_run_collects_every_panicking_cell() {
         for threads in [1, 2, 4] {
-            let err = try_run_indexed(8, threads, |i| {
+            let err = try_run(8, threads, |i| {
                 assert!(i != 2 && i != 6, "cell {i} is poisoned");
                 i
             })
@@ -625,7 +729,7 @@ mod tests {
 
     #[test]
     fn try_run_reports_all_odd_cells() {
-        let err = try_run_indexed(16, 4, |i| assert!(i % 2 == 0, "odd cell {i}")).unwrap_err();
+        let err = try_run(16, 4, |i| assert!(i % 2 == 0, "odd cell {i}")).unwrap_err();
         assert_eq!(
             err.cells(),
             (0..16).filter(|i| i % 2 == 1).collect::<Vec<_>>()
@@ -635,14 +739,14 @@ mod tests {
 
     #[test]
     fn try_run_ok_matches_run_indexed() {
-        let a = try_run_indexed(23, 3, |i| i * i).unwrap();
+        let a = try_run(23, 3, |i| i * i).unwrap();
         let b = run_indexed(23, 3, |i| i * i);
         assert_eq!(a, b);
     }
 
     #[test]
     fn string_panic_payloads_survive() {
-        let err = try_run_indexed(2, 1, |i| {
+        let err = try_run(2, 1, |i| {
             if i == 1 {
                 panic!("seed {} went bad", 42);
             }
@@ -655,15 +759,17 @@ mod tests {
     fn observer_sees_every_completion_exactly_once() {
         for threads in [1, 3] {
             let seen: Vec<AtomicUsize> = (0..33).map(|_| AtomicUsize::new(0)).collect();
-            let out = try_run_indexed_observed(
+            let out = try_run_indexed(
                 33,
                 threads,
                 &CancelToken::new(),
+                &NullClock,
                 |i| i * 3,
                 |i, r| {
                     assert_eq!(*r, i * 3, "observer sees the cell's own result");
                     seen[i].fetch_add(1, Ordering::SeqCst);
                 },
+                &PoolProfile::new(),
             )
             .unwrap();
             assert!(seen.iter().all(|h| h.load(Ordering::SeqCst) == 1));
@@ -675,10 +781,11 @@ mod tests {
     fn cancellation_drains_without_new_dispatch() {
         let cancel = CancelToken::new();
         let started = AtomicUsize::new(0);
-        let out = try_run_indexed_observed(
+        let out = try_run_indexed(
             64,
             2,
             &cancel,
+            &NullClock,
             |i| {
                 started.fetch_add(1, Ordering::SeqCst);
                 if started.load(Ordering::SeqCst) >= 4 {
@@ -687,6 +794,7 @@ mod tests {
                 i
             },
             |_, _| {},
+            &PoolProfile::new(),
         )
         .unwrap();
         let ran = out.iter().filter(|r| r.is_some()).count();
@@ -704,8 +812,16 @@ mod tests {
     fn cancelled_before_start_runs_nothing() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let out = try_run_indexed_observed(8, 3, &cancel, |_| unreachable!("cancelled"), |_, _| {})
-            .unwrap();
+        let out = try_run_indexed(
+            8,
+            3,
+            &cancel,
+            &NullClock,
+            |_| unreachable!("cancelled"),
+            |_, _: &()| {},
+            &PoolProfile::new(),
+        )
+        .unwrap();
         assert!(out.iter().all(Option::is_none));
     }
 
@@ -748,7 +864,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let profile = PoolProfile::new();
             let clock = TickClock::new();
-            let out = try_run_indexed_profiled(
+            let out = try_run_indexed(
                 24,
                 threads,
                 &CancelToken::new(),
@@ -776,7 +892,7 @@ mod tests {
     #[test]
     fn null_clock_skips_durations_but_keeps_counts() {
         let profile = PoolProfile::new();
-        let _ = try_run_indexed_profiled(
+        let _ = try_run_indexed(
             9,
             3,
             &CancelToken::new(),
@@ -799,7 +915,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let profile = PoolProfile::new();
             let clock = TickClock::new();
-            let err = try_run_indexed_profiled(
+            let err = try_run_indexed(
                 16,
                 threads,
                 &CancelToken::new(),
@@ -827,25 +943,18 @@ mod tests {
 
     #[test]
     fn stealing_is_visible_in_the_profile() {
-        // Worker 0 sleeps on its first cell; with 2 workers the other
-        // one must steal from its deque to drain the grid.
         let profile = PoolProfile::new();
-        let _ = try_run_indexed_profiled(
+        let _ = try_run_indexed(
             16,
             2,
             &CancelToken::new(),
             &NullClock,
-            |i| {
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
-                i
-            },
+            cell_zero_waits_for_the_rest(),
             |_, _| {},
             &profile,
         )
         .unwrap();
         assert_eq!(profile.cells_run(), 16);
-        assert!(profile.steals() > 0, "slow worker forces steals");
+        assert!(profile.steals() > 0, "a stuck worker forces steals");
     }
 }

@@ -347,30 +347,12 @@ impl<C: Sync> Sweep<C> {
         R: Send,
         F: Fn(&C, CellCtx) -> R + Sync,
     {
-        if self.trace.is_enabled() {
-            let profile = PoolProfile::new();
-            let clock = self.trace.clock();
-            let res = pool::try_run_indexed_profiled(
-                self.cells.len(),
-                self.threads,
-                &CancelToken::new(),
-                &*clock,
-                |i| self.run_spanned(i, &f),
-                |_, _| {},
-                &profile,
-            );
-            emit_pool_profile(&self.trace, &profile);
-            return res.map_err(|e| self.enrich(e)).map(|packed| {
-                packed
-                    .into_iter()
-                    .map(|r| r.expect("no cancel token raised: every cell ran"))
-                    .collect()
-            });
-        }
-        pool::try_run_indexed(self.cells.len(), self.threads, |i| {
-            f(&self.cells[i], self.ctx(i))
-        })
-        .map_err(|e| self.enrich(e))
+        let all = vec![true; self.cells.len()];
+        let slots = self.try_run_where(&all, &CancelToken::new(), f, |_, _| {})?;
+        Ok(slots
+            .into_iter()
+            .map(|r| r.expect("no cancel token raised: every cell ran"))
+            .collect())
     }
 
     /// The checkpointing entry point: runs only the cells where
@@ -409,7 +391,7 @@ impl<C: Sync> Sweep<C> {
         let indices: Vec<usize> = (0..self.cells.len()).filter(|&i| todo[i]).collect();
         let profile = PoolProfile::new();
         let clock = self.trace.clock();
-        let res = pool::try_run_indexed_profiled(
+        let res = pool::try_run_indexed(
             indices.len(),
             self.threads,
             cancel,
