@@ -57,11 +57,12 @@ impl DiameterMaximiser {
     /// contiguous chunks of candidates (`0` means
     /// [`consensus_pool::default_threads`]; the default `1` scores them
     /// serially in the caller's thread). `threads` is an upper bound: a
-    /// round forks only into chunks that carry at least a fork grain of
-    /// work (2¹⁷ message receptions, at `n(n+1)` per candidate), so the
-    /// `n` deaf candidates of [`DiameterMaximiser::deaf_complete`] fork
-    /// only from about `n = 50` on, and a round of a drive that itself
-    /// runs on a pool worker scores inline. Scores are reduced back **in
+    /// round forks only into chunks that carry at least
+    /// [`FORK_GRAIN`](crate::FORK_GRAIN) message receptions, at `n(n+1)`
+    /// per candidate, so the `n` deaf candidates of
+    /// [`DiameterMaximiser::deaf_complete`] fork only from about `n = 50`
+    /// on, and a round of a drive that itself runs on a pool worker
+    /// scores inline. Scores are reduced back **in
     /// candidate index order** with a strictly-greater-wins argmax, so
     /// the committed graph — and hence the entire adversarial schedule —
     /// is bit-for-bit identical at every thread count.
@@ -132,6 +133,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::FORK_GRAIN;
     use consensus_algorithms::{MeanValue, Midpoint, Point};
     use consensus_dynamics::Scenario;
 
@@ -201,23 +203,26 @@ pub(crate) mod tests {
 
     #[test]
     fn pooled_forks_match_serial_bit_for_bit() {
-        let n = 6;
-        let rounds = 8;
-        let serial = {
-            let mut sc =
-                Scenario::new(MeanValue, &spread(n)).adversary(DiameterMaximiser::deaf_complete(n));
-            sc.advance(rounds);
-            sc.execution().outputs()
-        };
-        for threads in [2, 4, 8] {
+        // The 64 candidates of n(n+1) receptions each carry two grains,
+        // so a round forks into two chunks at every thread count here.
+        let n = 64;
+        assert!(
+            n * n * (n + 1) >= 2 * FORK_GRAIN,
+            "a round carries two grains"
+        );
+        let run = |threads: usize| {
             let mut sc = Scenario::new(MeanValue, &spread(n))
                 .adversary(DiameterMaximiser::deaf_complete(n).threads(threads));
-            sc.advance(rounds);
-            let got = sc.execution().outputs();
-            assert_eq!(got.len(), serial.len());
-            for (a, b) in got.iter().zip(serial.iter()) {
-                assert_eq!(a[0].to_bits(), b[0].to_bits(), "threads={threads}");
-            }
+            sc.advance(2);
+            sc.execution()
+                .outputs_slice()
+                .iter()
+                .map(|p| p[0].to_bits())
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), serial, "threads={threads}");
         }
     }
 

@@ -27,9 +27,9 @@
 //! the committed graph. An edit is checked for rootedness only when it
 //! removes an edge of its parent's spanning tree. Each wave is scored in
 //! contiguous chunks of candidates, at most one per pool worker, and
-//! only when a chunk carries enough work to repay a fork: a candidate
-//! costs about `2n` message receptions, so every wave at `n ≤ 24` scores
-//! inline and the waves of `n = 48`–`64` beams fork.
+//! forks only chunks of at least [`FORK_GRAIN`](crate::FORK_GRAIN)
+//! message receptions: a candidate costs about `2n`, so every wave at
+//! `n ≤ 24` scores inline and the waves of `n = 48`–`64` beams fork.
 //!
 //! # Exactness at small `n`
 //!
@@ -531,11 +531,11 @@ impl BeamSearch {
     /// contiguous chunks of candidates (`0` means
     /// [`consensus_pool::default_threads`]; the default `1` scores
     /// serially). `threads` is an upper bound: a wave forks only into
-    /// chunks that carry at least a fork grain of work (2¹⁷ message
-    /// receptions, at about `2n` per candidate), so a smaller wave scores
-    /// inline on the calling thread, as does a wave of a search that
-    /// itself runs on a pool worker. The committed schedule is bit-for-bit
-    /// identical at every thread count.
+    /// chunks that carry at least [`FORK_GRAIN`](crate::FORK_GRAIN)
+    /// message receptions, at about `2n` per candidate, so a smaller wave
+    /// scores inline on the calling thread, as does a wave of a search
+    /// that itself runs on a pool worker. The committed schedule is
+    /// bit-for-bit identical at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
@@ -623,6 +623,9 @@ where
 /// graph each round and commits with the same canonical comparator.
 /// Only feasible at `n ≤ 4`; exists so the beam's exact-equivalence
 /// claim is testable against an independent argmax over the full class.
+/// It scores on the calling thread: a round's at most 4096 candidates
+/// of `n(n+1) ≤ 20` receptions each stay under one
+/// [`FORK_GRAIN`](crate::FORK_GRAIN).
 ///
 /// (This is *not* [`DiameterMaximiser`](crate::DiameterMaximiser) with
 /// [`all_rooted`](crate::DiameterMaximiser::all_rooted) candidates: that
@@ -631,7 +634,6 @@ where
 #[derive(Debug, Clone)]
 pub struct ExhaustiveRooted {
     candidates: Vec<Digraph>,
-    threads: usize,
 }
 
 impl ExhaustiveRooted {
@@ -648,24 +650,7 @@ impl ExhaustiveRooted {
         );
         ExhaustiveRooted {
             candidates: enumerate::rooted_graphs(n).collect(),
-            threads: 1,
         }
-    }
-
-    /// Scores the candidates on up to `threads` pool workers, in
-    /// contiguous chunks (`0` means [`consensus_pool::default_threads`]).
-    /// `threads` is an upper bound: a round forks only into chunks that
-    /// carry at least a fork grain of work (2¹⁷ message receptions, at
-    /// `n(n+1)` per candidate), so at `n ≤ 4` every round scores inline.
-    /// Results are thread-count invariant.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            consensus_pool::default_threads()
-        } else {
-            threads
-        };
-        self
     }
 
     /// The enumerated rooted class.
@@ -680,7 +665,7 @@ where
     A: Algorithm<D> + Clone,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
-        let scores = score_graphs(exec, &self.candidates, self.threads);
+        let scores = score_graphs(exec, &self.candidates, 1);
         let mut best: Option<(usize, f64)> = None;
         for (i, &s) in scores.iter().enumerate() {
             let better = best.is_none_or(|(bi, bs)| {

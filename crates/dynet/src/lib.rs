@@ -75,4 +75,5 @@ pub use beam::{BeamSearch, ExhaustiveRooted};
 pub use churn::BoundedChurnAdversary;
 pub use grid::{AdversaryKind, DynAdversary, DynamicCell, DynamicGrid};
 pub use rotating::RotatingTreeSchedule;
+pub use score::FORK_GRAIN;
 pub use tinterval::TIntervalAdversary;

@@ -29,10 +29,13 @@ pub(crate) fn rescore<A: Algorithm<D>, const D: usize>(
     diameter(row)
 }
 
-/// The message receptions a chunk of scoring must carry before it is
-/// worth a fork: at 2–5 ns per reception, 0.26–0.66 ms of work, several
-/// times the 35–64 µs a pool dispatch costs on a 2-vCPU host.
-pub(crate) const FORK_GRAIN: usize = 1 << 17;
+/// The message receptions one chunk of an adaptive adversary's candidate
+/// scoring must carry before it is forked onto a pool worker. At 2–5 ns
+/// per reception a grain is 0.26–0.66 ms of work, several times the
+/// 35–64 µs a pool dispatch costs on a 2-vCPU host; the value follows
+/// from those two costs and is not tuned. A batch under the grain scores
+/// on the calling thread, whatever thread count its adversary was given.
+pub const FORK_GRAIN: usize = 1 << 17;
 
 /// `score(i, row)` for every `i < len`, in index order, where one call
 /// costs about `cost` message receptions. The indices are split into

@@ -7,7 +7,8 @@
 
 use consensus_algorithms::{MeanValue, Midpoint, Point};
 use consensus_dynamics::Scenario;
-use consensus_dynet::{BeamSearch, ExhaustiveRooted};
+use consensus_dynet::{BeamSearch, ExhaustiveRooted, FORK_GRAIN};
+use consensus_obs::TraceHandle;
 use proptest::prelude::*;
 
 fn inits(n: usize, raw: &[f64]) -> Vec<Point<1>> {
@@ -113,23 +114,27 @@ proptest! {
     }
 }
 
-/// At `n = 48` a width-2 expansion wave holds about `2 · 48 · 47 = 4512`
-/// candidates of `2n = 96` receptions each, over three fork grains, so at
-/// 3 threads it is scored in three chunks on three workers. The
-/// schedule must be bit-identical to the serial one.
+/// At `n = 64` a width-2 expansion wave holds the rooted single-edge
+/// toggles of its two frontier graphs, up to `2 · 64 · 63 = 8064`
+/// candidates of about `2n = 128` receptions each. Scoring it in three
+/// chunks at 3 threads needs `3 · FORK_GRAIN / 2n = 3072` of them; the
+/// serial run checks every round's wave holds that many, so a larger
+/// grain fails this test instead of quietly scoring it inline. The
+/// pooled schedule must be bit-identical to the serial one.
 #[test]
 fn beam_waves_over_the_fork_grain_are_thread_count_invariant() {
-    let n = 48;
+    let n = 64;
     let start: Vec<Point<1>> = (0..n)
         .map(|i| Point([((i * 37) % n) as f64 / n as f64]))
         .collect();
-    let run = |threads: usize| {
+    let run = |threads: usize, trace: TraceHandle| {
         let mut sc = Scenario::new(MeanValue, &start).adversary(
             BeamSearch::new(n, 0x48)
                 .width(2)
                 .depth(1)
                 .mutations(2)
-                .threads(threads),
+                .threads(threads)
+                .trace(trace, 0),
         );
         sc.advance(2);
         sc.execution()
@@ -138,5 +143,22 @@ fn beam_waves_over_the_fork_grain_are_thread_count_invariant() {
             .map(|p| p[0].to_bits())
             .collect::<Vec<_>>()
     };
-    assert_eq!(run(3), run(1));
+    let trace = TraceHandle::enabled();
+    let serial = run(1, trace.clone());
+    // A round scores at most n + 2 seeds (the deaf family, K_n and the
+    // last committed graph) before its one wave.
+    let scored: Vec<u64> = trace
+        .merged()
+        .events
+        .iter()
+        .filter(|e| e.event.name == "beam_candidates")
+        .map(|e| e.event.value)
+        .collect();
+    assert_eq!(scored.len(), 2, "one count per round");
+    let three_chunks = 3 * FORK_GRAIN.div_ceil(2 * n);
+    for &k in &scored {
+        let wave = usize::try_from(k).expect("fits") - (n + 2);
+        assert!(wave >= three_chunks, "a wave of {wave} < {three_chunks}");
+    }
+    assert_eq!(run(3, TraceHandle::disabled()), serial);
 }

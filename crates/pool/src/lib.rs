@@ -40,8 +40,8 @@
 //! lifetime is erased, which takes `unsafe` code, and every crate root
 //! of the workspace forbids it. Each forked call therefore pays a thread
 //! spawn per helper, and callers keep small jobs off the pool instead:
-//! the adversaries' candidate scoring forks only chunks large enough to
-//! repay a dispatch.
+//! the adversaries' candidate scoring forks only chunks of at least a
+//! work grain, several dispatches' worth of scoring.
 //!
 //! Two extensions of [`try_run_indexed`] serve the checkpointing
 //! control plane:
