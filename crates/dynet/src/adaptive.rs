@@ -58,14 +58,19 @@ impl DiameterMaximiser {
     /// [`consensus_pool::default_threads`]; the default `1` scores them
     /// serially in the caller's thread). `threads` is an upper bound: a
     /// round forks only into chunks that carry at least
-    /// [`FORK_GRAIN`](crate::FORK_GRAIN) message receptions, at `n(n+1)`
-    /// per candidate, so the `n` deaf candidates of
-    /// [`DiameterMaximiser::deaf_complete`] fork only from about `n = 50`
-    /// on, and a round of a drive that itself runs on a pool worker
-    /// scores inline. Scores are reduced back **in
-    /// candidate index order** with a strictly-greater-wins argmax, so
-    /// the committed graph — and hence the entire adversarial schedule —
-    /// is bit-for-bit identical at every thread count.
+    /// [`FORK_GRAIN`](crate::FORK_GRAIN) message receptions, and a
+    /// candidate costs the in-degrees of the agents whose in-mask differs
+    /// from the previous candidate's, plus `n`. Consecutive candidates of
+    /// [`DiameterMaximiser::deaf_complete`] differ in two agents, so its
+    /// rounds (about `3n²` receptions) score inline at every `n ≤ 64`,
+    /// as does a round of a drive that itself runs on a pool worker. The
+    /// knob stays for [`from_candidates`](Self::from_candidates) lists
+    /// whose neighbours differ widely, and because the adversary-search
+    /// cell labels the goldens pin carry it; revisit it when the goldens
+    /// are next regenerated. Scores are reduced back **in candidate
+    /// index order** with a strictly-greater-wins argmax, so the
+    /// committed graph — and hence the entire adversarial schedule — is
+    /// bit-for-bit identical at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
@@ -133,8 +138,10 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::score::changed_agents;
     use crate::FORK_GRAIN;
     use consensus_algorithms::{MeanValue, Midpoint, Point};
+    use consensus_digraph::full_mask;
     use consensus_dynamics::Scenario;
 
     fn spread(n: usize) -> Vec<Point<1>> {
@@ -203,21 +210,30 @@ pub(crate) mod tests {
 
     #[test]
     fn pooled_forks_match_serial_bit_for_bit() {
-        // The 64 candidates of n(n+1) receptions each carry two grains,
-        // so a round forks into two chunks at every thread count here.
+        // The deaf family of K_64 interleaved with the 64-cycle: every
+        // two consecutive candidates differ in every agent, so each one
+        // rescores all 64 outputs, the 128 candidates carry two grains,
+        // and a round forks into two or three chunks whose starts fall
+        // mid-list.
         let n = 64;
-        assert!(
-            n * n * (n + 1) >= 2 * FORK_GRAIN,
-            "a round carries two grains"
-        );
+        let candidates: Vec<Digraph> = families::deaf_family(&Digraph::complete(n))
+            .into_iter()
+            .flat_map(|g| [g, families::cycle(n)])
+            .collect();
+        let (changed, receptions) = changed_agents(&candidates);
+        assert!(changed.iter().all(|&c| c == full_mask(n)));
+        assert!(receptions >= 2 * FORK_GRAIN, "a round carries two grains");
         let run = |threads: usize| {
-            let mut sc = Scenario::new(MeanValue, &spread(n))
-                .adversary(DiameterMaximiser::deaf_complete(n).threads(threads));
-            sc.advance(2);
-            sc.execution()
-                .outputs_slice()
-                .iter()
-                .map(|p| p[0].to_bits())
+            let adv = DiameterMaximiser::from_candidates(candidates.clone()).threads(threads);
+            let mut sc = Scenario::new(MeanValue, &spread(n)).adversary(adv);
+            sc.advance(1);
+            let scores = score_graphs(sc.execution(), &candidates, threads);
+            sc.advance(1);
+            let outputs = sc.execution().outputs_slice().iter().map(|p| p[0]);
+            scores
+                .into_iter()
+                .chain(outputs)
+                .map(f64::to_bits)
                 .collect::<Vec<_>>()
         };
         let serial = run(1);

@@ -401,7 +401,7 @@ where
     /// recomputes all of them, but seeds are few) and the O(n) diameter.
     fn score_fresh(&mut self, threads: usize) {
         let n = self.n;
-        let scores = score_chunks(self.fresh.len(), 2 * n, threads, n, |k, row| {
+        let scores = score_chunks(self.fresh.len(), 2 * n, threads, n, |k, row, _| {
             let c = &self.fresh[k];
             if c.parent != NONE {
                 let p = c.parent as usize * n;
@@ -623,8 +623,10 @@ where
 /// graph each round and commits with the same canonical comparator.
 /// Only feasible at `n ≤ 4`; exists so the beam's exact-equivalence
 /// claim is testable against an independent argmax over the full class.
-/// It scores on the calling thread: a round's at most 4096 candidates
-/// of `n(n+1) ≤ 20` receptions each stay under one
+/// It scores on the calling thread, rescoring only the agents whose
+/// in-mask differs from the previous candidate's: a round's at most 4096
+/// candidates cost those agents' in-degrees plus `n`, at most
+/// `n(n+1) ≤ 20` receptions each, and stay under one
 /// [`FORK_GRAIN`](crate::FORK_GRAIN).
 ///
 /// (This is *not* [`DiameterMaximiser`](crate::DiameterMaximiser) with

@@ -8,10 +8,18 @@
 //! worst-case over the adversary, and worst-case patterns are generated
 //! by the explicit proof adversaries, not by sampling. Random patterns
 //! only provide typical-case context in benches and examples.
+//!
+//! Which words a sampler draws, and in what order, is part of every
+//! golden that samples graphs: a seeded pattern replays only while each
+//! sampler keeps its draw stream. `tests/sampler_streams.rs` pins the
+//! streams of the constructive samplers. A sampler takes any [`RngCore`]
+//! as a generic, so a concrete generator such as `StdRng` inlines into
+//! the draw loops, and the constructive samplers fill a stack table of
+//! in-masks and build the graph once.
 
-use consensus_digraph::{families, Digraph};
+use consensus_digraph::{families, full_mask, AgentSet, Digraph, MAX_AGENTS};
 use rand::prelude::IndexedRandom;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// A source of communication graphs on `n` agents.
 ///
@@ -21,8 +29,23 @@ pub trait GraphSampler {
     /// The number of agents of every sampled graph.
     fn n(&self) -> usize;
 
-    /// Samples one communication graph.
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> Digraph;
+    /// Samples one communication graph. The words drawn from `rng`, and
+    /// their order, are part of the sampler's contract (see the module
+    /// docs).
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Digraph;
+}
+
+/// ORs into `masks` each edge `(from, to)` with `from ≠ to`
+/// independently with probability `p`: one draw per ordered pair, in
+/// from-major order.
+fn bernoulli_edges<R: RngCore + ?Sized>(masks: &mut [AgentSet], p: f64, rng: &mut R) {
+    for from in 0..masks.len() {
+        for (to, mask) in masks.iter_mut().enumerate() {
+            if to != from {
+                *mask |= AgentSet::from(rng.random_bool(p)) << from;
+            }
+        }
+    }
 }
 
 impl GraphSampler for crate::NetworkModel {
@@ -31,7 +54,7 @@ impl GraphSampler for crate::NetworkModel {
     }
 
     /// Uniform choice among the model's graphs.
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> Digraph {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Digraph {
         self.graphs()
             .choose(rng)
             .expect("models are non-empty")
@@ -67,28 +90,23 @@ impl GraphSampler for RootedSampler {
         self.n
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> Digraph {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Digraph {
         let n = self.n;
-        let mut g = Digraph::empty(n);
+        let mut masks = [0; MAX_AGENTS];
         // Random spanning tree: random insertion order, attach each agent
         // to a uniformly random already-attached agent.
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: [usize; MAX_AGENTS] = std::array::from_fn(|i| i);
+        let order = &mut order[..n];
         for i in (1..n).rev() {
             let j = rng.random_range(0..=i);
             order.swap(i, j);
         }
-        for (pos, &i) in order.iter().enumerate().skip(1) {
+        for pos in 1..n {
             let p = order[rng.random_range(0..pos)];
-            g.add_edge(p, i);
+            masks[order[pos]] |= 1 << p;
         }
-        // Extra edges.
-        for from in 0..n {
-            for to in 0..n {
-                if from != to && rng.random_bool(self.density) {
-                    g.add_edge(from, to);
-                }
-            }
-        }
+        bernoulli_edges(&mut masks[..n], self.density, rng);
+        let g = Digraph::from_in_masks(&masks[..n]).expect("1 ≤ n ≤ 64");
         debug_assert!(g.is_rooted());
         g
     }
@@ -124,26 +142,23 @@ impl GraphSampler for NonsplitSampler {
         self.n
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> Digraph {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Digraph {
         let n = self.n;
-        let mut g = Digraph::empty(n);
-        for from in 0..n {
-            for to in 0..n {
-                if from != to && rng.random_bool(self.density) {
-                    g.add_edge(from, to);
-                }
-            }
-        }
-        // Repair: every pair of agents needs a common in-neighbor.
+        let mut masks: [AgentSet; MAX_AGENTS] = std::array::from_fn(|i| 1 << i);
+        let masks = &mut masks[..n];
+        bernoulli_edges(masks, self.density, rng);
+        // Repair: every pair of agents needs a common in-neighbor (the
+        // self-loops count).
         for i in 0..n {
             for j in (i + 1)..n {
-                if g.in_mask(i) & g.in_mask(j) == 0 {
+                if masks[i] & masks[j] == 0 {
                     let k = rng.random_range(0..n);
-                    g.add_edge(k, i);
-                    g.add_edge(k, j);
+                    masks[i] |= 1 << k;
+                    masks[j] |= 1 << k;
                 }
             }
         }
+        let g = Digraph::from_in_masks(masks).expect("1 ≤ n ≤ 64");
         debug_assert!(g.is_nonsplit());
         g
     }
@@ -162,9 +177,10 @@ impl AsyncCrashSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `f == 0` or `f ≥ n`.
+    /// Panics if `n == 0`, `n > 64`, `f == 0` or `f ≥ n`.
     #[must_use]
     pub fn new(n: usize, f: usize) -> Self {
+        assert!((1..=64).contains(&n), "need 1 ≤ n ≤ 64");
         assert!(f >= 1 && f < n, "need 0 < f < n");
         AsyncCrashSampler { n, f }
     }
@@ -175,19 +191,18 @@ impl GraphSampler for AsyncCrashSampler {
         self.n
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> Digraph {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Digraph {
         let n = self.n;
-        let mut g = Digraph::complete(n);
-        for i in 0..n {
-            // Drop up to f incoming edges (never the self-loop).
+        let mut masks = [full_mask(n); MAX_AGENTS];
+        for mask in &mut masks[..n] {
+            // Drop up to f incoming edges; `from_in_masks` restores a
+            // dropped self-loop.
             let drops = rng.random_range(0..=self.f);
             for _ in 0..drops {
-                let j = rng.random_range(0..n);
-                if j != i {
-                    g.remove_edge(j, i);
-                }
+                *mask &= !(1 << rng.random_range(0..n));
             }
         }
+        let g = Digraph::from_in_masks(&masks[..n]).expect("1 ≤ n ≤ 64");
         debug_assert!((0..n).all(|i| g.in_degree(i) >= n - self.f));
         g
     }
@@ -226,7 +241,7 @@ impl GraphSampler for ChoiceSampler {
         self.graphs[0].n()
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> Digraph {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Digraph {
         self.graphs.choose(rng).expect("non-empty").clone()
     }
 }
@@ -269,6 +284,12 @@ mod tests {
                 assert!(g.in_degree(i) >= 4);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "need 1 ≤ n ≤ 64")]
+    fn async_sampler_rejects_more_than_64_agents() {
+        let _ = AsyncCrashSampler::new(65, 1);
     }
 
     #[test]

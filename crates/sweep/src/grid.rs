@@ -167,7 +167,7 @@ impl GraphSampler for TopologySampler {
         }
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> Digraph {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Digraph {
         match self {
             TopologySampler::Fixed(s) => s.sample(rng),
             TopologySampler::Rooted(s) => s.sample(rng),
