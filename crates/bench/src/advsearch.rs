@@ -22,11 +22,13 @@
 //! golden row says *which* continuations produced its `δ̂` — including
 //! the `constants(deaf-fallback)` degradation that used to be silent.
 
+use consensus_obs::TraceHandle;
 use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::fingerprint;
 use tight_bounds_consensus::valency::adversary;
 
 use crate::experiments::{spread_inits, SpecError};
+use crate::orchestrate::{run_grid, Grid};
 use crate::tablefmt::{check, rate, section, Table};
 
 /// One cell of the adversary-search grid. Cells are plain parameter
@@ -176,6 +178,98 @@ impl AdvCell {
             .collect::<Vec<_>>()
             .join(" ")
     }
+
+    /// Runs the cell. Cells are seed-free (spread inits, deterministic
+    /// adversaries), so `ctx` only names the trace shard. The
+    /// greedy-valency drivers emit one `probe_step` span per adversary
+    /// step and the beam searches one `beam_generation` span per
+    /// committed round, all on `(ctx.index, lane::PROBE | lane::BEAM)`.
+    /// Inner probe sets stay untraced: pooled candidate scoring would
+    /// commit probe spans in scheduling order, and the step-level spans
+    /// already carry the chosen `δ̂` per step. The outcome is
+    /// byte-identical to the untraced run.
+    #[must_use]
+    pub fn run(&self, ctx: CellCtx, trace: &TraceHandle) -> CellOutcome {
+        let shard = ctx.index as u64;
+        match *self {
+            AdvCell::Theorem1 { steps } => {
+                let adv = adversary::theorem1().strict().trace(trace.clone(), shard);
+                valency_outcome(
+                    &adv,
+                    Execution::new(TwoAgentThirds, &spread_inits(2)),
+                    steps,
+                )
+            }
+            AdvCell::Theorem2 { n, steps, threads } => {
+                let adv = adversary::theorem2(&Digraph::complete(n))
+                    .strict()
+                    .threads(threads)
+                    .trace(trace.clone(), shard);
+                valency_outcome(&adv, Execution::new(Midpoint, &spread_inits(n)), steps)
+            }
+            AdvCell::DeafValency { n, steps } => {
+                let model = NetworkModel::deaf(&Digraph::complete(n));
+                let candidates = model
+                    .graphs()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, g)| adversary::CandidateMove {
+                        label: format!("F{}", i + 1),
+                        graphs: vec![g.clone()],
+                    })
+                    .collect();
+                let probes = ProbeSet::deaf_continuations(&model).strict();
+                let adv = adversary::GreedyValencyAdversary::new(candidates, probes)
+                    .trace(trace.clone(), shard);
+                valency_outcome(&adv, Execution::new(Midpoint, &spread_inits(n)), steps)
+            }
+            AdvCell::Theorem3 { n, steps } => {
+                let adv = adversary::theorem3(n).strict().trace(trace.clone(), shard);
+                valency_outcome(
+                    &adv,
+                    Execution::new(AmortizedMidpoint::for_agents(n), &spread_inits(n)),
+                    steps,
+                )
+            }
+            AdvCell::DiameterMaxDeaf { n, rounds, threads } => outcome_of(
+                Scenario::new(Midpoint, &spread_inits(n))
+                    .adversary(DiameterMaximiser::deaf_complete(n).threads(threads)),
+                rounds,
+            ),
+            AdvCell::BeamFullWidth { n, rounds } => outcome_of(
+                Scenario::new(Midpoint, &spread_inits(n)).adversary(
+                    BeamSearch::new(n, ADV_BEAM_SEED)
+                        .width(1 << (n * (n - 1)))
+                        .depth(n * (n - 1))
+                        .mutations(0)
+                        .trace(trace.clone(), shard),
+                ),
+                rounds,
+            ),
+            AdvCell::Exhaustive { n, rounds } => outcome_of(
+                Scenario::new(Midpoint, &spread_inits(n)).adversary(ExhaustiveRooted::new(n)),
+                rounds,
+            ),
+            AdvCell::BeamLarge {
+                n,
+                rounds,
+                width,
+                depth,
+                mutations,
+                threads,
+            } => outcome_of(
+                Scenario::new(MeanValue, &spread_inits(n)).adversary(
+                    BeamSearch::new(n, ADV_BEAM_SEED)
+                        .width(width)
+                        .depth(depth)
+                        .mutations(mutations)
+                        .threads(threads)
+                        .trace(trace.clone(), shard),
+                ),
+                rounds,
+            ),
+        }
+    }
 }
 
 /// Drives a [`Scenario`] round by round, collecting per-round value
@@ -228,108 +322,6 @@ where
     }
 }
 
-/// Runs one adversary-search cell. Cells are seed-free (spread inits,
-/// deterministic adversaries), so the sweep context is unused beyond
-/// the harness contract.
-#[must_use]
-pub fn run_adversary_cell(cell: &AdvCell, ctx: CellCtx) -> CellOutcome {
-    run_adversary_cell_traced(cell, ctx, &consensus_obs::TraceHandle::disabled())
-}
-
-/// [`run_adversary_cell`] with a live trace: the greedy-valency drivers
-/// emit one `probe_step` span per adversary step and the beam searches
-/// one `beam_generation` span per committed round, all on
-/// `(ctx.index, lane::PROBE | lane::BEAM)`. Inner probe sets stay
-/// untraced: pooled candidate scoring would commit probe spans in
-/// scheduling order, and the step-level spans already carry the chosen
-/// `δ̂` per step. The outcome is byte-identical to the untraced run.
-#[must_use]
-pub fn run_adversary_cell_traced(
-    cell: &AdvCell,
-    ctx: CellCtx,
-    trace: &consensus_obs::TraceHandle,
-) -> CellOutcome {
-    let shard = ctx.index as u64;
-    match *cell {
-        AdvCell::Theorem1 { steps } => {
-            let adv = adversary::theorem1().strict().trace(trace.clone(), shard);
-            valency_outcome(
-                &adv,
-                Execution::new(TwoAgentThirds, &spread_inits(2)),
-                steps,
-            )
-        }
-        AdvCell::Theorem2 { n, steps, threads } => {
-            let adv = adversary::theorem2(&Digraph::complete(n))
-                .strict()
-                .threads(threads)
-                .trace(trace.clone(), shard);
-            valency_outcome(&adv, Execution::new(Midpoint, &spread_inits(n)), steps)
-        }
-        AdvCell::DeafValency { n, steps } => {
-            let model = NetworkModel::deaf(&Digraph::complete(n));
-            let candidates = model
-                .graphs()
-                .iter()
-                .enumerate()
-                .map(|(i, g)| adversary::CandidateMove {
-                    label: format!("F{}", i + 1),
-                    graphs: vec![g.clone()],
-                })
-                .collect();
-            let probes = ProbeSet::deaf_continuations(&model).strict();
-            let adv = adversary::GreedyValencyAdversary::new(candidates, probes)
-                .trace(trace.clone(), shard);
-            valency_outcome(&adv, Execution::new(Midpoint, &spread_inits(n)), steps)
-        }
-        AdvCell::Theorem3 { n, steps } => {
-            let adv = adversary::theorem3(n).strict().trace(trace.clone(), shard);
-            valency_outcome(
-                &adv,
-                Execution::new(AmortizedMidpoint::for_agents(n), &spread_inits(n)),
-                steps,
-            )
-        }
-        AdvCell::DiameterMaxDeaf { n, rounds, threads } => outcome_of(
-            Scenario::new(Midpoint, &spread_inits(n))
-                .adversary(DiameterMaximiser::deaf_complete(n).threads(threads)),
-            rounds,
-        ),
-        AdvCell::BeamFullWidth { n, rounds } => outcome_of(
-            Scenario::new(Midpoint, &spread_inits(n)).adversary(
-                BeamSearch::new(n, ADV_BEAM_SEED)
-                    .width(1 << (n * (n - 1)))
-                    .depth(n * (n - 1))
-                    .mutations(0)
-                    .trace(trace.clone(), shard),
-            ),
-            rounds,
-        ),
-        AdvCell::Exhaustive { n, rounds } => outcome_of(
-            Scenario::new(Midpoint, &spread_inits(n)).adversary(ExhaustiveRooted::new(n)),
-            rounds,
-        ),
-        AdvCell::BeamLarge {
-            n,
-            rounds,
-            width,
-            depth,
-            mutations,
-            threads,
-        } => outcome_of(
-            Scenario::new(MeanValue, &spread_inits(n)).adversary(
-                BeamSearch::new(n, ADV_BEAM_SEED)
-                    .width(width)
-                    .depth(depth)
-                    .mutations(mutations)
-                    .threads(threads)
-                    .trace(trace.clone(), shard),
-            ),
-            rounds,
-        ),
-    }
-}
-
 /// The beam seed all grid cells share: pinned so the golden bytes are a
 /// pure function of the spec.
 pub const ADV_BEAM_SEED: u64 = 42;
@@ -345,160 +337,201 @@ pub struct AdversarySpec {
     pub base_seed: u64,
 }
 
-/// The named adversary-search presets of the `sweep` bin.
-///
-/// * `quick` (alias `golden`) — the preset the golden test and the CI
-///   `sweep-regression` job pin (`ci/golden_adversary.json`): the three
-///   theorem adversaries in strict mode, serial/pooled Theorem-2 and
-///   diameter-max pairs, the beam-vs-exhaustive equivalence pair at
-///   `n = 4`, and the pruned beam at `n = 16`.
-/// * `full` — longer drives and a wider, deeper beam (adds `n = 24`).
-///
-/// # Panics
-///
-/// Panics on an unknown preset name; [`try_adversary_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn adversary_spec(preset: &str) -> AdversarySpec {
-    try_adversary_spec(preset).unwrap_or_else(|e| panic!("{e}"))
-}
+impl Grid for AdversarySpec {
+    const NAME: &'static str = "adversary_search";
+    const ABOUT: &'static str = "adaptive adversary search: strict-probe theorem adversaries, pooled vs serial candidate forks, beam vs exhaustive rooted argmax (presets: quick/golden | full)";
+    type Cell = AdvCell;
+    type Rows = [CellOutcome; 1];
 
-/// Fallible [`adversary_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
-pub fn try_adversary_spec(preset: &str) -> Result<AdversarySpec, SpecError> {
-    Ok(match preset {
-        "quick" | "golden" => AdversarySpec {
-            name: "adversary_search".into(),
-            cells: vec![
-                AdvCell::Theorem1 { steps: 10 },
-                AdvCell::Theorem2 {
-                    n: 4,
-                    steps: 10,
-                    threads: 1,
-                },
-                AdvCell::Theorem2 {
-                    n: 4,
-                    steps: 10,
-                    threads: 4,
-                },
-                AdvCell::DeafValency { n: 4, steps: 10 },
-                AdvCell::Theorem3 { n: 5, steps: 6 },
-                AdvCell::DiameterMaxDeaf {
-                    n: 16,
-                    rounds: 20,
-                    threads: 1,
-                },
-                AdvCell::DiameterMaxDeaf {
-                    n: 16,
-                    rounds: 20,
-                    threads: 4,
-                },
-                AdvCell::BeamFullWidth { n: 4, rounds: 4 },
-                AdvCell::Exhaustive { n: 4, rounds: 4 },
-                AdvCell::BeamLarge {
-                    n: 16,
-                    rounds: 16,
-                    width: 4,
-                    depth: 2,
-                    mutations: 2,
-                    threads: 4,
-                },
-            ],
-            base_seed: ADV_BEAM_SEED,
-        },
-        "full" => AdversarySpec {
-            name: "adversary_search_full".into(),
-            cells: vec![
-                AdvCell::Theorem1 { steps: 16 },
-                AdvCell::Theorem2 {
-                    n: 4,
-                    steps: 16,
-                    threads: 1,
-                },
-                AdvCell::Theorem2 {
-                    n: 4,
-                    steps: 16,
-                    threads: 8,
-                },
-                AdvCell::DeafValency { n: 4, steps: 16 },
-                AdvCell::Theorem3 { n: 6, steps: 8 },
-                AdvCell::DiameterMaxDeaf {
-                    n: 16,
-                    rounds: 40,
-                    threads: 1,
-                },
-                AdvCell::DiameterMaxDeaf {
-                    n: 16,
-                    rounds: 40,
-                    threads: 8,
-                },
-                AdvCell::BeamFullWidth { n: 3, rounds: 6 },
-                AdvCell::Exhaustive { n: 3, rounds: 6 },
-                AdvCell::BeamFullWidth { n: 4, rounds: 6 },
-                AdvCell::Exhaustive { n: 4, rounds: 6 },
-                AdvCell::BeamLarge {
-                    n: 16,
-                    rounds: 24,
-                    width: 6,
-                    depth: 3,
-                    mutations: 4,
-                    threads: 8,
-                },
-                AdvCell::BeamLarge {
-                    n: 24,
-                    rounds: 16,
-                    width: 4,
-                    depth: 2,
-                    mutations: 2,
-                    threads: 8,
-                },
-            ],
-            base_seed: ADV_BEAM_SEED,
-        },
-        other => {
-            return Err(SpecError::UnknownPreset {
-                grid: "adversary_search",
-                got: other.into(),
-                valid: "quick|golden|full",
-            })
+    /// The named adversary-search presets:
+    ///
+    /// * `quick` (alias `golden`) — the preset the golden test and the CI
+    ///   `sweep-regression` job pin (`ci/golden_adversary.json`): the three
+    ///   theorem adversaries in strict mode, serial/pooled Theorem-2 and
+    ///   diameter-max pairs, the beam-vs-exhaustive equivalence pair at
+    ///   `n = 4`, and the pruned beam at `n = 16`. Its report is named
+    ///   after the grid.
+    /// * `full` — longer drives and a wider, deeper beam (adds `n = 24`).
+    fn preset(name: &str) -> Result<Self, SpecError> {
+        Ok(match name {
+            "quick" | "golden" => AdversarySpec {
+                name: Self::NAME.into(),
+                cells: vec![
+                    AdvCell::Theorem1 { steps: 10 },
+                    AdvCell::Theorem2 {
+                        n: 4,
+                        steps: 10,
+                        threads: 1,
+                    },
+                    AdvCell::Theorem2 {
+                        n: 4,
+                        steps: 10,
+                        threads: 4,
+                    },
+                    AdvCell::DeafValency { n: 4, steps: 10 },
+                    AdvCell::Theorem3 { n: 5, steps: 6 },
+                    AdvCell::DiameterMaxDeaf {
+                        n: 16,
+                        rounds: 20,
+                        threads: 1,
+                    },
+                    AdvCell::DiameterMaxDeaf {
+                        n: 16,
+                        rounds: 20,
+                        threads: 4,
+                    },
+                    AdvCell::BeamFullWidth { n: 4, rounds: 4 },
+                    AdvCell::Exhaustive { n: 4, rounds: 4 },
+                    AdvCell::BeamLarge {
+                        n: 16,
+                        rounds: 16,
+                        width: 4,
+                        depth: 2,
+                        mutations: 2,
+                        threads: 4,
+                    },
+                ],
+                base_seed: ADV_BEAM_SEED,
+            },
+            "full" => AdversarySpec {
+                name: format!("{}_full", Self::NAME),
+                cells: vec![
+                    AdvCell::Theorem1 { steps: 16 },
+                    AdvCell::Theorem2 {
+                        n: 4,
+                        steps: 16,
+                        threads: 1,
+                    },
+                    AdvCell::Theorem2 {
+                        n: 4,
+                        steps: 16,
+                        threads: 8,
+                    },
+                    AdvCell::DeafValency { n: 4, steps: 16 },
+                    AdvCell::Theorem3 { n: 6, steps: 8 },
+                    AdvCell::DiameterMaxDeaf {
+                        n: 16,
+                        rounds: 40,
+                        threads: 1,
+                    },
+                    AdvCell::DiameterMaxDeaf {
+                        n: 16,
+                        rounds: 40,
+                        threads: 8,
+                    },
+                    AdvCell::BeamFullWidth { n: 3, rounds: 6 },
+                    AdvCell::Exhaustive { n: 3, rounds: 6 },
+                    AdvCell::BeamFullWidth { n: 4, rounds: 6 },
+                    AdvCell::Exhaustive { n: 4, rounds: 6 },
+                    AdvCell::BeamLarge {
+                        n: 16,
+                        rounds: 24,
+                        width: 6,
+                        depth: 3,
+                        mutations: 4,
+                        threads: 8,
+                    },
+                    AdvCell::BeamLarge {
+                        n: 24,
+                        rounds: 16,
+                        width: 4,
+                        depth: 2,
+                        mutations: 2,
+                        threads: 8,
+                    },
+                ],
+                base_seed: ADV_BEAM_SEED,
+            },
+            other => {
+                return Err(SpecError::UnknownPreset {
+                    grid: Self::NAME,
+                    got: other.into(),
+                    valid: "quick|golden|full",
+                })
+            }
+        })
+    }
+
+    fn report_name(&self) -> &str {
+        &self.name
+    }
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<AdvCell> {
+        self.cells.clone()
+    }
+
+    fn row_label(&self, cell: &AdvCell, _row: usize) -> String {
+        cell.label()
+    }
+
+    /// [`AdvCell::run`]. With one sweep thread, each cell's inner fork
+    /// pool gets up to the cell's own `threads` workers: the greedy
+    /// valency candidates always fork, while beam and diameter-max rounds
+    /// fork only chunks over the scorer's fork grain, which no preset
+    /// cell reaches. With more sweep threads, a cell runs on a pool
+    /// worker and its inner pool calls run inline there. The report is
+    /// identical at any thread count: outer sweep parallelism and inner
+    /// fork pools are both index-ordered.
+    fn run_cell(&self, cell: &AdvCell, ctx: CellCtx, trace: &TraceHandle) -> [CellOutcome; 1] {
+        [cell.run(ctx, trace)]
+    }
+
+    /// One row per cell plus the cross-cell invariant block.
+    fn table(&self, report: &SweepReport) -> String {
+        let mut out = section(&format!(
+            "Adversary search `{}` — {} cells, beam seed {}",
+            report.name,
+            report.outcomes.len(),
+            report.base_seed
+        ));
+        out.push_str(
+            "rate = mean per-round contraction (valency δ̂ for theorem rows, value\ndiameter for adaptive rows); probes run strict where labelled\n\n",
+        );
+        let mut t = Table::new(&["cell", "rate", "rounds", "probes ok", "fingerprint"]);
+        for (i, cell) in self.cells.iter().enumerate() {
+            let o = &report.outcomes[i];
+            t.row(&[
+                cell.label(),
+                rate(o.rate),
+                o.rounds.to_string(),
+                check(o.converged),
+                format!("{:016x}", o.fingerprint),
+            ]);
         }
-    })
+        out.push_str(&t.render());
+        out.push('\n');
+        for (desc, ok) in adversary_checks(self, report) {
+            out.push_str(&format!("{} {}\n", check(ok), desc));
+        }
+        out
+    }
 }
 
-/// Runs an adversary-search spec on the sweep pool (`threads = None` ⇒
-/// all cores). With one sweep thread, each cell's inner fork pool gets
-/// up to the cell's own `threads` workers: the greedy valency
-/// candidates always fork, while beam and diameter-max rounds fork only
-/// chunks over the scorer's fork grain, which no preset cell reaches.
-/// With more sweep threads, a cell runs on a pool worker and its inner
-/// pool calls run inline there. The report is identical at any thread
-/// count: outer sweep parallelism and inner fork pools are both
-/// index-ordered.
+/// [`Grid::preset`] of the adversary-search grid, under the name
+/// `perfbench/` imports.
+pub fn try_adversary_spec(preset: &str) -> Result<AdversarySpec, SpecError> {
+    AdversarySpec::preset(preset)
+}
+
+/// [`run_grid`] of an adversary-search spec, untraced, under the name
+/// `perfbench/` imports.
 #[must_use]
 pub fn run_adversary(spec: &AdversarySpec, threads: Option<usize>) -> SweepReport {
-    run_adversary_traced(spec, threads, consensus_obs::TraceHandle::disabled())
+    run_grid(spec, threads, TraceHandle::disabled())
 }
 
-/// [`run_adversary`] with a live trace: per-cell sweep spans, the pool
-/// profile, and the per-cell adversary spans of
-/// [`run_adversary_cell_traced`] land in `trace`; the report is
-/// byte-identical to the untraced run.
+/// [`AdvCell::run`], under the name `perfbench/` imports.
 #[must_use]
-pub fn run_adversary_traced(
-    spec: &AdversarySpec,
-    threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
-) -> SweepReport {
-    let mut sweep = Sweep::new(spec.cells.clone())
-        .seed(spec.base_seed)
-        .trace(trace.clone());
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let labels: Vec<String> = sweep.cells().iter().map(AdvCell::label).collect();
-    let seeds: Vec<u64> = (0..sweep.len()).map(|i| sweep.seed_of(i)).collect();
-    let outcomes = sweep.run(|cell, ctx| run_adversary_cell_traced(cell, ctx, &trace));
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
+pub fn run_adversary_cell_traced(cell: &AdvCell, ctx: CellCtx, trace: &TraceHandle) -> CellOutcome {
+    cell.run(ctx, trace)
 }
 
 /// The grid's cross-cell invariants, as `(description, holds)` rows:
@@ -566,36 +599,4 @@ pub fn adversary_checks(spec: &AdversarySpec, report: &SweepReport) -> Vec<(Stri
         }
     }
     checks
-}
-
-/// Formats an adversary-search [`SweepReport`] in the repo's table
-/// style: one row per cell plus the cross-cell invariant block.
-#[must_use]
-pub fn adversary_table(spec: &AdversarySpec, report: &SweepReport) -> String {
-    let mut out = section(&format!(
-        "Adversary search `{}` — {} cells, beam seed {}",
-        report.name,
-        report.outcomes.len(),
-        report.base_seed
-    ));
-    out.push_str(
-        "rate = mean per-round contraction (valency δ̂ for theorem rows, value\ndiameter for adaptive rows); probes run strict where labelled\n\n",
-    );
-    let mut t = Table::new(&["cell", "rate", "rounds", "probes ok", "fingerprint"]);
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let o = &report.outcomes[i];
-        t.row(&[
-            cell.label(),
-            rate(o.rate),
-            o.rounds.to_string(),
-            check(o.converged),
-            format!("{:016x}", o.fingerprint),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    for (desc, ok) in adversary_checks(spec, report) {
-        out.push_str(&format!("{} {}\n", check(ok), desc));
-    }
-    out
 }

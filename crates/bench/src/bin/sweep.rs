@@ -4,17 +4,19 @@
 //! sweep pool and prints the aggregate table, optionally followed (or
 //! replaced) by the machine-readable JSON document the CI
 //! `sweep-regression` job diffs against the checked-in golden files.
+//! A grid is one `Grid` impl (`consensus_bench::orchestrate`); this bin
+//! runs every grid through the same path and never asks which one it
+//! runs.
 //!
 //! ```text
 //! cargo run --release -p consensus-bench --bin sweep -- [FLAGS]
-//!   --grid NAME     which experiment grid to run (see --list):
-//!                   ensemble (default) | multidim | dynamic_rates |
-//!                   adversary_search
+//!   --grid NAME     which experiment grid to run (see --list; the
+//!                   default is the first grid it prints)
 //!   --list          print the registered grids and exit
 //!   --golden        run the fixed CI preset of the selected grid
-//!   --quick         run the small smoke preset (for `ensemble` this
-//!                   also appends the multidim and dynamic tables)
-//!   --full          run the large ensemble (default preset)
+//!   --quick         run the small smoke preset (for the default grid
+//!                   this also appends every other grid's quick table)
+//!   --full          run the large preset (the default)
 //!   --preset NAME   select a preset by name (golden|quick|full); an
 //!                   unknown name is a clean error listing the valid set
 //!   --threads N     worker count (default: all cores; results identical)
@@ -23,8 +25,7 @@
 //!                   default BENCH_<grid>.json side file)
 //!   --out PATH      write the JSON to PATH instead of the default
 //!                   BENCH_<grid>.json side file
-//!   --replay I      re-run cell I solo and print its outcome
-//!   --multidim      deprecated alias for `--grid multidim`
+//!   --replay I      re-run cell I solo and print its rows
 //! ```
 //!
 //! Tracing flags (the [`consensus_obs`] structured-trace capture; see
@@ -35,7 +36,8 @@
 //!   --trace-level LEVEL   span (default) | round; `round` adds a
 //!                         sequential per-cell round replay with
 //!                         per-round diameter/contraction gauges
-//!                         (ensemble grid, classic path)
+//!                         (ensemble grid on the classic path only; any
+//!                         other use is a usage error)
 //!   --trace-timing        use a real wall clock and keep profile
 //!                         events (timestamped JSONL; NOT byte-stable —
 //!                         without this flag the trace is the content
@@ -43,8 +45,9 @@
 //! ```
 //!
 //! Control-plane flags (any of them routes the run through the
-//! checkpointed coordinator — the aggregate JSON stays byte-identical
-//! to the classic path):
+//! checkpointed coordinator). Both paths run every cell through the
+//! grid's one cell runner and lay out the report in one function, so
+//! the aggregate JSON equals the classic path's by construction:
 //!
 //! ```text
 //!   --checkpoint PATH     stream finished cells to a resumable .sweepck
@@ -57,18 +60,13 @@
 //!   --worker-fail-cells L inject worker failures for cells `a,b,c`
 //! ```
 //!
-//! The CI gate commands (byte-stable against `ci/`):
-//!
-//! ```text
-//! sweep -- --golden --json                         # ci/golden_sweep.json
-//! sweep -- --grid multidim --quick --json          # ci/golden_multidim.json
-//! sweep -- --grid dynamic_rates --quick --json     # ci/golden_dynamic.json
-//! sweep -- --grid adversary_search --quick --json  # ci/golden_adversary.json
-//! ```
-//!
-//! and the crash-resume gate is the same golden file reached the hard
-//! way: `--golden --json --checkpoint ck`, `SIGKILL` mid-grid, then
-//! `--golden --json --checkpoint ck --resume` — required byte-identical.
+//! The CI gate commands are the `sweep-regression` matrix of
+//! `.github/workflows/ci.yml`: each golden file under `ci/` is diffed
+//! against `--json` output on the classic path and again through
+//! `--checkpoint`. The crash-resume gate reaches `ci/golden_sweep.json`
+//! the hard way: `--golden --json --checkpoint ck`, `SIGKILL` mid-grid,
+//! then `--golden --json --checkpoint ck --resume`, required
+//! byte-identical.
 
 #![forbid(unsafe_code)]
 
@@ -76,16 +74,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use consensus_bench::advsearch::{
-    adversary_table, run_adversary, run_adversary_cell, run_adversary_traced, try_adversary_spec,
-};
-use consensus_bench::experiments::{
-    dynamic_table, ensemble_table, multidim_table, run_dynamic, run_dynamic_cell,
-    run_dynamic_traced, run_ensemble_cell, run_ensemble_traced, run_multidim, run_multidim_traced,
-    try_dynamic_spec, try_ensemble_spec, try_multidim_spec, GRID_REGISTRY,
-};
+use consensus_bench::experiments::{DynamicSpec, EnsembleSpec, MultidimSpec, SpecError};
 use consensus_bench::obswire::{self, TraceLevel};
-use consensus_bench::orchestrate::AnySpec;
+use consensus_bench::orchestrate::{AnySpec, Grid, DEFAULT_GRID};
 use consensus_bench::wallclock::WallClock;
 use tight_bounds_consensus::controlplane::{
     self, serve_plaintext, Metrics, ProcessPool, RunConfig, WorkerSpawn,
@@ -94,13 +85,17 @@ use tight_bounds_consensus::obs::{Clock, NullClock, TraceHandle, DEFAULT_RECORDE
 use tight_bounds_consensus::pool::CancelToken;
 use tight_bounds_consensus::prelude::*;
 
-/// Unwraps a preset/spec lookup, turning an unknown name into the
-/// CLI's clean usage error (stderr + exit code 2, no backtrace).
-fn spec_or_exit<T>(r: Result<T, consensus_bench::experiments::SpecError>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+/// The CLI's clean usage error: the message on stderr, exit code 2, no
+/// backtrace.
+fn usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Unwraps a preset/spec lookup, turning an unknown name into a usage
+/// error.
+fn spec_or_exit<T>(r: Result<T, SpecError>) -> T {
+    r.unwrap_or_else(|e| usage(&e.to_string()))
 }
 
 fn print_outcome(index: usize, label: &str, seed: u64, o: &CellOutcome) {
@@ -313,8 +308,7 @@ fn run_coordinated(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut grid = "ensemble";
-    let mut grid_arg: Option<String> = None;
+    let mut grid = DEFAULT_GRID.to_owned();
     let mut preset: String = "full".into();
     let mut threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
@@ -328,11 +322,11 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--grid" => {
-                grid_arg = Some(it.next().expect("--grid needs a name").clone());
+                grid = it.next().expect("--grid needs a name").clone();
             }
             "--list" => {
                 println!("registered grids (select with --grid NAME):");
-                for (name, description) in GRID_REGISTRY {
+                for (name, description) in AnySpec::registry() {
                     println!("  {name:<14} {description}");
                 }
                 return;
@@ -343,9 +337,6 @@ fn main() {
             "--preset" => {
                 preset = it.next().expect("--preset needs a name").clone();
             }
-            // Pre-registry spelling, kept so existing scripts and docs
-            // don't break.
-            "--multidim" => grid_arg = Some("multidim".into()),
             "--json" => json_only = true,
             "--threads" => {
                 threads = Some(
@@ -408,8 +399,9 @@ fn main() {
             "--trace-level" => {
                 let v = it.next().expect("--trace-level needs span|round");
                 tf.level = TraceLevel::parse(v).unwrap_or_else(|| {
-                    eprintln!("--trace-level: unknown level `{v}` (valid: span|round)");
-                    std::process::exit(2);
+                    usage(&format!(
+                        "--trace-level: unknown level `{v}` (valid: span|round)"
+                    ))
                 });
             }
             "--trace-timing" => tf.timing = true,
@@ -421,26 +413,30 @@ fn main() {
                     .map(|v| v.trim().parse().expect("--worker-fail-cells: bad index"))
                     .collect();
             }
-            other => {
-                eprintln!("unknown flag `{other}` — see the module docs or --list for usage");
-                std::process::exit(2);
-            }
+            other => usage(&format!(
+                "unknown flag `{other}` — see the module docs or --list for usage"
+            )),
         }
     }
-    if let Some(name) = &grid_arg {
-        grid = GRID_REGISTRY
-            .iter()
-            .map(|(n, _)| *n)
-            .find(|n| n == name)
-            .unwrap_or_else(|| {
-                eprintln!("unknown grid `{name}` — run with --list to see the registry");
-                std::process::exit(2);
-            });
+    let mut spec = spec_or_exit(AnySpec::resolve(&grid, &preset));
+    if let Some(s) = seed {
+        spec.set_base_seed(s);
     }
     if tf.out.is_none() && (tf.level != TraceLevel::Span || tf.timing) {
-        eprintln!("--trace-level/--trace-timing need --trace-out PATH");
-        std::process::exit(2);
+        usage("--trace-level/--trace-timing need --trace-out PATH");
     }
+    // The round replay rebuilds ensemble cells, after an in-process run.
+    let rounds = match tf.level {
+        TraceLevel::Span => None,
+        TraceLevel::Round => match spec.get::<EnsembleSpec>() {
+            Some(ensemble) if !cf.engaged() => Some(ensemble),
+            _ => usage(&format!(
+                "--trace-level round is supported only for --grid {} on the classic path \
+                 (no control-plane flags)",
+                EnsembleSpec::NAME
+            )),
+        },
+    };
     // Every grid run leaves a machine-readable report behind
     // (BENCH_<grid>.json) unless the caller picked an explicit --out
     // path or asked for stdout-only JSON (the golden-diff mode, which
@@ -448,7 +444,6 @@ fn main() {
     if out_path.is_none() && !json_only && replay.is_none() {
         out_path = Some(format!("BENCH_{grid}.json"));
     }
-    let trace = tf.handle();
 
     let emit = |json: &str, table: String| {
         if let Some(path) = &out_path {
@@ -466,143 +461,57 @@ fn main() {
 
     if cf.engaged() {
         if replay.is_some() {
-            eprintln!("--replay is a solo debugging path; drop the control-plane flags");
-            std::process::exit(2);
-        }
-        let mut spec = spec_or_exit(AnySpec::resolve(grid, &preset));
-        if let Some(s) = seed {
-            spec.set_base_seed(s);
+            usage("--replay is a solo debugging path; drop the control-plane flags");
         }
         std::process::exit(run_coordinated(
             &spec, &preset, &cf, &tf, threads, seed, emit,
         ));
     }
 
-    match grid {
-        "multidim" => {
-            let mut mspec = spec_or_exit(try_multidim_spec(&preset));
-            if let Some(s) = seed {
-                mspec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                // Replay one multidim cell solo: same configuration, same
-                // seed as the full sweep — both rules, like the full run.
-                let sweep = Sweep::new(mspec.grid.cells()).seed(mspec.base_seed);
-                let (tol, max_rounds) = (mspec.tol, mspec.max_rounds);
-                let (label, pair) = sweep.run_cell(index, |cell, ctx| {
-                    (
-                        cell.label(),
-                        consensus_bench::experiments::run_multidim_cell(cell, ctx, tol, max_rounds),
-                    )
-                });
-                for (alg, o) in [("coordinatewise", pair.0), ("simplex", pair.1)] {
-                    print_outcome(
-                        index,
-                        &format!("{label} alg={alg}"),
-                        sweep.seed_of(index),
-                        &o,
-                    );
-                }
-                return;
-            }
-            let report = run_multidim_traced(&mspec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            tf.write(&trace);
-            emit(&report.to_json(), multidim_table(&mspec, &report));
+    if let Some(index) = replay {
+        // Replay one cell solo: same configuration, same seed as the
+        // full sweep — the debugging path for a surprising aggregate.
+        let Some(solo) = spec.replay(index) else {
+            usage(&format!(
+                "--replay {index}: the {grid} grid's {preset} preset has {} cells",
+                spec.n_cells()
+            ));
+        };
+        for ((label, seed), o) in solo.labels.iter().zip(&solo.seeds).zip(&solo.outcomes) {
+            print_outcome(index, label, *seed, o);
         }
-        "adversary_search" => {
-            let mut aspec = spec_or_exit(try_adversary_spec(&preset));
-            if let Some(s) = seed {
-                aspec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                let sweep = Sweep::new(aspec.cells.clone()).seed(aspec.base_seed);
-                let (label, o) = sweep.run_cell(index, |cell, ctx| {
-                    (cell.label(), run_adversary_cell(cell, ctx))
-                });
-                print_outcome(index, &label, sweep.seed_of(index), &o);
-                return;
-            }
-            let report = run_adversary_traced(&aspec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            tf.write(&trace);
-            emit(&report.to_json(), adversary_table(&aspec, &report));
-        }
-        "dynamic_rates" => {
-            let mut dspec = spec_or_exit(try_dynamic_spec(&preset));
-            if let Some(s) = seed {
-                dspec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                let sweep = Sweep::new(dspec.grid.cells()).seed(dspec.base_seed);
-                let (tol, max_rounds) = (dspec.tol, dspec.max_rounds);
-                let (label, o) = sweep.run_cell(index, |cell, ctx| {
-                    (cell.label(), run_dynamic_cell(cell, ctx, tol, max_rounds))
-                });
-                print_outcome(index, &label, sweep.seed_of(index), &o);
-                return;
-            }
-            let report = run_dynamic_traced(&dspec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            tf.write(&trace);
-            emit(&report.to_json(), dynamic_table(&dspec, &report));
-        }
-        _ => {
-            let mut spec = spec_or_exit(try_ensemble_spec(&preset));
-            if let Some(s) = seed {
-                spec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                // Replay one cell solo: same configuration, same seed as
-                // the full sweep — the debugging path for a surprising
-                // aggregate.
-                let sweep = Sweep::new(spec.grid.cells()).seed(spec.base_seed);
-                let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-                let (label, o) = sweep.run_cell(index, |cell, ctx| {
-                    (cell.label(), run_ensemble_cell(cell, ctx, tol, max_rounds))
-                });
-                print_outcome(index, &label, sweep.seed_of(index), &o);
-                return;
-            }
-            let report = run_ensemble_traced(&spec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            if tf.level == TraceLevel::Round {
-                obswire::trace_rounds_ensemble(&spec, &report, &trace);
-            }
-            tf.write(&trace);
-            let mut table = ensemble_table(&report);
-            if preset == "quick" && !json_only {
-                // The quick smoke run also exercises the multidimensional,
-                // dynamic-network, and adversary-search grids — the R^d
-                // separation, the averaging-rate table, and the adaptive
-                // adversary invariants at a glance. The --seed override
-                // applies to all of them, keeping the tables on the same
-                // base seed.
-                let mut mspec = spec_or_exit(try_multidim_spec("quick"));
-                let mut dspec = spec_or_exit(try_dynamic_spec("quick"));
-                let mut aspec = spec_or_exit(try_adversary_spec("quick"));
-                if let Some(s) = seed {
-                    mspec.base_seed = s;
-                    dspec.base_seed = s;
-                    aspec.base_seed = s;
-                }
-                let mreport = run_multidim(&mspec, threads);
-                table.push('\n');
-                table.push_str(&multidim_table(&mspec, &mreport));
-                let dreport = run_dynamic(&dspec, threads);
-                table.push('\n');
-                table.push_str(&dynamic_table(&dspec, &dreport));
-                let areport = run_adversary(&aspec, threads);
-                table.push('\n');
-                table.push_str(&adversary_table(&aspec, &areport));
-            }
-            if out_path.is_some() {
-                table.push_str(
-                    "\n(the written JSON covers the scalar ensemble only; for the multidim or \
-                     dynamic grids' JSON run with --grid multidim / --grid dynamic_rates --out)",
-                );
-            }
-            emit(&report.to_json(), table);
-        }
+        return;
     }
+
+    let trace = tf.handle();
+    let report = spec.run(threads, trace.clone());
+    obswire::enrich_report(&trace, &report);
+    if let Some(ensemble) = rounds {
+        obswire::trace_rounds_ensemble(ensemble, &report, &trace);
+    }
+    tf.write(&trace);
+    let mut table = spec.table(&report);
+    if grid == DEFAULT_GRID && !json_only {
+        if preset == "quick" {
+            // The quick smoke run of the default grid also shows every
+            // other grid's quick table at a glance, on the same --seed.
+            for (name, _) in AnySpec::registry().filter(|(name, _)| *name != grid) {
+                let mut other = spec_or_exit(AnySpec::resolve(name, &preset));
+                if let Some(s) = seed {
+                    other.set_base_seed(s);
+                }
+                table.push('\n');
+                table.push_str(&other.table(&other.run_in_process(threads)));
+            }
+        }
+        // This note's wording is part of the default grid's byte-stable
+        // table output.
+        table.push_str(&format!(
+            "\n(the written JSON covers the scalar ensemble only; for the {m} or dynamic \
+             grids' JSON run with --grid {m} / --grid {d} --out)",
+            m = MultidimSpec::NAME,
+            d = DynamicSpec::NAME,
+        ));
+    }
+    emit(&report.to_json(), table);
 }

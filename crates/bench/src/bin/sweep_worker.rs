@@ -6,7 +6,7 @@
 //! response per line on stdout until stdin closes:
 //!
 //! ```text
-//! sweep-worker --grid ensemble --preset golden [--seed S]
+//! sweep-worker --grid NAME --preset golden [--seed S]
 //!              [--cell-delay-ms MS] [--fail-cells a,b,c]
 //! ```
 //!
@@ -20,11 +20,11 @@
 
 use std::time::Duration;
 
-use consensus_bench::orchestrate::{worker_serve, AnySpec};
+use consensus_bench::orchestrate::{worker_serve, AnySpec, DEFAULT_GRID};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut grid: String = "ensemble".into();
+    let mut grid = DEFAULT_GRID.to_owned();
     let mut preset: String = "golden".into();
     let mut seed: Option<u64> = None;
     let mut delay_ms: u64 = 0;

@@ -4,6 +4,7 @@
 //! columns; see `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md`
 //! (recorded results) at the repository root.
 
+use consensus_obs::TraceHandle;
 use tight_bounds_consensus::algorithms::diameter;
 use tight_bounds_consensus::approx;
 use tight_bounds_consensus::asyncsim::engine::{ConstantDelay, Simulation};
@@ -11,9 +12,10 @@ use tight_bounds_consensus::asyncsim::min_relay::{cascade_crashes, MinRelay};
 use tight_bounds_consensus::asyncsim::na_adversary;
 use tight_bounds_consensus::digraph::render::{to_ascii, to_dot, RenderOptions};
 use tight_bounds_consensus::prelude::*;
-use tight_bounds_consensus::sweep::fingerprint;
+use tight_bounds_consensus::sweep::{fingerprint, EnsembleCell};
 use tight_bounds_consensus::valency::adversary::{AdversaryTrace, GreedyValencyAdversary};
 
+use crate::orchestrate::{run_grid, Grid};
 use crate::tablefmt::{check, interval, rate, section, Table};
 
 /// Evenly spread initial values on `\[0, 1\]` for `n` agents.
@@ -817,8 +819,8 @@ pub struct EnsembleSpec {
 pub enum SpecError {
     /// The preset name is not registered for the selected grid.
     UnknownPreset {
-        /// Which grid's preset table rejected the name
-        /// (`"ensemble"`, `"multidim"`, or `"dynamic"`).
+        /// The [`Grid::NAME`] of the grid whose preset table rejected
+        /// the name.
         grid: &'static str,
         /// The rejected preset name.
         got: String,
@@ -830,7 +832,8 @@ pub enum SpecError {
         /// The rejected dimension.
         got: usize,
     },
-    /// The grid name is not in [`GRID_REGISTRY`].
+    /// The grid name is not registered (see
+    /// [`AnySpec::registry`](crate::orchestrate::AnySpec::registry)).
     UnknownGrid {
         /// The rejected grid name.
         got: String,
@@ -861,85 +864,195 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// The named grid presets of the `sweep` bin.
-///
-/// * `golden` — the small fixed grid the CI `sweep-regression` job runs
-///   and diffs against `ci/golden_sweep.json` (16 cells, seed 42).
-/// * `quick` — a fast smoke ensemble (36 cells).
-/// * `full` — the real ensemble (960 cells over 5 graph classes).
-///
-/// # Panics
-///
-/// Panics on an unknown preset name; [`try_ensemble_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn ensemble_spec(preset: &str) -> EnsembleSpec {
-    try_ensemble_spec(preset).unwrap_or_else(|e| panic!("{e}"))
+impl Grid for EnsembleSpec {
+    const NAME: &'static str = "ensemble";
+    const ABOUT: &'static str =
+        "scalar averaging ensemble over random graph classes (presets: golden | quick | full)";
+    type Cell = EnsembleCell;
+    type Rows = [CellOutcome; 1];
+
+    /// The named ensemble presets:
+    ///
+    /// * `golden` — the small fixed grid the CI `sweep-regression` job runs
+    ///   and diffs against `ci/golden_sweep.json` (16 cells, seed 42).
+    /// * `quick` — a fast smoke ensemble (36 cells).
+    /// * `full` — the real ensemble (960 cells over 5 graph classes).
+    fn preset(name: &str) -> Result<Self, SpecError> {
+        Ok(match name {
+            "golden" => EnsembleSpec {
+                name: "golden".into(),
+                grid: EnsembleGrid::new()
+                    .agents(&[4, 6])
+                    .topologies(&[Topology::Complete, Topology::Rooted { density: 0.25 }])
+                    .inits(&[InitDist::Spread, InitDist::Bipolar])
+                    .params(&[0.3])
+                    .replicates(2),
+                base_seed: 42,
+                tol: 1e-6,
+                max_rounds: 300,
+            },
+            "quick" => EnsembleSpec {
+                name: "quick".into(),
+                grid: EnsembleGrid::new()
+                    .agents(&[4, 8])
+                    .topologies(&[
+                        Topology::Complete,
+                        Topology::Rooted { density: 0.2 },
+                        Topology::AsyncCrash { f: 1 },
+                    ])
+                    .inits(&[InitDist::Spread, InitDist::Uniform])
+                    .params(&[0.3])
+                    .replicates(3),
+                base_seed: consensus_sweep_default_seed(),
+                tol: 1e-6,
+                max_rounds: 400,
+            },
+            "full" => EnsembleSpec {
+                name: "full".into(),
+                grid: EnsembleGrid::new()
+                    .agents(&[4, 8, 16])
+                    .topologies(&[
+                        Topology::Complete,
+                        Topology::Cycle,
+                        Topology::Rooted { density: 0.15 },
+                        Topology::Nonsplit { density: 0.2 },
+                        Topology::AsyncCrash { f: 1 },
+                    ])
+                    .inits(&[
+                        InitDist::Spread,
+                        InitDist::Uniform,
+                        InitDist::Bipolar,
+                        InitDist::Outlier,
+                    ])
+                    .params(&[0.2, 0.5])
+                    .replicates(8),
+                base_seed: consensus_sweep_default_seed(),
+                tol: 1e-6,
+                max_rounds: 600,
+            },
+            other => {
+                return Err(SpecError::UnknownPreset {
+                    grid: Self::NAME,
+                    got: other.into(),
+                    valid: "golden|quick|full",
+                })
+            }
+        })
+    }
+
+    fn report_name(&self) -> &str {
+        &self.name
+    }
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<EnsembleCell> {
+        self.grid.cells()
+    }
+
+    fn row_label(&self, cell: &EnsembleCell, _row: usize) -> String {
+        cell.label()
+    }
+
+    /// One ensemble cell: self-weighted averaging (`param` = self-weight)
+    /// from the cell's initial distribution under its random dynamic-graph
+    /// class, measured to the decision round (Theorems 8–11 semantics) with
+    /// the per-round contraction rate as the ensemble statistic.
+    fn run_cell(&self, cell: &EnsembleCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 1] {
+        let inits = cell.inits(&mut ctx.rng());
+        let d0 = diameter(&inits);
+        let mut sc = Scenario::new(SelfWeightedAverage::new(cell.param), &inits)
+            .pattern(cell.pattern(ctx.subseed(1)))
+            .decide(self.tol);
+        let decision = sc.decision_round(self.max_rounds);
+        let exec = sc.execution();
+        let rounds = exec.round();
+        let d = exec.value_diameter();
+        [CellOutcome {
+            rate: measured_rate(d0, d, rounds),
+            decision_round: decision,
+            rounds,
+            converged: decision.is_some(),
+            fingerprint: fingerprint(exec.outputs_slice()),
+        }]
+    }
+
+    /// The aggregate table in the repo's table style (the human side of
+    /// the `sweep` bin; the JSON side is [`SweepReport::to_json`]).
+    fn table(&self, report: &SweepReport) -> String {
+        let s = &report.summary;
+        let mut out = section(&format!(
+            "Ensemble sweep `{}` — {} cells, base seed {}",
+            report.name, s.cells, report.base_seed
+        ));
+        out.push_str(&format!(
+            "converged {}/{} (failures: {}), decided: {}\n\n",
+            s.converged, s.cells, s.failures, s.decided
+        ));
+        let mut t = Table::new(&[
+            "metric", "count", "min", "max", "mean", "std", "median", "p90",
+        ]);
+        for (name, stats) in [
+            ("contraction rate", s.rate.as_ref()),
+            ("decision round", s.decision_round.as_ref()),
+            ("rounds executed", s.rounds.as_ref()),
+        ] {
+            match stats {
+                Some(v) => t.row(&[
+                    name.into(),
+                    v.count.to_string(),
+                    rate(v.min),
+                    rate(v.max),
+                    rate(v.mean),
+                    rate(v.std_dev),
+                    rate(v.median),
+                    rate(v.p90),
+                ]),
+                None => t.row(&[
+                    name.into(),
+                    "0".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                ]),
+            };
+        }
+        out.push_str(&t.render());
+        out
+    }
 }
 
-/// Fallible [`ensemble_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
+/// [`Grid::preset`] of the ensemble grid, under the name `perfbench/`
+/// imports.
 pub fn try_ensemble_spec(preset: &str) -> Result<EnsembleSpec, SpecError> {
-    Ok(match preset {
-        "golden" => EnsembleSpec {
-            name: "golden".into(),
-            grid: EnsembleGrid::new()
-                .agents(&[4, 6])
-                .topologies(&[Topology::Complete, Topology::Rooted { density: 0.25 }])
-                .inits(&[InitDist::Spread, InitDist::Bipolar])
-                .params(&[0.3])
-                .replicates(2),
-            base_seed: 42,
-            tol: 1e-6,
-            max_rounds: 300,
-        },
-        "quick" => EnsembleSpec {
-            name: "quick".into(),
-            grid: EnsembleGrid::new()
-                .agents(&[4, 8])
-                .topologies(&[
-                    Topology::Complete,
-                    Topology::Rooted { density: 0.2 },
-                    Topology::AsyncCrash { f: 1 },
-                ])
-                .inits(&[InitDist::Spread, InitDist::Uniform])
-                .params(&[0.3])
-                .replicates(3),
-            base_seed: consensus_sweep_default_seed(),
-            tol: 1e-6,
-            max_rounds: 400,
-        },
-        "full" => EnsembleSpec {
-            name: "full".into(),
-            grid: EnsembleGrid::new()
-                .agents(&[4, 8, 16])
-                .topologies(&[
-                    Topology::Complete,
-                    Topology::Cycle,
-                    Topology::Rooted { density: 0.15 },
-                    Topology::Nonsplit { density: 0.2 },
-                    Topology::AsyncCrash { f: 1 },
-                ])
-                .inits(&[
-                    InitDist::Spread,
-                    InitDist::Uniform,
-                    InitDist::Bipolar,
-                    InitDist::Outlier,
-                ])
-                .params(&[0.2, 0.5])
-                .replicates(8),
-            base_seed: consensus_sweep_default_seed(),
-            tol: 1e-6,
-            max_rounds: 600,
-        },
-        other => {
-            return Err(SpecError::UnknownPreset {
-                grid: "ensemble",
-                got: other.into(),
-                valid: "golden|quick|full",
-            })
-        }
-    })
+    EnsembleSpec::preset(preset)
+}
+
+/// [`run_grid`] of an ensemble spec, untraced, under the name
+/// `perfbench/` imports.
+#[must_use]
+pub fn run_ensemble(spec: &EnsembleSpec, threads: Option<usize>) -> SweepReport {
+    run_grid(spec, threads, TraceHandle::disabled())
+}
+
+/// [`run_grid`] of an ensemble spec, under the name `perfbench/`
+/// imports.
+#[must_use]
+pub fn run_ensemble_traced(
+    spec: &EnsembleSpec,
+    threads: Option<usize>,
+    trace: TraceHandle,
+) -> SweepReport {
+    run_grid(spec, threads, trace)
 }
 
 fn consensus_sweep_default_seed() -> u64 {
@@ -958,116 +1071,6 @@ pub fn measured_rate(d0: f64, d: f64, rounds: u64) -> f64 {
     } else {
         (d / d0).powf(1.0 / rounds as f64)
     }
-}
-
-/// One ensemble cell: self-weighted averaging (`param` = self-weight)
-/// from the cell's initial distribution under its random dynamic-graph
-/// class, measured to the decision round (Theorems 8–11 semantics) with
-/// the per-round contraction rate as the ensemble statistic.
-#[must_use]
-pub fn run_ensemble_cell(
-    cell: &tight_bounds_consensus::sweep::EnsembleCell,
-    ctx: CellCtx,
-    tol: f64,
-    max_rounds: usize,
-) -> CellOutcome {
-    let inits = cell.inits(&mut ctx.rng());
-    let d0 = diameter(&inits);
-    let mut sc = Scenario::new(SelfWeightedAverage::new(cell.param), &inits)
-        .pattern(cell.pattern(ctx.subseed(1)))
-        .decide(tol);
-    let decision = sc.decision_round(max_rounds);
-    let exec = sc.execution();
-    let rounds = exec.round();
-    let d = exec.value_diameter();
-    CellOutcome {
-        rate: measured_rate(d0, d, rounds),
-        decision_round: decision,
-        rounds,
-        converged: decision.is_some(),
-        fingerprint: fingerprint(exec.outputs_slice()),
-    }
-}
-
-/// Runs an ensemble spec on the sweep pool (`threads = None` ⇒ all
-/// cores; thread count never changes the report).
-#[must_use]
-pub fn run_ensemble(spec: &EnsembleSpec, threads: Option<usize>) -> SweepReport {
-    run_ensemble_traced(spec, threads, consensus_obs::TraceHandle::disabled())
-}
-
-/// [`run_ensemble`] with a live trace: per-cell spans and the pool
-/// profile land in `trace`, the report is byte-identical to the
-/// untraced run.
-#[must_use]
-pub fn run_ensemble_traced(
-    spec: &EnsembleSpec,
-    threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
-) -> SweepReport {
-    let mut sweep = Sweep::new(spec.grid.cells())
-        .seed(spec.base_seed)
-        .trace(trace);
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let labels: Vec<String> = sweep
-        .cells()
-        .iter()
-        .map(tight_bounds_consensus::sweep::EnsembleCell::label)
-        .collect();
-    let seeds: Vec<u64> = (0..sweep.len()).map(|i| sweep.seed_of(i)).collect();
-    let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-    let outcomes = sweep.run(|cell, ctx| run_ensemble_cell(cell, ctx, tol, max_rounds));
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
-}
-
-/// Formats a [`SweepReport`] in the repo's table style (the human side
-/// of the `sweep` bin; the JSON side is [`SweepReport::to_json`]).
-#[must_use]
-pub fn ensemble_table(report: &SweepReport) -> String {
-    let s = &report.summary;
-    let mut out = section(&format!(
-        "Ensemble sweep `{}` — {} cells, base seed {}",
-        report.name, s.cells, report.base_seed
-    ));
-    out.push_str(&format!(
-        "converged {}/{} (failures: {}), decided: {}\n\n",
-        s.converged, s.cells, s.failures, s.decided
-    ));
-    let mut t = Table::new(&[
-        "metric", "count", "min", "max", "mean", "std", "median", "p90",
-    ]);
-    for (name, stats) in [
-        ("contraction rate", s.rate.as_ref()),
-        ("decision round", s.decision_round.as_ref()),
-        ("rounds executed", s.rounds.as_ref()),
-    ] {
-        match stats {
-            Some(v) => t.row(&[
-                name.into(),
-                v.count.to_string(),
-                rate(v.min),
-                rate(v.max),
-                rate(v.mean),
-                rate(v.std_dev),
-                rate(v.median),
-                rate(v.p90),
-            ]),
-            None => t.row(&[
-                name.into(),
-                "0".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]),
-        };
-    }
-    out.push_str(&t.render());
-    out
 }
 
 /// Configuration of the **E-MULTIDIM `multidim_decision_times`**
@@ -1089,71 +1092,180 @@ pub struct MultidimSpec {
     pub max_rounds: usize,
 }
 
-/// The named multidimensional grid presets of the `sweep` bin.
-///
-/// * `quick` (alias `golden`) — the figure-shaped preset the golden test
-///   and the CI `sweep-regression` job pin (`ci/golden_multidim.json`):
-///   `d ∈ {1, 2, 3, 8}` × unit-cube/unit-simplex/correlated-Gaussian
-///   inits × random rooted graphs, fixed seed.
-/// * `full` — the larger ensemble (adds `d = 4`, `n = 12`, non-split
-///   graphs, more replicates).
-///
-/// # Panics
-///
-/// Panics on an unknown preset name; [`try_multidim_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn multidim_spec(preset: &str) -> MultidimSpec {
-    try_multidim_spec(preset).unwrap_or_else(|e| panic!("{e}"))
+impl Grid for MultidimSpec {
+    const NAME: &'static str = "multidim";
+    const ABOUT: &'static str =
+        "R^d decision times, coordinate-wise vs simplex midpoint (presets: quick/golden | full)";
+    const ROWS_PER_CELL: usize = 2;
+    type Cell = MultidimCell;
+    type Rows = [CellOutcome; 2];
+
+    /// The named multidimensional presets:
+    ///
+    /// * `quick` (alias `golden`) — the figure-shaped preset the golden test
+    ///   and the CI `sweep-regression` job pin (`ci/golden_multidim.json`):
+    ///   `d ∈ {1, 2, 3, 8}` × unit-cube/unit-simplex/correlated-Gaussian
+    ///   inits × random rooted graphs, fixed seed.
+    /// * `full` — the larger ensemble (adds `d = 4`, `n = 12`, non-split
+    ///   graphs, more replicates).
+    fn preset(name: &str) -> Result<Self, SpecError> {
+        Ok(match name {
+            "quick" | "golden" => MultidimSpec {
+                name: "multidim_decision_times".into(),
+                grid: MultidimGrid::new()
+                    .dims(&[1, 2, 3, 8])
+                    .agents(&[8])
+                    .topologies(&[Topology::Rooted { density: 0.5 }])
+                    .inits(&[
+                        MultidimInitDist::UnitCube,
+                        MultidimInitDist::UnitSimplex,
+                        MultidimInitDist::CorrelatedGaussian,
+                    ])
+                    .replicates(3),
+                base_seed: 42,
+                tol: 1e-6,
+                max_rounds: 400,
+            },
+            "full" => MultidimSpec {
+                name: "multidim_decision_times_full".into(),
+                grid: MultidimGrid::new()
+                    .dims(&[1, 2, 3, 4, 8])
+                    .agents(&[8, 12])
+                    .topologies(&[
+                        Topology::Rooted { density: 0.5 },
+                        Topology::Nonsplit { density: 0.4 },
+                    ])
+                    .inits(&[
+                        MultidimInitDist::UnitCube,
+                        MultidimInitDist::UnitSimplex,
+                        MultidimInitDist::CorrelatedGaussian,
+                    ])
+                    .replicates(6),
+                base_seed: consensus_sweep_default_seed(),
+                tol: 1e-6,
+                max_rounds: 600,
+            },
+            other => {
+                return Err(SpecError::UnknownPreset {
+                    grid: Self::NAME,
+                    got: other.into(),
+                    valid: "quick|golden|full",
+                })
+            }
+        })
+    }
+
+    fn report_name(&self) -> &str {
+        &self.name
+    }
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<MultidimCell> {
+        self.grid.cells()
+    }
+
+    /// Each cell's two adjacent rows (`… alg=coordinatewise`,
+    /// `… alg=simplex`) share one cell seed, so the report stays
+    /// byte-stable and pairwise comparable.
+    fn row_label(&self, cell: &MultidimCell, row: usize) -> String {
+        format!(
+            "{} alg={}",
+            cell.label(),
+            ["coordinatewise", "simplex"][row]
+        )
+    }
+
+    /// The `(coordinate-wise, simplex)` pair of
+    /// [`try_run_multidim_cell`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell's dimension is not one of `{1, 2, 3, 4, 8}`
+    /// (the monomorphised dispatch set).
+    fn run_cell(&self, cell: &MultidimCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 2] {
+        let (cw, sx) = try_run_multidim_cell(cell, ctx, self.tol, self.max_rounds)
+            .unwrap_or_else(|e| panic!("{e}"));
+        [cw, sx]
+    }
+
+    /// The aggregate block plus the per-dimension coordinate-wise vs.
+    /// simplex separation table (the headline claim — simplex decides in
+    /// strictly fewer rounds for `d ≥ 2`, and the two rules coincide at
+    /// `d = 1`).
+    fn table(&self, report: &SweepReport) -> String {
+        let s = &report.summary;
+        let mut out = section(&format!(
+            "Multidimensional decision times `{}` — {} paired cells, base seed {}, ε = {:e}",
+            report.name,
+            report.outcomes.len() / 2,
+            report.base_seed,
+            self.tol
+        ));
+        out.push_str(&format!(
+            "rows converged {}/{} (failures: {}); decision rounds are hull-diameter\n(Euclidean) ε-agreement per arXiv:1805.04923\n\n",
+            s.converged, s.cells, s.failures
+        ));
+        let mut t = Table::new(&[
+            "d",
+            "pairs",
+            "coordinatewise mean T",
+            "simplex mean T",
+            "gap",
+            "separation",
+        ]);
+        for (d, cw, sx) in multidim_separation(self, report) {
+            let (cw, sx) = match (&cw, &sx) {
+                (Some(a), Some(b)) => (a, b),
+                _ => {
+                    t.row(&[
+                        d.to_string(),
+                        "0".into(),
+                        "-".into(),
+                        "-".into(),
+                        "-".into(),
+                        check(false),
+                    ]);
+                    continue;
+                }
+            };
+            let ok = if d == 1 {
+                cw.mean == sx.mean
+            } else {
+                sx.mean < cw.mean
+            };
+            t.row(&[
+                d.to_string(),
+                cw.count.to_string(),
+                format!("{:.3}", cw.mean),
+                format!("{:.3}", sx.mean),
+                format!("{:+.3}", sx.mean - cw.mean),
+                check(ok),
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(
+            "\nmeans are over matched pairs only (cells where BOTH rules decided), so the\n\
+             two columns always cover the same executions. d = 1: both rules degenerate\n\
+             to the scalar midpoint and the paired runs are bit-identical. d ≥ 2: the\n\
+             coordinate-wise box centre pays the √d detour (and leaves the hull for\n\
+             d ≥ 3 — validity!), so the simplex/MidExtremes rule decides strictly\n\
+             earlier on the same executions.\n",
+        );
+        out
+    }
 }
 
-/// Fallible [`multidim_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
+/// [`Grid::preset`] of the multidimensional grid, under the name
+/// `perfbench/` imports.
 pub fn try_multidim_spec(preset: &str) -> Result<MultidimSpec, SpecError> {
-    Ok(match preset {
-        "quick" | "golden" => MultidimSpec {
-            name: "multidim_decision_times".into(),
-            grid: MultidimGrid::new()
-                .dims(&[1, 2, 3, 8])
-                .agents(&[8])
-                .topologies(&[Topology::Rooted { density: 0.5 }])
-                .inits(&[
-                    MultidimInitDist::UnitCube,
-                    MultidimInitDist::UnitSimplex,
-                    MultidimInitDist::CorrelatedGaussian,
-                ])
-                .replicates(3),
-            base_seed: 42,
-            tol: 1e-6,
-            max_rounds: 400,
-        },
-        "full" => MultidimSpec {
-            name: "multidim_decision_times_full".into(),
-            grid: MultidimGrid::new()
-                .dims(&[1, 2, 3, 4, 8])
-                .agents(&[8, 12])
-                .topologies(&[
-                    Topology::Rooted { density: 0.5 },
-                    Topology::Nonsplit { density: 0.4 },
-                ])
-                .inits(&[
-                    MultidimInitDist::UnitCube,
-                    MultidimInitDist::UnitSimplex,
-                    MultidimInitDist::CorrelatedGaussian,
-                ])
-                .replicates(6),
-            base_seed: consensus_sweep_default_seed(),
-            tol: 1e-6,
-            max_rounds: 600,
-        },
-        other => {
-            return Err(SpecError::UnknownPreset {
-                grid: "multidim",
-                got: other.into(),
-                valid: "quick|golden|full",
-            })
-        }
-    })
+    MultidimSpec::preset(preset)
 }
 
 /// One multidimensional cell: **both** midpoint rules run on the *same*
@@ -1163,25 +1275,9 @@ pub fn try_multidim_spec(preset: &str) -> Result<MultidimSpec, SpecError> {
 /// `d = 1` the two are bit-identical (both rules degenerate to the
 /// scalar midpoint) and at `d ≥ 2` their decision-round gap is the
 /// paper's separation. Cells that exhaust the budget report
-/// [`CellOutcome::failed`] (`NaN`-free aggregation).
-///
-/// # Panics
-///
-/// Panics if the cell's dimension is not one of `{1, 2, 3, 4, 8}` (the
-/// monomorphised dispatch set); [`try_run_multidim_cell`] is the
-/// fallible variant.
-#[must_use]
-pub fn run_multidim_cell(
-    cell: &MultidimCell,
-    ctx: CellCtx,
-    tol: f64,
-    max_rounds: usize,
-) -> (CellOutcome, CellOutcome) {
-    try_run_multidim_cell(cell, ctx, tol, max_rounds).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_multidim_cell`]: reports an unsupported dimension as
-/// a [`SpecError`] instead of panicking.
+/// [`CellOutcome::failed`] (`NaN`-free aggregation). A dimension outside
+/// the monomorphised dispatch set `{1, 2, 3, 4, 8}` is a
+/// [`SpecError::UnsupportedDimension`].
 pub fn try_run_multidim_cell(
     cell: &MultidimCell,
     ctx: CellCtx,
@@ -1252,44 +1348,22 @@ pub fn try_run_multidim_cell(
     })
 }
 
-/// Runs a multidimensional spec on the sweep pool and flattens the
-/// matched pairs into a [`SweepReport`]: each grid cell contributes two
-/// adjacent rows (`… alg=coordinatewise`, `… alg=simplex`) sharing one
-/// cell seed, so the report stays byte-stable and pairwise comparable.
+/// [`run_grid`] of a multidimensional spec, untraced, under the name
+/// `perfbench/` imports.
 #[must_use]
 pub fn run_multidim(spec: &MultidimSpec, threads: Option<usize>) -> SweepReport {
-    run_multidim_traced(spec, threads, consensus_obs::TraceHandle::disabled())
+    run_grid(spec, threads, TraceHandle::disabled())
 }
 
-/// [`run_multidim`] with a live trace: per-cell spans and the pool
-/// profile land in `trace`, the report is byte-identical to the
-/// untraced run.
+/// [`run_grid`] of a multidimensional spec, under the name `perfbench/`
+/// imports.
 #[must_use]
 pub fn run_multidim_traced(
     spec: &MultidimSpec,
     threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
+    trace: TraceHandle,
 ) -> SweepReport {
-    let mut sweep = Sweep::new(spec.grid.cells())
-        .seed(spec.base_seed)
-        .trace(trace);
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-    let pairs = sweep.run(|cell, ctx| run_multidim_cell(cell, ctx, tol, max_rounds));
-    let mut labels = Vec::with_capacity(2 * pairs.len());
-    let mut seeds = Vec::with_capacity(2 * pairs.len());
-    let mut outcomes = Vec::with_capacity(2 * pairs.len());
-    for (i, (cell, (cw, sx))) in sweep.cells().iter().zip(&pairs).enumerate() {
-        let seed = sweep.seed_of(i);
-        for (alg, outcome) in [("coordinatewise", cw), ("simplex", sx)] {
-            labels.push(format!("{} alg={alg}", cell.label()));
-            seeds.push(seed);
-            outcomes.push(*outcome);
-        }
-    }
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
+    run_grid(spec, threads, trace)
 }
 
 /// Per-dimension decision-round statistics of a multidimensional
@@ -1330,81 +1404,12 @@ pub fn multidim_separation(
         .collect()
 }
 
-/// Formats a multidimensional [`SweepReport`] in the repo's table style:
-/// the aggregate block plus the per-dimension coordinate-wise vs.
-/// simplex separation table (the headline claim — simplex decides in
-/// strictly fewer rounds for `d ≥ 2`, and the two rules coincide at
-/// `d = 1`).
-#[must_use]
-pub fn multidim_table(spec: &MultidimSpec, report: &SweepReport) -> String {
-    let s = &report.summary;
-    let mut out = section(&format!(
-        "Multidimensional decision times `{}` — {} paired cells, base seed {}, ε = {:e}",
-        report.name,
-        report.outcomes.len() / 2,
-        report.base_seed,
-        spec.tol
-    ));
-    out.push_str(&format!(
-        "rows converged {}/{} (failures: {}); decision rounds are hull-diameter\n(Euclidean) ε-agreement per arXiv:1805.04923\n\n",
-        s.converged, s.cells, s.failures
-    ));
-    let mut t = Table::new(&[
-        "d",
-        "pairs",
-        "coordinatewise mean T",
-        "simplex mean T",
-        "gap",
-        "separation",
-    ]);
-    for (d, cw, sx) in multidim_separation(spec, report) {
-        let (cw, sx) = match (&cw, &sx) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                t.row(&[
-                    d.to_string(),
-                    "0".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    check(false),
-                ]);
-                continue;
-            }
-        };
-        let ok = if d == 1 {
-            cw.mean == sx.mean
-        } else {
-            sx.mean < cw.mean
-        };
-        t.row(&[
-            d.to_string(),
-            cw.count.to_string(),
-            format!("{:.3}", cw.mean),
-            format!("{:.3}", sx.mean),
-            format!("{:+.3}", sx.mean - cw.mean),
-            check(ok),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(
-        "\nmeans are over matched pairs only (cells where BOTH rules decided), so the\n\
-         two columns always cover the same executions. d = 1: both rules degenerate\n\
-         to the scalar midpoint and the paired runs are bit-identical. d ≥ 2: the\n\
-         coordinate-wise box centre pays the √d detour (and leaves the hull for\n\
-         d ≥ 3 — validity!), so the simplex/MidExtremes rule decides strictly\n\
-         earlier on the same executions.\n",
-    );
-    out
-}
-
 /// **E-MULTIDIM — multidimensional decision times**: runs the named
 /// preset through the sweep pool and renders the separation table.
 #[must_use]
 pub fn multidim_decision_times(quick: bool) -> String {
-    let spec = multidim_spec(if quick { "quick" } else { "full" });
-    let report = run_multidim(&spec, None);
-    multidim_table(&spec, &report)
+    let spec = MultidimSpec::preset(if quick { "quick" } else { "full" }).expect("a preset");
+    spec.table(&run_grid(&spec, None, TraceHandle::disabled()))
 }
 
 /// Configuration of the **E-DYNET `dynamic_rates`** experiment grid
@@ -1428,158 +1433,213 @@ pub struct DynamicSpec {
     pub max_rounds: usize,
 }
 
-/// The named dynamic-network grid presets of the `sweep` bin.
-///
-/// * `quick` (alias `golden`) — the preset the golden test and the CI
-///   `sweep-regression` job pin (`ci/golden_dynamic.json`): `n = 8`,
-///   T-interval `T ∈ {1, 2, 4}`, an eventually-rooted schedule, bounded
-///   churn `k ∈ {1, 4}`, and the adaptive diameter maximiser, over
-///   spread/uniform inits, fixed seed.
-/// * `full` — the larger ensemble (adds `n = 16`, `T = 8`, `k = 8` and
-///   bipolar inits, more replicates).
-///
-/// # Panics
-///
-/// Panics on an unknown preset name; [`try_dynamic_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn dynamic_spec(preset: &str) -> DynamicSpec {
-    try_dynamic_spec(preset).unwrap_or_else(|e| panic!("{e}"))
-}
+impl Grid for DynamicSpec {
+    const NAME: &'static str = "dynamic_rates";
+    const ABOUT: &'static str = "averaging rates under dynamic-network adversaries: T-interval, eventually-rooted, bounded churn, diameter-max (presets: quick/golden | full)";
+    type Cell = DynamicCell;
+    type Rows = [CellOutcome; 1];
 
-/// Fallible [`dynamic_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
-pub fn try_dynamic_spec(preset: &str) -> Result<DynamicSpec, SpecError> {
-    let quick_kinds = [
-        AdversaryKind::TInterval { t: 1 },
-        AdversaryKind::TInterval { t: 2 },
-        AdversaryKind::TInterval { t: 4 },
-        AdversaryKind::EventuallyRooted { chaos: 6 },
-        AdversaryKind::BoundedChurn { churn: 1 },
-        AdversaryKind::BoundedChurn { churn: 4 },
-        AdversaryKind::DiameterMax,
-    ];
-    Ok(match preset {
-        "quick" | "golden" => DynamicSpec {
-            name: "dynamic_rates".into(),
-            grid: DynamicGrid::new()
-                .agents(&[8])
-                .kinds(&quick_kinds)
-                .inits(&[InitDist::Spread, InitDist::Uniform])
-                .replicates(3),
-            base_seed: 42,
-            tol: 1e-6,
-            max_rounds: 800,
-        },
-        "full" => DynamicSpec {
-            name: "dynamic_rates_full".into(),
-            grid: DynamicGrid::new()
-                .agents(&[8, 16])
-                .kinds(
-                    &[
-                        quick_kinds.as_slice(),
+    /// The named dynamic-network presets:
+    ///
+    /// * `quick` (alias `golden`) — the preset the golden test and the CI
+    ///   `sweep-regression` job pin (`ci/golden_dynamic.json`): `n = 8`,
+    ///   T-interval `T ∈ {1, 2, 4}`, an eventually-rooted schedule, bounded
+    ///   churn `k ∈ {1, 4}`, and the adaptive diameter maximiser, over
+    ///   spread/uniform inits, fixed seed. Its report is named after the
+    ///   grid.
+    /// * `full` — the larger ensemble (adds `n = 16`, `T = 8`, `k = 8` and
+    ///   bipolar inits, more replicates).
+    fn preset(name: &str) -> Result<Self, SpecError> {
+        let quick_kinds = [
+            AdversaryKind::TInterval { t: 1 },
+            AdversaryKind::TInterval { t: 2 },
+            AdversaryKind::TInterval { t: 4 },
+            AdversaryKind::EventuallyRooted { chaos: 6 },
+            AdversaryKind::BoundedChurn { churn: 1 },
+            AdversaryKind::BoundedChurn { churn: 4 },
+            AdversaryKind::DiameterMax,
+        ];
+        Ok(match name {
+            "quick" | "golden" => DynamicSpec {
+                name: Self::NAME.into(),
+                grid: DynamicGrid::new()
+                    .agents(&[8])
+                    .kinds(&quick_kinds)
+                    .inits(&[InitDist::Spread, InitDist::Uniform])
+                    .replicates(3),
+                base_seed: 42,
+                tol: 1e-6,
+                max_rounds: 800,
+            },
+            "full" => DynamicSpec {
+                name: format!("{}_full", Self::NAME),
+                grid: DynamicGrid::new()
+                    .agents(&[8, 16])
+                    .kinds(
                         &[
-                            AdversaryKind::TInterval { t: 8 },
-                            AdversaryKind::BoundedChurn { churn: 8 },
-                        ],
-                    ]
-                    .concat(),
-                )
-                .inits(&[InitDist::Spread, InitDist::Uniform, InitDist::Bipolar])
-                .replicates(6),
-            base_seed: consensus_sweep_default_seed(),
-            tol: 1e-6,
-            max_rounds: 2000,
-        },
-        other => {
-            return Err(SpecError::UnknownPreset {
-                grid: "dynamic",
-                got: other.into(),
-                valid: "quick|golden|full",
-            })
+                            quick_kinds.as_slice(),
+                            &[
+                                AdversaryKind::TInterval { t: 8 },
+                                AdversaryKind::BoundedChurn { churn: 8 },
+                            ],
+                        ]
+                        .concat(),
+                    )
+                    .inits(&[InitDist::Spread, InitDist::Uniform, InitDist::Bipolar])
+                    .replicates(6),
+                base_seed: consensus_sweep_default_seed(),
+                tol: 1e-6,
+                max_rounds: 2000,
+            },
+            other => {
+                return Err(SpecError::UnknownPreset {
+                    grid: Self::NAME,
+                    got: other.into(),
+                    valid: "quick|golden|full",
+                })
+            }
+        })
+    }
+
+    fn report_name(&self) -> &str {
+        &self.name
+    }
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<DynamicCell> {
+        self.grid.cells()
+    }
+
+    fn row_label(&self, cell: &DynamicCell, _row: usize) -> String {
+        cell.label()
+    }
+
+    /// One dynamic-network cell: midpoint from the cell's initial
+    /// distribution under its seeded adversary, driven **round by round**
+    /// so the per-round contraction ratios `Δ(y(t+1)) / Δ(y(t))` can be
+    /// aggregated via [`Stats`]; the reported `rate` is their mean (the
+    /// averaging-rate measurement of arXiv:1408.0620), and
+    /// `decision_round` is the first round with spread ≤ ε (Theorems 8–11
+    /// semantics). Cells that exhaust the budget report
+    /// [`CellOutcome::failed`]. The adversaries are pure functions of
+    /// their cell seeds.
+    fn run_cell(&self, cell: &DynamicCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 1] {
+        const FLOOR: f64 = 1e-300;
+        let inits = cell.inits(&mut ctx.rng());
+        let mut sc = Scenario::new(Midpoint, &inits).adversary(cell.driver(ctx.subseed(1)));
+        let mut ratios = Vec::new();
+        let mut decision = None;
+        let mut prev = sc.execution().value_diameter();
+        if prev <= self.tol {
+            decision = Some(0);
+        } else {
+            for _ in 0..self.max_rounds {
+                sc.advance(1);
+                let d = sc.execution().value_diameter();
+                if prev > FLOOR && d > FLOOR {
+                    ratios.push(d / prev);
+                }
+                prev = d;
+                if d <= self.tol {
+                    decision = Some(sc.execution().round());
+                    break;
+                }
+            }
         }
-    })
+        let exec = sc.execution();
+        let rounds = exec.round();
+        let fp = fingerprint(exec.outputs_slice());
+        let Some(decided_at) = decision else {
+            return [CellOutcome::failed(rounds, fp)];
+        };
+        [CellOutcome {
+            rate: Stats::from_values(&ratios).map_or(0.0, |s| s.mean),
+            decision_round: Some(decided_at),
+            rounds,
+            converged: true,
+            fingerprint: fp,
+        }]
+    }
+
+    /// The per-kind aggregate block plus the T-interval decision-time
+    /// separation line.
+    fn table(&self, report: &SweepReport) -> String {
+        let s = &report.summary;
+        let mut out = section(&format!(
+            "Dynamic-network averaging rates `{}` — {} cells, base seed {}, ε = {:e}",
+            report.name,
+            report.outcomes.len(),
+            report.base_seed,
+            self.tol
+        ));
+        out.push_str(&format!(
+            "converged {}/{} (failures: {}); rate = mean per-round contraction ratio\nΔ(y(t+1))/Δ(y(t)), decision T = first round with spread ≤ ε\n\n",
+            s.converged, s.cells, s.failures
+        ));
+        let mut t = Table::new(&["adversary", "cells", "mean rate", "mean T", "max T"]);
+        for (kind, decisions, rates) in dynamic_by_kind(self, report) {
+            match (decisions, rates) {
+                (Some(d), Some(r)) => t.row(&[
+                    kind.label(),
+                    d.count.to_string(),
+                    rate(r.mean),
+                    format!("{:.2}", d.mean),
+                    format!("{:.0}", d.max),
+                ]),
+                _ => t.row(&[kind.label(), "0".into(), "-".into(), "-".into(), "-".into()]),
+            };
+        }
+        out.push_str(&t.render());
+
+        let sep = dynamic_separation(self, report);
+        let monotone = sep.windows(2).all(|w| match (&w[0].1, &w[1].1) {
+            (Some(a), Some(b)) => a.mean < b.mean,
+            _ => false,
+        });
+        out.push_str(&format!(
+            "\nT-interval separation: mean decision times {} — spreading the rooted\nunion over T rounds must slow the decision down strictly {}\n",
+            sep.iter()
+                .map(|(t, d)| format!(
+                    "T={t}: {}",
+                    d.as_ref().map_or("-".into(), |s| format!("{:.2}", s.mean))
+                ))
+                .collect::<Vec<_>>()
+                .join(", "),
+            check(monotone)
+        ));
+        out
+    }
 }
 
-/// One dynamic-network cell: midpoint from the cell's initial
-/// distribution under its seeded adversary, driven **round by round** so
-/// the per-round contraction ratios `Δ(y(t+1)) / Δ(y(t))` can be
-/// aggregated via [`Stats`]; the reported `rate` is their mean (the
-/// averaging-rate measurement of arXiv:1408.0620), and `decision_round`
-/// is the first round with spread ≤ ε (Theorems 8–11 semantics). Cells
-/// that exhaust the budget report [`CellOutcome::failed`].
-#[must_use]
-pub fn run_dynamic_cell(
-    cell: &DynamicCell,
-    ctx: CellCtx,
-    tol: f64,
-    max_rounds: usize,
-) -> CellOutcome {
-    const FLOOR: f64 = 1e-300;
-    let inits = cell.inits(&mut ctx.rng());
-    let mut sc = Scenario::new(Midpoint, &inits).adversary(cell.driver(ctx.subseed(1)));
-    let mut ratios = Vec::new();
-    let mut decision = None;
-    let mut prev = sc.execution().value_diameter();
-    if prev <= tol {
-        decision = Some(0);
-    } else {
-        for _ in 0..max_rounds {
-            sc.advance(1);
-            let d = sc.execution().value_diameter();
-            if prev > FLOOR && d > FLOOR {
-                ratios.push(d / prev);
-            }
-            prev = d;
-            if d <= tol {
-                decision = Some(sc.execution().round());
-                break;
-            }
-        }
-    }
-    let exec = sc.execution();
-    let rounds = exec.round();
-    let fp = fingerprint(exec.outputs_slice());
-    let Some(decided_at) = decision else {
-        return CellOutcome::failed(rounds, fp);
-    };
-    CellOutcome {
-        rate: Stats::from_values(&ratios).map_or(0.0, |s| s.mean),
-        decision_round: Some(decided_at),
-        rounds,
-        converged: true,
-        fingerprint: fp,
-    }
+/// [`Grid::preset`] of the dynamic-network grid, under the name
+/// `perfbench/` imports.
+pub fn try_dynamic_spec(preset: &str) -> Result<DynamicSpec, SpecError> {
+    DynamicSpec::preset(preset)
 }
 
-/// Runs a dynamic-network spec on the sweep pool (`threads = None` ⇒ all
-/// cores; thread count never changes the report — the adversaries are
-/// pure functions of their cell seeds).
+/// [`run_grid`] of a dynamic-network spec, untraced, under the name
+/// `perfbench/` imports.
 #[must_use]
 pub fn run_dynamic(spec: &DynamicSpec, threads: Option<usize>) -> SweepReport {
-    run_dynamic_traced(spec, threads, consensus_obs::TraceHandle::disabled())
+    run_grid(spec, threads, TraceHandle::disabled())
 }
 
-/// [`run_dynamic`] with a live trace: per-cell spans and the pool
-/// profile land in `trace`, the report is byte-identical to the
-/// untraced run.
+/// [`run_grid`] of a dynamic-network spec, under the name `perfbench/`
+/// imports.
 #[must_use]
 pub fn run_dynamic_traced(
     spec: &DynamicSpec,
     threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
+    trace: TraceHandle,
 ) -> SweepReport {
-    let mut sweep = Sweep::new(spec.grid.cells())
-        .seed(spec.base_seed)
-        .trace(trace);
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let labels: Vec<String> = sweep.cells().iter().map(DynamicCell::label).collect();
-    let seeds: Vec<u64> = (0..sweep.len()).map(|i| sweep.seed_of(i)).collect();
-    let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-    let outcomes = sweep.run(|cell, ctx| run_dynamic_cell(cell, ctx, tol, max_rounds));
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
+    run_grid(spec, threads, trace)
 }
 
 /// Per-kind statistics of a dynamic-network report: for every adversary
@@ -1635,88 +1695,13 @@ pub fn dynamic_separation(spec: &DynamicSpec, report: &SweepReport) -> Vec<(usiz
     rows
 }
 
-/// Formats a dynamic-network [`SweepReport`] in the repo's table style:
-/// the per-kind aggregate block plus the T-interval decision-time
-/// separation line.
-#[must_use]
-pub fn dynamic_table(spec: &DynamicSpec, report: &SweepReport) -> String {
-    let s = &report.summary;
-    let mut out = section(&format!(
-        "Dynamic-network averaging rates `{}` — {} cells, base seed {}, ε = {:e}",
-        report.name,
-        report.outcomes.len(),
-        report.base_seed,
-        spec.tol
-    ));
-    out.push_str(&format!(
-        "converged {}/{} (failures: {}); rate = mean per-round contraction ratio\nΔ(y(t+1))/Δ(y(t)), decision T = first round with spread ≤ ε\n\n",
-        s.converged, s.cells, s.failures
-    ));
-    let mut t = Table::new(&["adversary", "cells", "mean rate", "mean T", "max T"]);
-    for (kind, decisions, rates) in dynamic_by_kind(spec, report) {
-        match (decisions, rates) {
-            (Some(d), Some(r)) => t.row(&[
-                kind.label(),
-                d.count.to_string(),
-                rate(r.mean),
-                format!("{:.2}", d.mean),
-                format!("{:.0}", d.max),
-            ]),
-            _ => t.row(&[kind.label(), "0".into(), "-".into(), "-".into(), "-".into()]),
-        };
-    }
-    out.push_str(&t.render());
-
-    let sep = dynamic_separation(spec, report);
-    let monotone = sep.windows(2).all(|w| match (&w[0].1, &w[1].1) {
-        (Some(a), Some(b)) => a.mean < b.mean,
-        _ => false,
-    });
-    out.push_str(&format!(
-        "\nT-interval separation: mean decision times {} — spreading the rooted\nunion over T rounds must slow the decision down strictly {}\n",
-        sep.iter()
-            .map(|(t, d)| format!(
-                "T={t}: {}",
-                d.as_ref().map_or("-".into(), |s| format!("{:.2}", s.mean))
-            ))
-            .collect::<Vec<_>>()
-            .join(", "),
-        check(monotone)
-    ));
-    out
-}
-
 /// **E-DYNET — dynamic-network averaging rates**: runs the named preset
 /// through the sweep pool and renders the per-kind table.
 #[must_use]
 pub fn dynamic_rates_report(quick: bool) -> String {
-    let spec = dynamic_spec(if quick { "quick" } else { "full" });
-    let report = run_dynamic(&spec, None);
-    dynamic_table(&spec, &report)
+    let spec = DynamicSpec::preset(if quick { "quick" } else { "full" }).expect("a preset");
+    spec.table(&run_grid(&spec, None, TraceHandle::disabled()))
 }
-
-/// The named experiment grids the `sweep` bin can select with
-/// `--grid <name>` (and enumerate with `--list`): `(name, description)`
-/// pairs, in display order. New grids register here instead of growing
-/// new flags.
-pub const GRID_REGISTRY: &[(&str, &str)] = &[
-    (
-        "ensemble",
-        "scalar averaging ensemble over random graph classes (presets: golden | quick | full)",
-    ),
-    (
-        "multidim",
-        "R^d decision times, coordinate-wise vs simplex midpoint (presets: quick/golden | full)",
-    ),
-    (
-        "dynamic_rates",
-        "averaging rates under dynamic-network adversaries: T-interval, eventually-rooted, bounded churn, diameter-max (presets: quick/golden | full)",
-    ),
-    (
-        "adversary_search",
-        "adaptive adversary search: strict-probe theorem adversaries, pooled vs serial candidate forks, beam vs exhaustive rooted argmax (presets: quick/golden | full)",
-    ),
-];
 
 /// Everything, in paper order (what `cargo bench` prints).
 #[must_use]
@@ -1794,9 +1779,9 @@ mod tests {
 
     #[test]
     fn multidim_report_is_thread_count_invariant() {
-        let spec = multidim_spec("quick");
-        let a = run_multidim(&spec, Some(1));
-        let b = run_multidim(&spec, Some(3));
+        let spec = MultidimSpec::preset("quick").expect("preset");
+        let a = run_grid(&spec, Some(1), TraceHandle::disabled());
+        let b = run_grid(&spec, Some(3), TraceHandle::disabled());
         assert_eq!(
             a.to_json(),
             b.to_json(),
@@ -1817,14 +1802,15 @@ mod tests {
             replicate: 0,
         };
         let ctx = CellCtx { index: 0, seed: 1 };
-        let _ = run_multidim_cell(&cell, ctx, 1e-6, 10);
+        let spec = MultidimSpec::preset("quick").expect("preset");
+        let _ = spec.run_cell(&cell, ctx, &TraceHandle::disabled());
     }
 
     #[test]
     fn dynamic_quick_grid_is_thread_count_invariant_and_separates() {
-        let spec = dynamic_spec("quick");
-        let a = run_dynamic(&spec, Some(1));
-        let b = run_dynamic(&spec, Some(3));
+        let spec = DynamicSpec::preset("quick").expect("preset");
+        let a = run_grid(&spec, Some(1), TraceHandle::disabled());
+        let b = run_grid(&spec, Some(3), TraceHandle::disabled());
         assert_eq!(
             a.to_json(),
             b.to_json(),
@@ -1848,36 +1834,36 @@ mod tests {
                 b_stats.mean
             );
         }
-        assert!(!dynamic_table(&spec, &a).contains("MISMATCH"));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown dynamic preset")]
-    fn dynamic_spec_rejects_unknown_presets() {
-        let _ = dynamic_spec("nope");
+        assert!(!spec.table(&a).contains("MISMATCH"));
     }
 
     #[test]
     fn try_specs_name_the_rejected_value_and_the_valid_set() {
-        let e = try_ensemble_spec("warp").unwrap_err();
+        let e = EnsembleSpec::preset("warp").unwrap_err();
         assert_eq!(
             e.to_string(),
             "unknown ensemble preset `warp` (use golden|quick|full)"
         );
-        let e = try_multidim_spec("warp").unwrap_err();
+        let e = MultidimSpec::preset("warp").unwrap_err();
         assert_eq!(
             e.to_string(),
             "unknown multidim preset `warp` (use quick|golden|full)"
         );
-        let e = try_dynamic_spec("warp").unwrap_err();
+        let e = DynamicSpec::preset("warp").unwrap_err();
         assert_eq!(
             e.to_string(),
-            "unknown dynamic preset `warp` (use quick|golden|full)"
+            "unknown dynamic_rates preset `warp` (use quick|golden|full)"
+        );
+        let e = crate::advsearch::AdversarySpec::preset("warp").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "unknown adversary_search preset `warp` (use quick|golden|full)"
         );
         for ok in ["golden", "quick", "full"] {
-            assert!(try_ensemble_spec(ok).is_ok(), "{ok}");
-            assert!(try_multidim_spec(ok).is_ok(), "{ok}");
-            assert!(try_dynamic_spec(ok).is_ok(), "{ok}");
+            assert!(EnsembleSpec::preset(ok).is_ok(), "{ok}");
+            assert!(MultidimSpec::preset(ok).is_ok(), "{ok}");
+            assert!(DynamicSpec::preset(ok).is_ok(), "{ok}");
+            assert!(crate::advsearch::AdversarySpec::preset(ok).is_ok(), "{ok}");
         }
     }
 
@@ -1901,7 +1887,8 @@ mod tests {
 
     #[test]
     fn grid_registry_names_are_unique_and_documented() {
-        let names: Vec<&str> = GRID_REGISTRY.iter().map(|(n, _)| *n).collect();
+        let registry: Vec<_> = crate::orchestrate::AnySpec::registry().collect();
+        let names: Vec<&str> = registry.iter().map(|(n, _)| *n).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -1910,14 +1897,14 @@ mod tests {
         assert!(names.contains(&"multidim"));
         assert!(names.contains(&"dynamic_rates"));
         assert!(names.contains(&"adversary_search"));
-        assert!(GRID_REGISTRY.iter().all(|(_, d)| !d.is_empty()));
+        assert!(registry.iter().all(|(_, d)| !d.is_empty()));
     }
 
     #[test]
     fn golden_ensemble_is_thread_count_invariant_and_clean() {
-        let spec = ensemble_spec("golden");
-        let a = run_ensemble(&spec, Some(1));
-        let b = run_ensemble(&spec, Some(4));
+        let spec = EnsembleSpec::preset("golden").expect("preset");
+        let a = run_grid(&spec, Some(1), TraceHandle::disabled());
+        let b = run_grid(&spec, Some(4), TraceHandle::disabled());
         assert_eq!(
             a.to_json(),
             b.to_json(),
@@ -1925,6 +1912,6 @@ mod tests {
         );
         assert_eq!(a.summary.cells, 16);
         assert_eq!(a.summary.failures, 0, "golden grid must fully converge");
-        assert!(!ensemble_table(&a).contains("MISMATCH"));
+        assert!(!spec.table(&a).contains("MISMATCH"));
     }
 }

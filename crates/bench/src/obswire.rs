@@ -23,8 +23,9 @@ pub enum TraceLevel {
     Span,
     /// Everything `Span` captures **plus** a sequential per-cell
     /// round replay emitting per-round diameter and contraction on
-    /// [`lane::EXECUTOR`]. Supported for the ensemble grid; other
-    /// grids fall back to `Span` coverage.
+    /// [`lane::EXECUTOR`]. Only the ensemble grid's in-process path
+    /// replays rounds; the `sweep` bin rejects this level for any other
+    /// grid and for the coordinated path.
     Round,
 }
 
@@ -74,7 +75,7 @@ pub fn enrich_report(trace: &TraceHandle, report: &SweepReport) {
 /// `contraction` gauges per round on `(cell, lane::EXECUTOR)`.
 ///
 /// The replay reconstructs each cell from its seed (the same
-/// derivation [`crate::experiments::run_ensemble`] uses), so it never
+/// derivation [`crate::orchestrate::run_grid`] uses), so it never
 /// touches the reported outcomes — it is a read-only magnification of
 /// a run that already happened. Sequential by construction, hence
 /// thread-count invariant.
@@ -138,7 +139,8 @@ pub fn write_trace(path: &str, trace: &TraceHandle, timing: bool) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{ensemble_spec, run_ensemble_traced};
+    use crate::experiments::EnsembleSpec;
+    use crate::orchestrate::{run_grid, Grid};
 
     #[test]
     fn trace_level_parses_cli_values() {
@@ -149,11 +151,11 @@ mod tests {
 
     #[test]
     fn enrichment_is_a_pure_function_of_the_report() {
-        let spec = ensemble_spec("golden");
+        let spec = EnsembleSpec::preset("golden").expect("preset");
         let t1 = TraceHandle::enabled();
         let t2 = TraceHandle::enabled();
-        let r1 = run_ensemble_traced(&spec, Some(1), t1.clone());
-        let r2 = run_ensemble_traced(&spec, Some(4), t2.clone());
+        let r1 = run_grid(&spec, Some(1), t1.clone());
+        let r2 = run_grid(&spec, Some(4), t2.clone());
         enrich_report(&t1, &r1);
         enrich_report(&t2, &r2);
         assert_eq!(
@@ -165,10 +167,10 @@ mod tests {
 
     #[test]
     fn round_replay_matches_reported_rounds_and_never_alters_the_report() {
-        let spec = ensemble_spec("golden");
-        let plain = crate::experiments::run_ensemble(&spec, Some(2));
+        let spec = EnsembleSpec::preset("golden").expect("preset");
+        let plain = run_grid(&spec, Some(2), TraceHandle::disabled());
         let trace = TraceHandle::enabled();
-        let traced = run_ensemble_traced(&spec, Some(2), trace.clone());
+        let traced = run_grid(&spec, Some(2), trace.clone());
         assert_eq!(plain.to_json(), traced.to_json());
         trace_rounds_ensemble(&spec, &traced, &trace);
         let merged = trace.merged();

@@ -1,51 +1,181 @@
-//! Glue between the experiment grids and the sweep control plane: one
-//! [`AnySpec`] wrapper that gives every registered grid (`ensemble` |
-//! `multidim` | `dynamic_rates` | `adversary_search`) the same four capabilities the
-//! coordinator needs — a [`SweepPlan`] identity, a [`CellExecutor`],
-//! report assembly from flat outcome rows, and the table renderer.
+//! The experiment grids behind one interface. A grid is one [`Grid`]
+//! impl: its registry name, presets, cells, row labels, cell runner and
+//! table. Everything else is shared and grid-agnostic:
+//!
+//! - [`run_grid`], the in-process runner on the sweep pool;
+//! - the registry behind [`AnySpec`], which resolves a `(grid, preset)`
+//!   pair and gives the coordinator a [`SweepPlan`], a
+//!   [`CellExecutor`] ([`GridExecutor`]) and report assembly from flat
+//!   outcome rows;
+//! - the `sweep-worker` serve loop ([`worker_serve`]), so the worker
+//!   binary stays a thin `main`.
 //!
 //! The load-bearing invariant: for every grid,
 //!
 //! ```text
-//! report_from_rows(coordinated run rows)  ==  run_<grid>(spec, threads)
+//! report_from_rows(coordinated run rows)  ==  run_grid(spec, threads)
 //! ```
 //!
-//! **byte-for-byte** on the JSON — whether the rows came from in-process
+//! **byte-for-byte** on the JSON, whether the rows came from in-process
 //! threads, spawned worker processes, or a checkpoint resumed across
-//! three kills. The tests at the bottom pin this on the golden presets;
-//! the CI `resume-integrity` job pins it end-to-end against
-//! `ci/golden_sweep.json`.
-//!
-//! This module also hosts the `sweep-worker` serve loop
-//! ([`worker_serve`]) so the worker binary stays a thin `main`.
+//! three kills. It holds by construction: both paths run each cell
+//! through the grid's one [`Grid::run_cell`] with the same
+//! `(base_seed, cell)`-derived [`CellCtx`], and both lay out labels and
+//! seeds through one assembly function. The tests at the bottom check it
+//! on every registered grid's golden preset; the CI `sweep-regression`
+//! job checks every golden file on both paths.
 
+use std::any::Any;
+use std::fmt;
 use std::io::{BufRead as _, Write as _};
+use std::ops::{Deref, DerefMut};
+use std::panic::RefUnwindSafe;
 use std::time::Duration;
 
+use consensus_obs::TraceHandle;
 use tight_bounds_consensus::controlplane::{protocol, CellExecutor, SweepPlan};
 use tight_bounds_consensus::prelude::*;
-use tight_bounds_consensus::sweep::{cell_seed, EnsembleCell};
+use tight_bounds_consensus::sweep::cell_seed;
 
-use crate::advsearch::{
-    adversary_table, run_adversary, run_adversary_cell, try_adversary_spec, AdvCell, AdversarySpec,
-};
-use crate::experiments::{
-    dynamic_table, ensemble_table, multidim_table, run_dynamic, run_dynamic_cell, run_ensemble,
-    run_ensemble_cell, run_multidim, run_multidim_cell, try_dynamic_spec, try_ensemble_spec,
-    try_multidim_spec, DynamicSpec, EnsembleSpec, MultidimSpec, SpecError,
-};
+use crate::advsearch::AdversarySpec;
+use crate::experiments::{DynamicSpec, EnsembleSpec, MultidimSpec, SpecError};
 
-/// Any registered experiment grid, behind one interface.
-#[derive(Debug, Clone)]
-pub enum AnySpec {
-    /// The scalar averaging ensemble (`--grid ensemble`).
-    Ensemble(EnsembleSpec),
-    /// The `R^d` decision-time grid (`--grid multidim`).
-    Multidim(MultidimSpec),
-    /// The dynamic-network averaging-rate grid (`--grid dynamic_rates`).
-    Dynamic(DynamicSpec),
-    /// The adaptive adversary-search grid (`--grid adversary_search`).
-    Adversary(AdversarySpec),
+/// One experiment grid of the `sweep` bin, declared as data: how to
+/// name, build, label and run it. The runner, the report layout, the
+/// coordinator's executor and the CLI are shared by every grid.
+///
+/// `RefUnwindSafe` lets callers run an [`AnySpec`] under
+/// `catch_unwind`.
+pub trait Grid: Clone + fmt::Debug + Send + Sync + RefUnwindSafe + 'static {
+    /// The registry name, selected with `--grid NAME`.
+    const NAME: &'static str;
+    /// The one-line `--list` description.
+    const ABOUT: &'static str;
+    /// Outcome rows per cell.
+    const ROWS_PER_CELL: usize = 1;
+    /// One cell's parameters.
+    type Cell: Send + Sync;
+    /// One cell's `ROWS_PER_CELL` outcome rows, in report order.
+    type Rows: AsRef<[CellOutcome]> + Send;
+
+    /// The named preset.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::UnknownPreset`] naming [`Grid::NAME`] and the valid
+    /// set for an unknown name.
+    fn preset(name: &str) -> Result<Self, SpecError>;
+    /// The report name embedded in the JSON.
+    fn report_name(&self) -> &str;
+    /// The base seed all per-cell seeds derive from.
+    fn base_seed(&self) -> u64;
+    /// Overrides the base seed (the `--seed` flag).
+    fn set_base_seed(&mut self, seed: u64);
+    /// The cells, in report order.
+    fn cells(&self) -> Vec<Self::Cell>;
+    /// The report label of row `row` of `cell`.
+    fn row_label(&self, cell: &Self::Cell, row: usize) -> String;
+    /// Runs one cell. A cell that records spans of its own writes them to
+    /// `trace` on shard `ctx.index`; its rows never depend on `trace`.
+    fn run_cell(&self, cell: &Self::Cell, ctx: CellCtx, trace: &TraceHandle) -> Self::Rows;
+    /// Renders the human table of a report of this grid.
+    fn table(&self, report: &SweepReport) -> String;
+}
+
+/// Runs `grid` in process on the sweep pool (`threads = None` ⇒ all
+/// cores). `trace` receives the sweep's per-cell spans and pool profile
+/// and the cells' own spans. The report depends on neither `trace` nor
+/// the thread count.
+#[must_use]
+pub fn run_grid<G: Grid>(grid: &G, threads: Option<usize>, trace: TraceHandle) -> SweepReport {
+    let mut sweep = Sweep::new(grid.cells())
+        .seed(grid.base_seed())
+        .trace(trace.clone());
+    if let Some(t) = threads {
+        sweep = sweep.threads(t);
+    }
+    let rows = sweep.run(|cell, ctx| grid.run_cell(cell, ctx, &trace));
+    let rows = rows
+        .iter()
+        .flat_map(|r| r.as_ref().iter().copied())
+        .collect();
+    assemble(grid, sweep.cells().iter().enumerate(), rows)
+}
+
+/// Builds the report of `cells`, given as `(index, cell)` pairs, from
+/// their rows (`ROWS_PER_CELL` per cell, in the same order). This is the
+/// one place the row labels and seeds are laid out: the in-process
+/// runner, the coordinator's report and `--replay` all call it.
+fn assemble<'c, G: Grid>(
+    grid: &G,
+    cells: impl Iterator<Item = (usize, &'c G::Cell)>,
+    rows: Vec<CellOutcome>,
+) -> SweepReport {
+    let mut labels = Vec::with_capacity(rows.len());
+    let mut seeds = Vec::with_capacity(rows.len());
+    for (i, cell) in cells {
+        let seed = cell_seed(grid.base_seed(), i as u64);
+        for row in 0..G::ROWS_PER_CELL {
+            labels.push(grid.row_label(cell, row));
+            seeds.push(seed);
+        }
+    }
+    SweepReport::new(grid.report_name(), grid.base_seed(), labels, seeds, rows)
+}
+
+/// A registry entry: a grid's name, `--list` text and preset
+/// constructor.
+struct Registered {
+    name: &'static str,
+    about: &'static str,
+    preset: fn(&str) -> Result<AnySpec, SpecError>,
+}
+
+const fn register<G: Grid>() -> Registered {
+    Registered {
+        name: G::NAME,
+        about: G::ABOUT,
+        preset: |preset| G::preset(preset).map(|g| AnySpec(Box::new(g))),
+    }
+}
+
+/// Every grid the `sweep` bin can run, in `--list` order. This is the
+/// one dispatch point: adding a grid is one [`Grid`] impl plus one entry
+/// here.
+const REGISTRY: [Registered; 4] = [
+    register::<EnsembleSpec>(),
+    register::<MultidimSpec>(),
+    register::<DynamicSpec>(),
+    register::<AdversarySpec>(),
+];
+
+/// The grid the `sweep` bin runs without `--grid`: the first registered.
+pub const DEFAULT_GRID: &str = REGISTRY[0].name;
+
+/// Any registered experiment grid: a box that derefs to the grid's
+/// [`GridSpec`] face, so every [`GridSpec`] method is called on it
+/// directly.
+#[derive(Debug)]
+pub struct AnySpec(Box<dyn GridSpec>);
+
+impl Clone for AnySpec {
+    fn clone(&self) -> Self {
+        AnySpec(self.0.clone_box())
+    }
+}
+
+impl Deref for AnySpec {
+    type Target = dyn GridSpec;
+
+    fn deref(&self) -> &Self::Target {
+        &*self.0
+    }
+}
+
+impl DerefMut for AnySpec {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut *self.0
+    }
 }
 
 impl AnySpec {
@@ -56,72 +186,69 @@ impl AnySpec {
     /// [`SpecError::UnknownGrid`] for an unregistered grid name,
     /// [`SpecError::UnknownPreset`] for a bad preset within a grid.
     pub fn resolve(grid: &str, preset: &str) -> Result<AnySpec, SpecError> {
-        match grid {
-            "ensemble" => Ok(AnySpec::Ensemble(try_ensemble_spec(preset)?)),
-            "multidim" => Ok(AnySpec::Multidim(try_multidim_spec(preset)?)),
-            "dynamic_rates" => Ok(AnySpec::Dynamic(try_dynamic_spec(preset)?)),
-            "adversary_search" => Ok(AnySpec::Adversary(try_adversary_spec(preset)?)),
-            other => Err(SpecError::UnknownGrid { got: other.into() }),
-        }
+        let entry = REGISTRY
+            .iter()
+            .find(|e| e.name == grid)
+            .ok_or_else(|| SpecError::UnknownGrid { got: grid.into() })?;
+        (entry.preset)(preset)
     }
 
-    /// The registry name of the wrapped grid.
+    /// The registered grids as `(name, description)`, in `--list` order.
+    pub fn registry() -> impl Iterator<Item = (&'static str, &'static str)> {
+        REGISTRY.iter().map(|e| (e.name, e.about))
+    }
+
+    /// The wrapped grid, if it is a `G`.
     #[must_use]
-    pub fn grid_name(&self) -> &'static str {
-        match self {
-            AnySpec::Ensemble(_) => "ensemble",
-            AnySpec::Multidim(_) => "multidim",
-            AnySpec::Dynamic(_) => "dynamic_rates",
-            AnySpec::Adversary(_) => "adversary_search",
-        }
+    pub fn get<G: Grid>(&self) -> Option<&G> {
+        self.0.as_any().downcast_ref()
     }
+}
 
+/// The object-safe face of every [`Grid`], which [`AnySpec`] derefs to.
+pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
+    /// The registry name of the grid.
+    fn grid_name(&self) -> &'static str;
     /// The spec's base seed.
-    #[must_use]
-    pub fn base_seed(&self) -> u64 {
-        match self {
-            AnySpec::Ensemble(s) => s.base_seed,
-            AnySpec::Multidim(s) => s.base_seed,
-            AnySpec::Dynamic(s) => s.base_seed,
-            AnySpec::Adversary(s) => s.base_seed,
-        }
-    }
-
+    fn base_seed(&self) -> u64;
     /// Overrides the base seed (the `--seed` flag).
-    pub fn set_base_seed(&mut self, seed: u64) {
-        match self {
-            AnySpec::Ensemble(s) => s.base_seed = seed,
-            AnySpec::Multidim(s) => s.base_seed = seed,
-            AnySpec::Dynamic(s) => s.base_seed = seed,
-            AnySpec::Adversary(s) => s.base_seed = seed,
-        }
-    }
-
+    fn set_base_seed(&mut self, seed: u64);
     /// The number of grid cells.
-    #[must_use]
-    pub fn n_cells(&self) -> usize {
-        match self {
-            AnySpec::Ensemble(s) => s.grid.cells().len(),
-            AnySpec::Multidim(s) => s.grid.cells().len(),
-            AnySpec::Dynamic(s) => s.grid.cells().len(),
-            AnySpec::Adversary(s) => s.cells.len(),
-        }
-    }
-
+    fn n_cells(&self) -> usize;
     /// Outcome rows per cell: 2 for multidim (the matched
     /// coordinatewise/simplex pair), 1 otherwise.
-    #[must_use]
-    pub fn rows_per_cell(&self) -> usize {
-        match self {
-            AnySpec::Multidim(_) => 2,
-            _ => 1,
-        }
-    }
+    fn rows_per_cell(&self) -> usize;
+    /// The in-process path with a live trace: [`run_grid`] on this grid.
+    fn run(&self, threads: Option<usize>, trace: TraceHandle) -> SweepReport;
+    /// An in-process [`CellExecutor`] over this grid (cells
+    /// materialized once). `delay` stretches every cell by a sleep —
+    /// the CI crash-resume job uses it to make a mid-grid `SIGKILL`
+    /// land reliably; zero means no overhead.
+    fn executor(&self, delay: Duration) -> GridExecutor<'_>;
+    /// Assembles the grid's [`SweepReport`] from coordinator outcome
+    /// rows (flat, `rows_per_cell` per cell, cell order), laid out by the
+    /// same function as the in-process run's, so the JSON is
+    /// byte-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != n_cells * rows_per_cell`.
+    fn report_from_rows(&self, rows: Vec<CellOutcome>) -> SweepReport;
+    /// Re-runs cell `index` solo, exactly as the full sweep runs it, and
+    /// returns the report of that cell alone: its rows, labels and seeds
+    /// equal the cell's rows of the full report. `None` past the last
+    /// cell.
+    fn replay(&self, index: usize) -> Option<SweepReport>;
+    /// Renders the grid's human table for a report.
+    fn table(&self, report: &SweepReport) -> String;
+    /// A boxed copy of the grid.
+    fn clone_box(&self) -> Box<dyn GridSpec>;
+    /// The grid as [`Any`], for [`AnySpec::get`].
+    fn as_any(&self) -> &dyn Any;
 
     /// The coordinator plan (and checkpoint header identity) of this
     /// spec under the given preset name.
-    #[must_use]
-    pub fn plan(&self, preset: &str) -> SweepPlan {
+    fn plan(&self, preset: &str) -> SweepPlan {
         SweepPlan {
             grid: self.grid_name().into(),
             preset: preset.into(),
@@ -131,120 +258,87 @@ impl AnySpec {
         }
     }
 
-    /// An in-process [`CellExecutor`] over this grid (cells
-    /// materialized once). `delay` stretches every cell by a sleep —
-    /// the CI crash-resume job uses it to make a mid-grid `SIGKILL`
-    /// land reliably; zero means no overhead.
-    #[must_use]
-    pub fn executor(&self, delay: Duration) -> GridExecutor<'_> {
+    /// The classic in-process path (no checkpoint, no workers): runs
+    /// the grid straight on the sweep pool.
+    fn run_in_process(&self, threads: Option<usize>) -> SweepReport {
+        self.run(threads, TraceHandle::disabled())
+    }
+}
+
+impl<G: Grid> GridSpec for G {
+    fn grid_name(&self) -> &'static str {
+        G::NAME
+    }
+
+    fn base_seed(&self) -> u64 {
+        Grid::base_seed(self)
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        Grid::set_base_seed(self, seed);
+    }
+
+    fn n_cells(&self) -> usize {
+        self.cells().len()
+    }
+
+    fn rows_per_cell(&self) -> usize {
+        G::ROWS_PER_CELL
+    }
+
+    fn run(&self, threads: Option<usize>, trace: TraceHandle) -> SweepReport {
+        run_grid(self, threads, trace)
+    }
+
+    fn executor(&self, delay: Duration) -> GridExecutor<'_> {
+        let cells = self.cells();
+        let untraced = TraceHandle::disabled();
+        let rows = move |index| {
+            let seed = cell_seed(Grid::base_seed(self), index as u64);
+            let ctx = CellCtx { index, seed };
+            self.run_cell(&cells[index], ctx, &untraced)
+                .as_ref()
+                .to_vec()
+        };
         GridExecutor {
-            spec: self,
-            cells: match self {
-                AnySpec::Ensemble(s) => AnyCells::Ensemble(s.grid.cells()),
-                AnySpec::Multidim(s) => AnyCells::Multidim(s.grid.cells()),
-                AnySpec::Dynamic(s) => AnyCells::Dynamic(s.grid.cells()),
-                AnySpec::Adversary(s) => AnyCells::Adversary(s.cells.clone()),
-            },
+            rows: Box::new(rows),
             delay,
         }
     }
 
-    /// Assembles the grid's [`SweepReport`] from coordinator outcome
-    /// rows (flat, `rows_per_cell` per cell, cell order) — the exact
-    /// labels/seeds layout of the in-process `run_*` functions, so the
-    /// JSON is byte-identical to theirs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len() != n_cells * rows_per_cell`.
-    #[must_use]
-    pub fn report_from_rows(&self, rows: Vec<CellOutcome>) -> SweepReport {
-        assert_eq!(
-            rows.len(),
-            self.n_cells() * self.rows_per_cell(),
-            "rows_per_cell rows per grid cell"
-        );
-        match self {
-            AnySpec::Ensemble(s) => {
-                let cells = s.grid.cells();
-                let labels: Vec<String> = cells.iter().map(EnsembleCell::label).collect();
-                let seeds: Vec<u64> = (0..cells.len())
-                    .map(|i| cell_seed(s.base_seed, i as u64))
-                    .collect();
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-            AnySpec::Multidim(s) => {
-                let cells = s.grid.cells();
-                let mut labels = Vec::with_capacity(rows.len());
-                let mut seeds = Vec::with_capacity(rows.len());
-                for (i, cell) in cells.iter().enumerate() {
-                    let seed = cell_seed(s.base_seed, i as u64);
-                    for alg in ["coordinatewise", "simplex"] {
-                        labels.push(format!("{} alg={alg}", cell.label()));
-                        seeds.push(seed);
-                    }
-                }
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-            AnySpec::Dynamic(s) => {
-                let cells = s.grid.cells();
-                let labels: Vec<String> = cells.iter().map(DynamicCell::label).collect();
-                let seeds: Vec<u64> = (0..cells.len())
-                    .map(|i| cell_seed(s.base_seed, i as u64))
-                    .collect();
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-            AnySpec::Adversary(s) => {
-                let labels: Vec<String> = s.cells.iter().map(AdvCell::label).collect();
-                let seeds: Vec<u64> = (0..s.cells.len())
-                    .map(|i| cell_seed(s.base_seed, i as u64))
-                    .collect();
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-        }
+    fn report_from_rows(&self, rows: Vec<CellOutcome>) -> SweepReport {
+        let cells = self.cells();
+        let n_rows = cells.len() * G::ROWS_PER_CELL;
+        assert_eq!(rows.len(), n_rows, "rows_per_cell rows per grid cell");
+        assemble(self, cells.iter().enumerate(), rows)
     }
 
-    /// Renders the grid's human table for a report.
-    #[must_use]
-    pub fn table(&self, report: &SweepReport) -> String {
-        match self {
-            AnySpec::Ensemble(_) => ensemble_table(report),
-            AnySpec::Multidim(s) => multidim_table(s, report),
-            AnySpec::Dynamic(s) => dynamic_table(s, report),
-            AnySpec::Adversary(s) => adversary_table(s, report),
-        }
+    fn replay(&self, index: usize) -> Option<SweepReport> {
+        let cells = self.cells();
+        let cell = cells.get(index)?;
+        let rows = self.executor(Duration::ZERO).rows(index);
+        Some(assemble(self, std::iter::once((index, cell)), rows))
     }
 
-    /// The classic in-process path (no checkpoint, no workers): runs
-    /// the grid straight on the sweep pool.
-    #[must_use]
-    pub fn run_in_process(&self, threads: Option<usize>) -> SweepReport {
-        match self {
-            AnySpec::Ensemble(s) => run_ensemble(s, threads),
-            AnySpec::Multidim(s) => run_multidim(s, threads),
-            AnySpec::Dynamic(s) => run_dynamic(s, threads),
-            AnySpec::Adversary(s) => run_adversary(s, threads),
-        }
+    fn table(&self, report: &SweepReport) -> String {
+        Grid::table(self, report)
+    }
+
+    fn clone_box(&self) -> Box<dyn GridSpec> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
-/// The materialized cell lists behind a [`GridExecutor`].
-#[derive(Debug, Clone)]
-enum AnyCells {
-    Ensemble(Vec<EnsembleCell>),
-    Multidim(Vec<MultidimCell>),
-    Dynamic(Vec<DynamicCell>),
-    Adversary(Vec<AdvCell>),
-}
-
-/// An in-process [`CellExecutor`] over one grid: runs the same
-/// `run_*_cell` functions as the classic path, with the same
-/// `(base_seed, cell)`-derived [`CellCtx`], so its rows are bit-
-/// identical to an uncoordinated sweep's.
-#[derive(Debug)]
+/// An in-process [`CellExecutor`] over one grid: runs the grid's
+/// [`Grid::run_cell`] with the same `(base_seed, cell)`-derived
+/// [`CellCtx`] as the in-process runner, so its rows are bit-identical
+/// to an uncoordinated sweep's. Cells record no spans of their own here.
 pub struct GridExecutor<'s> {
-    spec: &'s AnySpec,
-    cells: AnyCells,
+    rows: Box<dyn Fn(usize) -> Vec<CellOutcome> + Send + Sync + 's>,
     delay: Duration,
 }
 
@@ -253,26 +347,7 @@ impl GridExecutor<'_> {
     /// contains them).
     #[must_use]
     pub fn rows(&self, cell: usize) -> Vec<CellOutcome> {
-        let ctx = CellCtx {
-            index: cell,
-            seed: cell_seed(self.spec.base_seed(), cell as u64),
-        };
-        match (&self.cells, self.spec) {
-            (AnyCells::Ensemble(cells), AnySpec::Ensemble(s)) => {
-                vec![run_ensemble_cell(&cells[cell], ctx, s.tol, s.max_rounds)]
-            }
-            (AnyCells::Multidim(cells), AnySpec::Multidim(s)) => {
-                let (cw, sx) = run_multidim_cell(&cells[cell], ctx, s.tol, s.max_rounds);
-                vec![cw, sx]
-            }
-            (AnyCells::Dynamic(cells), AnySpec::Dynamic(s)) => {
-                vec![run_dynamic_cell(&cells[cell], ctx, s.tol, s.max_rounds)]
-            }
-            (AnyCells::Adversary(cells), AnySpec::Adversary(_)) => {
-                vec![run_adversary_cell(&cells[cell], ctx)]
-            }
-            _ => unreachable!("cells always built from the owning spec"),
-        }
+        (self.rows)(cell)
     }
 }
 
@@ -344,23 +419,20 @@ mod tests {
 
     #[test]
     fn resolve_covers_the_registry_and_rejects_strangers() {
-        for (grid, _) in crate::experiments::GRID_REGISTRY {
+        for (grid, _) in AnySpec::registry() {
             let spec = AnySpec::resolve(grid, "golden").expect("registered grid");
-            assert_eq!(spec.grid_name(), *grid);
+            assert_eq!(spec.grid_name(), grid);
             assert!(spec.n_cells() > 0);
         }
         let err = AnySpec::resolve("bogus", "golden").expect_err("unregistered");
         assert!(err.to_string().contains("unknown grid `bogus`"), "{err}");
     }
 
-    #[test]
-    fn coordinated_golden_ensemble_matches_the_classic_path_byte_for_byte() {
-        let spec = AnySpec::resolve("ensemble", "golden").expect("golden");
-        let classic = spec.run_in_process(Some(2)).to_json();
-
+    /// The coordinator's in-process path at 3 threads, as JSON.
+    fn coordinated_json(spec: &AnySpec, preset: &str) -> String {
         let exec = spec.executor(Duration::ZERO);
         let out = controlplane::run(
-            &spec.plan("golden"),
+            &spec.plan(preset),
             &RunConfig {
                 threads: 3,
                 ..RunConfig::default()
@@ -370,19 +442,30 @@ mod tests {
         )
         .expect("coordinated run");
         assert!(out.completed);
-        let coordinated = spec
-            .report_from_rows(out.outcome_rows().expect("complete"))
-            .to_json();
-        assert_eq!(
-            classic, coordinated,
-            "the control plane must not change a single byte of the golden JSON"
-        );
+        spec.report_from_rows(out.outcome_rows().expect("complete"))
+            .to_json()
+    }
+
+    #[test]
+    fn coordinated_golden_ensemble_matches_the_classic_path_byte_for_byte() {
+        for (grid, _) in AnySpec::registry() {
+            let spec = AnySpec::resolve(grid, "golden").expect("golden");
+            let coordinated = coordinated_json(&spec, "golden");
+            for threads in [1, 3] {
+                assert_eq!(
+                    spec.run_in_process(Some(threads)).to_json(),
+                    coordinated,
+                    "{grid} at {threads} threads: the control plane must not change a \
+                     single byte of the golden JSON"
+                );
+            }
+        }
     }
 
     #[test]
     fn multidim_rows_pair_up_exactly_like_run_multidim() {
         // A deliberately tiny multidim grid so the test stays fast.
-        let spec = AnySpec::Multidim(MultidimSpec {
+        let spec = AnySpec(Box::new(MultidimSpec {
             name: "unit".into(),
             grid: MultidimGrid::new()
                 .dims(&[1, 2])
@@ -393,21 +476,10 @@ mod tests {
             base_seed: 7,
             tol: 1e-4,
             max_rounds: 200,
-        });
+        }));
         assert_eq!(spec.rows_per_cell(), 2);
         let classic = spec.run_in_process(Some(1)).to_json();
-        let exec = spec.executor(Duration::ZERO);
-        let out = controlplane::run(
-            &spec.plan("unit"),
-            &RunConfig::default(),
-            &exec,
-            &Metrics::new(),
-        )
-        .expect("run");
-        let coordinated = spec
-            .report_from_rows(out.outcome_rows().expect("complete"))
-            .to_json();
-        assert_eq!(classic, coordinated);
+        assert_eq!(classic, coordinated_json(&spec, "unit"));
     }
 
     #[test]

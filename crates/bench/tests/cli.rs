@@ -48,16 +48,93 @@ fn unknown_preset_is_a_clean_usage_error() {
 
 #[test]
 fn unknown_preset_error_names_the_selected_grid() {
-    for (grid, label) in [("multidim", "multidim"), ("dynamic_rates", "dynamic")] {
+    for grid in ["multidim", "dynamic_rates", "adversary_search"] {
         let out = run(&["--grid", grid, "--preset", "bogus"]);
+        assert_eq!(out.status.code(), Some(2), "{grid}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("unknown {grid} preset `bogus` (use quick|golden|full)\n")
+        );
+    }
+}
+
+/// The value of `"key": …` in one `cells_detail` row of a report.
+fn field<'r>(row: &'r str, key: &str) -> &'r str {
+    let start = row.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+    let rest = &row[start..];
+    let rest = rest.strip_prefix('"').unwrap_or(rest);
+    &rest[..rest.find(['"', ',']).expect("field end")]
+}
+
+#[test]
+fn replay_prints_the_rows_of_the_json_report() {
+    for (grid, rows_per_cell) in [
+        ("ensemble", 1),
+        ("multidim", 2),
+        ("dynamic_rates", 1),
+        ("adversary_search", 1),
+    ] {
+        let out = run(&["--grid", grid, "--golden", "--json"]);
+        assert!(out.status.success(), "{grid}");
+        let json = String::from_utf8_lossy(&out.stdout);
+        let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"index\": ")).collect();
+        let n_cells = rows.len() / rows_per_cell;
+        for cell in [0, 3, n_cells - 1] {
+            let out = run(&["--grid", grid, "--golden", "--replay", &cell.to_string()]);
+            assert!(out.status.success(), "{grid} cell {cell}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let lines: Vec<&str> = stdout.lines().collect();
+            assert_eq!(lines.len(), rows_per_cell, "{grid} cell {cell}: {stdout}");
+            for (line, row) in lines.iter().zip(&rows[cell * rows_per_cell..]) {
+                let head = format!(
+                    "cell {cell} [{}] seed {}: ",
+                    field(row, "label"),
+                    field(row, "seed")
+                );
+                assert!(line.starts_with(&head), "{grid}: {line} vs {row}");
+                let tail = format!("fingerprint {}", field(row, "fingerprint"));
+                assert!(line.ends_with(&tail), "{grid}: {line} vs {row}");
+            }
+        }
+        // One past the last cell is a usage error naming the cell count.
+        let out = run(&["--grid", grid, "--golden", "--replay", &n_cells.to_string()]);
         assert_eq!(out.status.code(), Some(2), "{grid}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains(&format!("unknown {label} preset `bogus`")),
+            err.contains(&format!("has {n_cells} cells")),
             "{grid}: {err}"
         );
-        assert!(err.contains("quick|golden|full"), "{grid}: {err}");
         assert!(!err.contains("panicked"), "{grid}: {err}");
+        assert!(out.stdout.is_empty(), "{grid}");
+    }
+}
+
+#[test]
+fn round_trace_level_outside_the_ensemble_classic_path_is_a_usage_error() {
+    let trace = tmpfile("round.jsonl");
+    let ck = tmpfile("round.sweepck");
+    let (trace_s, ck_s) = (trace.to_str().expect("utf8"), ck.to_str().expect("utf8"));
+    for args in [
+        ["--grid", "multidim", "--quick"],
+        ["--golden", "--checkpoint", ck_s],
+    ] {
+        let out = run(&[
+            &args[..],
+            &["--json", "--trace-out", trace_s, "--trace-level", "round"],
+        ]
+        .concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(
+                "--trace-level round is supported only for --grid ensemble on the classic path"
+            ),
+            "{args:?}: {err}"
+        );
+        assert!(
+            out.stdout.is_empty() && !trace.exists() && !ck.exists(),
+            "{args:?}"
+        );
     }
 }
 

@@ -18,7 +18,9 @@
 //!   while the pruned beam at `n = 16` finds schedules contracting
 //!   strictly slower than the 1/2 deaf bound.
 
-use consensus_bench::advsearch::{adversary_checks, adversary_spec, run_adversary, AdvCell};
+use consensus_bench::advsearch::{adversary_checks, AdvCell, AdversarySpec};
+use consensus_bench::orchestrate::{run_grid, Grid};
+use tight_bounds_consensus::obs::TraceHandle;
 
 /// The checked-in golden JSON (kept in `ci/` so the regression job can
 /// diff it without building the test harness).
@@ -26,8 +28,8 @@ const GOLDEN: &str = include_str!("../../../ci/golden_adversary.json");
 
 #[test]
 fn quick_preset_matches_the_golden_json() {
-    let spec = adversary_spec("quick");
-    let report = run_adversary(&spec, Some(2));
+    let spec = AdversarySpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, Some(2), TraceHandle::disabled());
     assert_eq!(
         report.to_json(),
         GOLDEN,
@@ -40,9 +42,9 @@ fn quick_preset_matches_the_golden_json() {
 
 #[test]
 fn quick_preset_is_thread_count_invariant() {
-    let spec = adversary_spec("quick");
-    let one = run_adversary(&spec, Some(1));
-    let many = run_adversary(&spec, Some(4));
+    let spec = AdversarySpec::preset("quick").expect("quick preset");
+    let one = run_grid(&spec, Some(1), TraceHandle::disabled());
+    let many = run_grid(&spec, Some(4), TraceHandle::disabled());
     assert_eq!(
         one.to_json(),
         many.to_json(),
@@ -52,8 +54,8 @@ fn quick_preset_is_thread_count_invariant() {
 
 #[test]
 fn every_cross_cell_invariant_holds() {
-    let spec = adversary_spec("quick");
-    let report = run_adversary(&spec, None);
+    let spec = AdversarySpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, None, TraceHandle::disabled());
     assert_eq!(report.summary.failures, 0, "every probe must converge");
     let checks = adversary_checks(&spec, &report);
     // The quick preset carries all five invariant families: the two
@@ -77,8 +79,8 @@ fn every_cross_cell_invariant_holds() {
 
 #[test]
 fn diameter_max_rate_is_exactly_half_at_n16() {
-    let spec = adversary_spec("quick");
-    let report = run_adversary(&spec, None);
+    let spec = AdversarySpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, None, TraceHandle::disabled());
     let mut seen = 0;
     for (i, cell) in spec.cells.iter().enumerate() {
         if let AdvCell::DiameterMaxDeaf { n: 16, .. } = cell {
@@ -95,8 +97,8 @@ fn diameter_max_rate_is_exactly_half_at_n16() {
 
 #[test]
 fn full_width_beam_equals_the_exhaustive_argmax() {
-    let spec = adversary_spec("quick");
-    let report = run_adversary(&spec, None);
+    let spec = AdversarySpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, None, TraceHandle::disabled());
     let beam = spec
         .cells
         .iter()

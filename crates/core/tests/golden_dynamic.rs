@@ -13,9 +13,9 @@
 //!   (the spread never re-expands), and the adaptive diameter maximiser
 //!   sits exactly at the paper's 1/2 non-split bound.
 
-use consensus_bench::experiments::{
-    dynamic_by_kind, dynamic_separation, dynamic_spec, run_dynamic,
-};
+use consensus_bench::experiments::{dynamic_by_kind, dynamic_separation, DynamicSpec};
+use consensus_bench::orchestrate::{run_grid, Grid};
+use tight_bounds_consensus::obs::TraceHandle;
 use tight_bounds_consensus::prelude::AdversaryKind;
 
 /// The checked-in golden JSON (kept in `ci/` so the regression job can
@@ -24,8 +24,8 @@ const GOLDEN: &str = include_str!("../../../ci/golden_dynamic.json");
 
 #[test]
 fn quick_preset_matches_the_golden_json() {
-    let spec = dynamic_spec("quick");
-    let report = run_dynamic(&spec, Some(2));
+    let spec = DynamicSpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, Some(2), TraceHandle::disabled());
     assert_eq!(
         report.to_json(),
         GOLDEN,
@@ -38,9 +38,9 @@ fn quick_preset_matches_the_golden_json() {
 
 #[test]
 fn quick_preset_is_thread_count_invariant() {
-    let spec = dynamic_spec("quick");
-    let one = run_dynamic(&spec, Some(1));
-    let many = run_dynamic(&spec, Some(4));
+    let spec = DynamicSpec::preset("quick").expect("quick preset");
+    let one = run_grid(&spec, Some(1), TraceHandle::disabled());
+    let many = run_grid(&spec, Some(4), TraceHandle::disabled());
     assert_eq!(
         one.to_json(),
         many.to_json(),
@@ -50,8 +50,8 @@ fn quick_preset_is_thread_count_invariant() {
 
 #[test]
 fn decision_times_strictly_increase_in_t() {
-    let spec = dynamic_spec("quick");
-    let report = run_dynamic(&spec, None);
+    let spec = DynamicSpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, None, TraceHandle::disabled());
     assert_eq!(
         report.summary.failures, 0,
         "golden grid must fully converge"
@@ -78,8 +78,8 @@ fn decision_times_strictly_increase_in_t() {
 
 #[test]
 fn rates_stay_within_the_tight_bounds_envelope() {
-    let spec = dynamic_spec("quick");
-    let report = run_dynamic(&spec, None);
+    let spec = DynamicSpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, None, TraceHandle::disabled());
     let rate = report.summary.rate.as_ref().expect("rates measured");
     assert!(
         rate.max <= 1.0 + 1e-12,

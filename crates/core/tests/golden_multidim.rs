@@ -1,7 +1,7 @@
 //! Golden test: the `multidim_decision_times` quick-preset sweep is
 //! pinned byte-for-byte against `ci/golden_multidim.json` (the same
 //! file the CI `sweep-regression` job diffs against the `sweep` bin's
-//! `--multidim --quick --json` output), and the report must reproduce
+//! `--grid multidim --quick --json` output), and the report must reproduce
 //! the coordinate-wise vs. simplex decision-time separation of
 //! arXiv:1805.04923:
 //!
@@ -12,7 +12,9 @@
 //!   rounds on average than the coordinate-wise box-centre rule, on the
 //!   *same* executions (identical inits and graph sequences per pair).
 
-use consensus_bench::experiments::{multidim_separation, multidim_spec, run_multidim};
+use consensus_bench::experiments::{multidim_separation, MultidimSpec};
+use consensus_bench::orchestrate::{run_grid, Grid};
+use tight_bounds_consensus::obs::TraceHandle;
 
 /// The checked-in golden JSON (kept in `ci/` so the regression job can
 /// diff it without building the test harness).
@@ -20,22 +22,22 @@ const GOLDEN: &str = include_str!("../../../ci/golden_multidim.json");
 
 #[test]
 fn quick_preset_matches_the_golden_json() {
-    let spec = multidim_spec("quick");
-    let report = run_multidim(&spec, Some(2));
+    let spec = MultidimSpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, Some(2), TraceHandle::disabled());
     assert_eq!(
         report.to_json(),
         GOLDEN,
         "multidim_decision_times quick preset diverged from ci/golden_multidim.json; \
          regenerate with `cargo run --release -p consensus-bench --bin sweep -- \
-         --multidim --quick --json > ci/golden_multidim.json` if the change is intended"
+         --grid multidim --quick --json > ci/golden_multidim.json` if the change is intended"
     );
 }
 
 #[test]
 fn quick_preset_is_thread_count_invariant() {
-    let spec = multidim_spec("quick");
-    let one = run_multidim(&spec, Some(1));
-    let many = run_multidim(&spec, Some(4));
+    let spec = MultidimSpec::preset("quick").expect("quick preset");
+    let one = run_grid(&spec, Some(1), TraceHandle::disabled());
+    let many = run_grid(&spec, Some(4), TraceHandle::disabled());
     assert_eq!(
         one.to_json(),
         many.to_json(),
@@ -45,8 +47,8 @@ fn quick_preset_is_thread_count_invariant() {
 
 #[test]
 fn separation_simplex_decides_strictly_earlier_for_d_ge_2() {
-    let spec = multidim_spec("quick");
-    let report = run_multidim(&spec, None);
+    let spec = MultidimSpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, None, TraceHandle::disabled());
     assert_eq!(
         report.summary.failures, 0,
         "golden grid must fully converge"
@@ -79,8 +81,8 @@ fn separation_simplex_decides_strictly_earlier_for_d_ge_2() {
 
 #[test]
 fn d1_pairs_are_bit_identical() {
-    let spec = multidim_spec("quick");
-    let report = run_multidim(&spec, None);
+    let spec = MultidimSpec::preset("quick").expect("quick preset");
+    let report = run_grid(&spec, None, TraceHandle::disabled());
     let cells = spec.grid.cells();
     for (i, cell) in cells.iter().enumerate() {
         let cw = &report.outcomes[2 * i];

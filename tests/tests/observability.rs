@@ -6,11 +6,9 @@
 //! `ci/golden_trace.jsonl` gate — the golden pins two thread counts,
 //! the proptests here sample the rest.
 
-use consensus_bench::experiments::{
-    dynamic_spec, ensemble_spec, multidim_spec, run_dynamic, run_dynamic_traced, run_ensemble,
-    run_ensemble_traced, run_multidim, run_multidim_traced,
-};
+use consensus_bench::experiments::EnsembleSpec;
 use consensus_bench::obswire::{enrich_report, trace_rounds_ensemble};
+use consensus_bench::orchestrate::{run_grid, AnySpec, Grid};
 use proptest::prelude::*;
 use tight_bounds_consensus::obs::{to_jsonl_content, TraceHandle};
 
@@ -21,10 +19,10 @@ proptest! {
     /// untraced run at the same (arbitrary) thread count.
     #[test]
     fn traced_run_equals_untraced_run(threads in 1u64..9) {
-        let spec = ensemble_spec("golden");
+        let spec = EnsembleSpec::preset("golden").expect("golden preset");
         let threads = usize::try_from(threads).expect("small");
-        let plain = run_ensemble(&spec, Some(threads));
-        let traced = run_ensemble_traced(&spec, Some(threads), TraceHandle::enabled());
+        let plain = run_grid(&spec, Some(threads), TraceHandle::disabled());
+        let traced = run_grid(&spec, Some(threads), TraceHandle::enabled());
         prop_assert_eq!(plain.to_json(), traced.to_json());
     }
 
@@ -34,12 +32,12 @@ proptest! {
     /// merged trace.
     #[test]
     fn content_stream_is_thread_count_invariant(threads in 2u64..9) {
-        let spec = ensemble_spec("golden");
+        let spec = EnsembleSpec::preset("golden").expect("golden preset");
         let threads = usize::try_from(threads).expect("small");
         let t1 = TraceHandle::enabled();
         let tn = TraceHandle::enabled();
-        let r1 = run_ensemble_traced(&spec, Some(1), t1.clone());
-        let rn = run_ensemble_traced(&spec, Some(threads), tn.clone());
+        let r1 = run_grid(&spec, Some(1), t1.clone());
+        let rn = run_grid(&spec, Some(threads), tn.clone());
         enrich_report(&t1, &r1);
         enrich_report(&tn, &rn);
         trace_rounds_ensemble(&spec, &r1, &t1);
@@ -55,31 +53,20 @@ proptest! {
 /// (span-level tracing only — round replay is ensemble-specific).
 #[test]
 fn multidim_and_dynamic_grids_trace_deterministically() {
-    let mspec = multidim_spec("golden");
-    let plain = run_multidim(&mspec, Some(3));
-    let t1 = TraceHandle::enabled();
-    let tn = TraceHandle::enabled();
-    let r1 = run_multidim_traced(&mspec, Some(1), t1.clone());
-    let rn = run_multidim_traced(&mspec, Some(3), tn.clone());
-    assert_eq!(plain.to_json(), rn.to_json());
-    enrich_report(&t1, &r1);
-    enrich_report(&tn, &rn);
-    assert_eq!(
-        to_jsonl_content(&t1.merged()),
-        to_jsonl_content(&tn.merged())
-    );
-
-    let dspec = dynamic_spec("golden");
-    let plain = run_dynamic(&dspec, Some(3));
-    let t1 = TraceHandle::enabled();
-    let tn = TraceHandle::enabled();
-    let r1 = run_dynamic_traced(&dspec, Some(1), t1.clone());
-    let rn = run_dynamic_traced(&dspec, Some(3), tn.clone());
-    assert_eq!(plain.to_json(), rn.to_json());
-    enrich_report(&t1, &r1);
-    enrich_report(&tn, &rn);
-    assert_eq!(
-        to_jsonl_content(&t1.merged()),
-        to_jsonl_content(&tn.merged())
-    );
+    for grid in ["multidim", "dynamic_rates"] {
+        let spec = AnySpec::resolve(grid, "golden").expect("golden preset");
+        let plain = spec.run_in_process(Some(3));
+        let t1 = TraceHandle::enabled();
+        let tn = TraceHandle::enabled();
+        let r1 = spec.run(Some(1), t1.clone());
+        let rn = spec.run(Some(3), tn.clone());
+        assert_eq!(plain.to_json(), rn.to_json(), "{grid}");
+        enrich_report(&t1, &r1);
+        enrich_report(&tn, &rn);
+        assert_eq!(
+            to_jsonl_content(&t1.merged()),
+            to_jsonl_content(&tn.merged()),
+            "{grid}"
+        );
+    }
 }
