@@ -46,51 +46,47 @@
 //!
 //! Control-plane flags (any of them routes the run through the
 //! checkpointed coordinator). Both paths run every cell through the
-//! grid's one cell runner and lay out the report in one function, so
-//! the aggregate JSON equals the classic path's by construction:
+//! grid's one cell runner, lay out the report in one function and
+//! print it through one `emit`, so the aggregate JSON and the table
+//! equal the classic path's by construction:
 //!
 //! ```text
 //!   --checkpoint PATH     stream finished cells to a resumable .sweepck
 //!   --resume              resume an interrupted run from --checkpoint
 //!   --workers N           run cells in N spawned `sweep-worker` processes
 //!   --metrics-out PATH    write the end-of-run metrics JSON to PATH
-//!   --metrics-addr ADDR   serve live plaintext metrics on ADDR meanwhile
 //!   --stop-after N        stop dispatching after N cells (testing aid)
 //!   --cell-delay-ms MS    stretch every cell by MS ms (CI kill pacing)
 //!   --worker-fail-cells L inject worker failures for cells `a,b,c`
 //! ```
 //!
+//! A missing or malformed flag value is a usage error: one stderr line
+//! naming the flag, exit code 2.
+//!
 //! The CI gate commands are the `sweep-regression` matrix of
 //! `.github/workflows/ci.yml`: each golden file under `ci/` is diffed
 //! against `--json` output on the classic path and again through
-//! `--checkpoint`. The crash-resume gate reaches `ci/golden_sweep.json`
-//! the hard way: `--golden --json --checkpoint ck`, `SIGKILL` mid-grid,
-//! then `--golden --json --checkpoint ck --resume`, required
-//! byte-identical.
+//! `--checkpoint`, and the table-mode stdouts of the two paths are
+//! diffed against each other. The crash-resume gate reaches
+//! `ci/golden_sweep.json` the hard way: `--golden --json --checkpoint
+//! ck`, `SIGKILL` mid-grid, then `--golden --json --checkpoint ck
+//! --resume`, required byte-identical.
 
 #![forbid(unsafe_code)]
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use consensus_bench::experiments::{DynamicSpec, EnsembleSpec, MultidimSpec, SpecError};
+use consensus_bench::cli::{flag_value, usage};
+use consensus_bench::experiments::{EnsembleSpec, SpecError};
 use consensus_bench::obswire::{self, TraceLevel};
 use consensus_bench::orchestrate::{AnySpec, Grid, DEFAULT_GRID};
 use consensus_bench::wallclock::WallClock;
-use tight_bounds_consensus::controlplane::{
-    self, serve_plaintext, Metrics, ProcessPool, RunConfig, WorkerSpawn,
-};
+use tight_bounds_consensus::controlplane::{self, Metrics, ProcessPool, RunConfig, WorkerSpawn};
 use tight_bounds_consensus::obs::{Clock, NullClock, TraceHandle, DEFAULT_RECORDER_CAP};
-use tight_bounds_consensus::pool::CancelToken;
 use tight_bounds_consensus::prelude::*;
-
-/// The CLI's clean usage error: the message on stderr, exit code 2, no
-/// backtrace.
-fn usage(message: &str) -> ! {
-    eprintln!("{message}");
-    std::process::exit(2);
-}
 
 /// Unwraps a preset/spec lookup, turning an unknown name into a usage
 /// error.
@@ -114,7 +110,6 @@ struct ControlFlags {
     resume: bool,
     workers: Option<usize>,
     metrics_out: Option<String>,
-    metrics_addr: Option<String>,
     stop_after: Option<u64>,
     cell_delay_ms: u64,
     fail_cells: Vec<u64>,
@@ -169,7 +164,6 @@ impl ControlFlags {
             || self.resume
             || self.workers.is_some()
             || self.metrics_out.is_some()
-            || self.metrics_addr.is_some()
             || self.stop_after.is_some()
             || self.cell_delay_ms > 0
             || !self.fail_cells.is_empty()
@@ -203,8 +197,7 @@ fn run_coordinated(
 ) -> i32 {
     let trace = &tf.handle();
     let plan = spec.plan(preset);
-    let metrics = Arc::new(Metrics::new());
-    let cancel = CancelToken::new();
+    let metrics = Metrics::new();
     let n_workers = cf.workers.unwrap_or(0);
     let cfg = RunConfig {
         threads: if n_workers > 0 {
@@ -215,22 +208,9 @@ fn run_coordinated(
         checkpoint: cf.checkpoint.clone(),
         resume: cf.resume,
         stop_after: cf.stop_after,
-        cancel: cancel.clone(),
         trace: trace.clone(),
+        ..RunConfig::default()
     };
-    let server = cf.metrics_addr.as_deref().map(|addr| {
-        let s = serve_plaintext(
-            addr,
-            Arc::clone(&metrics),
-            n_workers as u64,
-            Arc::new(WallClock::new()),
-            trace.clone(),
-            cancel.clone(),
-        )
-        .expect("failed to bind --metrics-addr");
-        eprintln!("metrics: serving plaintext on http://{}/", s.addr);
-        s
-    });
 
     let start = Instant::now();
     let delay = Duration::from_millis(cf.cell_delay_ms);
@@ -268,10 +248,6 @@ fn run_coordinated(
     };
     let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
 
-    cancel.cancel();
-    if let Some(s) = server {
-        s.join();
-    }
     if let Some(path) = &cf.metrics_out {
         let snap = metrics.snapshot(n_workers as u64);
         std::fs::write(path, snap.to_json(Some(elapsed_ms)))
@@ -306,6 +282,33 @@ fn run_coordinated(
     i32::from(!outcome.failed_cells.is_empty())
 }
 
+/// What the default grid's table ends with, on either path: at `quick`,
+/// every other grid's quick table on the same seed, then a note that the
+/// JSON covers the default grid only.
+fn default_grid_appendix(preset: &str, threads: Option<usize>, seed: Option<u64>) -> String {
+    let others: Vec<&str> = AnySpec::registry()
+        .map(|(name, _)| name)
+        .filter(|&name| name != DEFAULT_GRID)
+        .collect();
+    let mut out = String::new();
+    if preset == "quick" {
+        for name in &others {
+            let mut other = spec_or_exit(AnySpec::resolve(name, preset));
+            if let Some(s) = seed {
+                other.set_base_seed(s);
+            }
+            out.push('\n');
+            out.push_str(&other.table(&other.run_in_process(threads)));
+        }
+    }
+    out.push_str(&format!(
+        "\n(the written JSON covers the {DEFAULT_GRID} grid only; run --grid NAME for the JSON \
+         of another grid: {})",
+        others.join(", ")
+    ));
+    out
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut grid = DEFAULT_GRID.to_owned();
@@ -318,12 +321,10 @@ fn main() {
     let mut cf = ControlFlags::default();
     let mut tf = TraceFlags::default();
 
-    let mut it = args.iter();
+    let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => {
-                grid = it.next().expect("--grid needs a name").clone();
-            }
+        match a {
+            "--grid" => grid = flag_value(a, it.next(), "a grid name"),
             "--list" => {
                 println!("registered grids (select with --grid NAME):");
                 for (name, description) in AnySpec::registry() {
@@ -334,71 +335,25 @@ fn main() {
             "--golden" => preset = "golden".into(),
             "--quick" => preset = "quick".into(),
             "--full" => preset = "full".into(),
-            "--preset" => {
-                preset = it.next().expect("--preset needs a name").clone();
-            }
+            "--preset" => preset = flag_value(a, it.next(), "a preset name"),
             "--json" => json_only = true,
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a number"),
-                );
-            }
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number"),
-                );
-            }
-            "--out" => {
-                out_path = Some(it.next().expect("--out needs a path").clone());
-            }
-            "--replay" => {
-                replay = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--replay needs a cell index"),
-                );
-            }
-            "--checkpoint" => {
-                cf.checkpoint = Some(PathBuf::from(it.next().expect("--checkpoint needs a path")));
-            }
+            "--threads" => threads = Some(flag_value(a, it.next(), "a thread count")),
+            "--seed" => seed = Some(flag_value(a, it.next(), "a seed (an unsigned integer)")),
+            "--out" => out_path = Some(flag_value(a, it.next(), "a path")),
+            "--replay" => replay = Some(flag_value(a, it.next(), "a cell index")),
+            "--checkpoint" => cf.checkpoint = Some(flag_value(a, it.next(), "a path")),
             "--resume" => cf.resume = true,
             "--workers" => {
-                cf.workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .expect("--workers needs a positive number"),
-                );
+                let n: NonZeroUsize = flag_value(a, it.next(), "a positive worker count");
+                cf.workers = Some(n.get());
             }
-            "--metrics-out" => {
-                cf.metrics_out = Some(it.next().expect("--metrics-out needs a path").clone());
-            }
-            "--metrics-addr" => {
-                cf.metrics_addr = Some(it.next().expect("--metrics-addr needs host:port").clone());
-            }
-            "--stop-after" => {
-                cf.stop_after = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--stop-after needs a cell count"),
-                );
-            }
-            "--cell-delay-ms" => {
-                cf.cell_delay_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cell-delay-ms needs a number");
-            }
-            "--trace-out" => {
-                tf.out = Some(it.next().expect("--trace-out needs a path").clone());
-            }
+            "--metrics-out" => cf.metrics_out = Some(flag_value(a, it.next(), "a path")),
+            "--stop-after" => cf.stop_after = Some(flag_value(a, it.next(), "a cell count")),
+            "--cell-delay-ms" => cf.cell_delay_ms = flag_value(a, it.next(), "a delay in ms"),
+            "--trace-out" => tf.out = Some(flag_value(a, it.next(), "a path")),
             "--trace-level" => {
-                let v = it.next().expect("--trace-level needs span|round");
-                tf.level = TraceLevel::parse(v).unwrap_or_else(|| {
+                let v: String = flag_value(a, it.next(), "span|round");
+                tf.level = TraceLevel::parse(&v).unwrap_or_else(|| {
                     usage(&format!(
                         "--trace-level: unknown level `{v}` (valid: span|round)"
                     ))
@@ -406,11 +361,10 @@ fn main() {
             }
             "--trace-timing" => tf.timing = true,
             "--worker-fail-cells" => {
-                cf.fail_cells = it
-                    .next()
-                    .expect("--worker-fail-cells needs a list `a,b,c`")
+                let list: String = flag_value(a, it.next(), "a list of cell indices `a,b,c`");
+                cf.fail_cells = list
                     .split(',')
-                    .map(|v| v.trim().parse().expect("--worker-fail-cells: bad index"))
+                    .map(|v| flag_value(a, Some(v.trim()), "a cell index"))
                     .collect();
             }
             other => usage(&format!(
@@ -445,17 +399,20 @@ fn main() {
         out_path = Some(format!("BENCH_{grid}.json"));
     }
 
-    let emit = |json: &str, table: String| {
+    let emit = |json: &str, mut table: String| {
         if let Some(path) = &out_path {
             std::fs::write(path, json).expect("failed to write JSON output");
         }
         if json_only {
             print!("{json}");
-        } else {
-            println!("{table}");
-            if let Some(path) = &out_path {
-                println!("JSON written to {path}");
-            }
+            return;
+        }
+        if grid == DEFAULT_GRID {
+            table.push_str(&default_grid_appendix(&preset, threads, seed));
+        }
+        println!("{table}");
+        if let Some(path) = &out_path {
+            println!("JSON written to {path}");
         }
     };
 
@@ -490,28 +447,5 @@ fn main() {
         obswire::trace_rounds_ensemble(ensemble, &report, &trace);
     }
     tf.write(&trace);
-    let mut table = spec.table(&report);
-    if grid == DEFAULT_GRID && !json_only {
-        if preset == "quick" {
-            // The quick smoke run of the default grid also shows every
-            // other grid's quick table at a glance, on the same --seed.
-            for (name, _) in AnySpec::registry().filter(|(name, _)| *name != grid) {
-                let mut other = spec_or_exit(AnySpec::resolve(name, &preset));
-                if let Some(s) = seed {
-                    other.set_base_seed(s);
-                }
-                table.push('\n');
-                table.push_str(&other.table(&other.run_in_process(threads)));
-            }
-        }
-        // This note's wording is part of the default grid's byte-stable
-        // table output.
-        table.push_str(&format!(
-            "\n(the written JSON covers the scalar ensemble only; for the {m} or dynamic \
-             grids' JSON run with --grid {m} / --grid {d} --out)",
-            m = MultidimSpec::NAME,
-            d = DynamicSpec::NAME,
-        ));
-    }
-    emit(&report.to_json(), table);
+    emit(&report.to_json(), spec.table(&report));
 }

@@ -20,6 +20,7 @@
 
 use std::time::Duration;
 
+use consensus_bench::cli::{flag_value, usage};
 use consensus_bench::orchestrate::{worker_serve, AnySpec, DEFAULT_GRID};
 
 fn main() {
@@ -30,46 +31,26 @@ fn main() {
     let mut delay_ms: u64 = 0;
     let mut fail_cells: Vec<u64> = Vec::new();
 
-    let mut it = args.iter();
+    let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => grid = it.next().expect("--grid needs a name").clone(),
-            "--preset" => preset = it.next().expect("--preset needs a name").clone(),
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number"),
-                );
-            }
-            "--cell-delay-ms" => {
-                delay_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cell-delay-ms needs a number");
-            }
+        match a {
+            "--grid" => grid = flag_value(a, it.next(), "a grid name"),
+            "--preset" => preset = flag_value(a, it.next(), "a preset name"),
+            "--seed" => seed = Some(flag_value(a, it.next(), "a seed (an unsigned integer)")),
+            "--cell-delay-ms" => delay_ms = flag_value(a, it.next(), "a delay in ms"),
             "--fail-cells" => {
-                fail_cells = it
-                    .next()
-                    .expect("--fail-cells needs a list `a,b,c`")
+                let list: String = flag_value(a, it.next(), "a list of cell indices `a,b,c`");
+                fail_cells = list
                     .split(',')
-                    .map(|v| v.trim().parse().expect("--fail-cells: bad index"))
+                    .map(|v| flag_value(a, Some(v.trim()), "a cell index"))
                     .collect();
             }
-            other => {
-                eprintln!("sweep-worker: unknown flag `{other}`");
-                std::process::exit(2);
-            }
+            other => usage(&format!("sweep-worker: unknown flag `{other}`")),
         }
     }
 
-    let mut spec = match AnySpec::resolve(&grid, &preset) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sweep-worker: {e}");
-            std::process::exit(2);
-        }
-    };
+    let mut spec =
+        AnySpec::resolve(&grid, &preset).unwrap_or_else(|e| usage(&format!("sweep-worker: {e}")));
     if let Some(s) = seed {
         spec.set_base_seed(s);
     }

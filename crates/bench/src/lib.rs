@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod advsearch;
+pub mod cli;
 pub mod experiments;
 pub mod obswire;
 pub mod orchestrate;

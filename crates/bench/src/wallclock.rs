@@ -18,8 +18,8 @@ use std::time::Instant;
 
 /// Monotonic wall clock anchored at construction.
 ///
-/// Feeds real elapsed nanoseconds into [`consensus_obs`] recorders and
-/// the controlplane metrics endpoint. Only ever wire this into a trace
+/// Feeds real elapsed nanoseconds into [`consensus_obs`] recorders (the
+/// `sweep` bin's `--trace-timing`). Only ever wire this into a trace
 /// that is *not* golden-gated, or strip timestamps with
 /// [`consensus_obs::EventStream::content`] before comparing.
 #[derive(Debug, Clone, Copy)]

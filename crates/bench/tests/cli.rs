@@ -2,7 +2,7 @@
 //! (one stderr line, exit code 2, never a backtrace) and the
 //! control-plane paths — checkpoint/resume, spawned worker processes,
 //! injected worker failures, and the metrics snapshot — each pinned
-//! byte-identical to the classic in-process golden JSON.
+//! byte-identical to the classic in-process golden JSON and table.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -136,6 +136,65 @@ fn round_trace_level_outside_the_ensemble_classic_path_is_a_usage_error() {
             "{args:?}"
         );
     }
+}
+
+/// Asserts `out` is a usage error that names `flag`.
+fn assert_usage_error(out: &std::process::Output, args: &[&str], flag: &str) {
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(flag), "{args:?}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+}
+
+#[test]
+fn malformed_flag_values_are_usage_errors_naming_the_flag() {
+    for (args, flag) in [
+        (&["--threads", "x"][..], "--threads"),
+        (&["--seed", "-"], "--seed"),
+        (&["--golden", "--replay", "abc"], "--replay"),
+        (&["--workers", "0"], "--workers"),
+        (&["--workers", "two"], "--workers"),
+        (&["--stop-after", "q"], "--stop-after"),
+        (&["--cell-delay-ms", "z"], "--cell-delay-ms"),
+        (&["--worker-fail-cells", "a,b"], "--worker-fail-cells"),
+        (&["--grid"], "--grid"),
+        (&["--metrics-addr", "127.0.0.1:0"], "--metrics-addr"),
+    ] {
+        assert_usage_error(&run(args), args, flag);
+    }
+    for (args, flag) in [
+        (&["--seed", "x"][..], "--seed"),
+        (&["--cell-delay-ms", "z"], "--cell-delay-ms"),
+        (&["--fail-cells", "1,b"], "--fail-cells"),
+        (&["--preset"], "--preset"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep-worker"))
+            .args(args)
+            .output()
+            .expect("spawn the sweep-worker bin");
+        assert_usage_error(&out, args, flag);
+    }
+}
+
+#[test]
+fn table_mode_stdout_is_the_same_on_both_paths() {
+    let json = tmpfile("table.json");
+    let ck = tmpfile("table.sweepck");
+    std::fs::remove_file(&ck).ok();
+    let (json_s, ck_s) = (json.to_str().expect("utf8"), ck.to_str().expect("utf8"));
+    let classic = run(&["--golden", "--out", json_s]);
+    assert!(classic.status.success(), "classic table run");
+    let coordinated = run(&["--golden", "--checkpoint", ck_s, "--out", json_s]);
+    assert!(coordinated.status.success(), "coordinated table run");
+    let stdout = String::from_utf8_lossy(&classic.stdout);
+    assert!(
+        stdout.contains("of another grid: multidim, dynamic_rates, adversary_search)"),
+        "the note names every other registered grid: {stdout}"
+    );
+    assert_eq!(stdout, String::from_utf8_lossy(&coordinated.stdout));
+    std::fs::remove_file(&json).ok();
+    std::fs::remove_file(&ck).ok();
 }
 
 #[test]

@@ -105,7 +105,9 @@ pub struct RunConfig {
     /// Stop dispatching after this many completions *this session*
     /// (a deterministic stand-in for an external kill in tests).
     pub stop_after: Option<u64>,
-    /// External cancellation (signal handlers, metrics servers, …).
+    /// Stops dispatch: raised by the run itself on a checkpoint append
+    /// failure or at `stop_after`, or by the caller before or during
+    /// the run. Finished cells stay in the checkpoint.
     pub cancel: CancelToken,
     /// Structured tracing: forwarded to the dispatch [`Sweep`] (cell
     /// spans, pool profile) plus a profile-class `coordinate` span with

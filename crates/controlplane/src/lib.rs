@@ -17,9 +17,9 @@
 //! * [`protocol`] — the line-delimited JSON the worker pipe speaks,
 //!   with rates crossing as raw `f64::to_bits` so no decimal formatting
 //!   ever touches the data path.
-//! * [`metrics`] — lock-free run counters, a deterministic JSON
-//!   snapshot, and an optional live plaintext endpoint. No clocks in
-//!   this crate: elapsed time is measured by the caller.
+//! * [`metrics`] — lock-free run counters and a deterministic JSON
+//!   snapshot. No clocks in this crate: elapsed time is measured by
+//!   the caller.
 //!
 //! ## Why determinism makes this easy
 //!
@@ -74,5 +74,5 @@ pub use checkpoint::{
     CellRecord, CellStatus, CheckpointHeader, CheckpointWriter, LoadedCheckpoint,
 };
 pub use coordinator::{run, CellExecutor, RunConfig, RunOutcome, SweepPlan};
-pub use metrics::{render_plaintext, serve_plaintext, Metrics, MetricsServer, MetricsSnapshot};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use worker::{ProcessPool, WorkerSpawn};

@@ -32,7 +32,7 @@
 //! ## Quickstart
 //!
 //! Every experiment is *"an algorithm, driven by a pattern source or
-//! adversary, possibly with faults, measured by a trace"* — the
+//! adversary, measured by a trace"* — the
 //! [`Scenario`](dynamics::Scenario) builder expresses exactly that:
 //!
 //! ```

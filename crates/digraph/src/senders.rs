@@ -234,7 +234,7 @@ impl ExactSizeIterator for SenderIter<'_> {}
 
 /// An **owned** agent set over arbitrarily many agents: the word-array
 /// generalisation of the `u64` [`AgentSet`], used wherever a set must
-/// outlive a borrow (Byzantine sets at large `n`, hand-built inboxes).
+/// outlive a borrow (hand-built inboxes at any `n`).
 ///
 /// Borrow it as a [`SenderSet::Words`] via [`WordSet::as_sender_set`]
 /// (or `From<&WordSet>`).

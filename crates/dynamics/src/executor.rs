@@ -1,9 +1,8 @@
 //! The [`Execution`] engine: states, rounds, forking.
 
 use consensus_algorithms::{diameter, Algorithm, Inbox, Point};
-use consensus_digraph::{AgentSet, RoundTopology, SenderSet};
+use consensus_digraph::{AgentSet, RoundTopology};
 
-use crate::byzantine::ByzantineStrategy;
 use crate::pattern::PatternSource;
 
 /// Default agents-per-chunk of [`Execution::threads`]: large enough to
@@ -65,7 +64,7 @@ impl StepPolicy for Chunked {
 /// current outputs. Rounds run over any [`RoundTopology`]: the dense
 /// [`Digraph`](consensus_digraph::Digraph) (`n ≤ 64`) or the sparse
 /// [`CsrDigraph`](consensus_digraph::CsrDigraph) (any `n`). High-level
-/// runs (patterns, adversaries, faults, decision measurement) go
+/// runs (patterns, adversaries, decision measurement) go
 /// through [`crate::Scenario`].
 ///
 /// The [`StepPolicy`] parameter `P` schedules each round's transitions:
@@ -83,9 +82,6 @@ pub struct Execution<A: Algorithm<D>, const D: usize, P = Serial> {
     outs: Vec<Point<D>>,
     /// Reused per-round message slate (`msgs[j]` = agent `j`'s broadcast).
     msgs: Vec<A::Msg>,
-    /// Reused forged-slate scratch for [`Execution::step_with_faults`]
-    /// (empty unless faults are injected).
-    fault_msgs: Vec<A::Msg>,
     round: u64,
     policy: P,
 }
@@ -111,7 +107,6 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
             states,
             outs,
             msgs: Vec::with_capacity(inits.len()),
-            fault_msgs: Vec::new(),
             round: 0,
             policy: Serial,
         }
@@ -127,7 +122,6 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
             states: self.states,
             outs: self.outs,
             msgs: self.msgs,
-            fault_msgs: self.fault_msgs,
             round: self.round,
             policy: Chunked {
                 threads: threads.max(1),
@@ -385,57 +379,6 @@ pub struct LimitEstimate<const D: usize> {
     /// Rounds actually executed by the probe (`≤ max_rounds`; fewer on
     /// early convergence).
     pub rounds: u64,
-}
-
-impl<A: Algorithm<1, Msg = Point<1>>, P> Execution<A, 1, P> {
-    /// Executes one round with the agents in `byzantine` (a `u64` mask
-    /// for `n ≤ 64`, a [`WordSet`](consensus_digraph::WordSet) for any
-    /// `n`) replaced by `strategy`: honest agents receive the slate with
-    /// the liars' slots overwritten by forged values (per receiver —
-    /// two-faced faults), Byzantine agents' states are frozen. Only
-    /// scalar-message algorithms can be attacked this way.
-    ///
-    /// The round runs serially under every [`StepPolicy`]: the strategy
-    /// is stateful (`&mut`), and it is called for receivers in
-    /// ascending order and, per receiver, for its liars in ascending
-    /// order, so its forgeries stay deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.n() != self.n()` or every agent is Byzantine.
-    pub fn step_with_faults<'b, G: RoundTopology>(
-        &mut self,
-        g: &G,
-        byzantine: impl Into<SenderSet<'b>>,
-        strategy: &mut dyn ByzantineStrategy,
-    ) {
-        assert_eq!(g.n(), self.n(), "graph size must match agent count");
-        let byzantine = byzantine.into();
-        let n = self.n();
-        assert!(
-            (0..n).any(|i| !byzantine.contains(i)),
-            "at least one honest agent required"
-        );
-        self.round += 1;
-        gather(&self.alg, &self.states, &mut self.msgs);
-        // Reused scratch slate: forge only the liars' slots per receiver
-        // (two-faced strategies send different lies to each agent) and
-        // restore them afterwards — no allocation.
-        self.fault_msgs.clear();
-        self.fault_msgs.extend(self.msgs.iter().copied());
-        for i in (0..n).filter(|&i| !byzantine.contains(i)) {
-            let senders = g.sender_set(i);
-            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
-                self.fault_msgs[j] = Point([strategy.forge(self.round, j, i)]);
-            }
-            let inbox = Inbox::from_senders(senders, &self.fault_msgs);
-            self.alg.step(i, &mut self.states[i], inbox, self.round);
-            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
-                self.fault_msgs[j] = self.msgs[j];
-            }
-        }
-        self.refresh_outputs();
-    }
 }
 
 impl<A: Algorithm<D> + std::fmt::Debug, const D: usize, P> std::fmt::Debug for Execution<A, D, P> {

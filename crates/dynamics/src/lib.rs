@@ -10,8 +10,8 @@
 //! function.
 //!
 //! * [`Scenario`] — **the** entry point: a builder over *algorithm ×
-//!   driver × faults × stop condition* that runs any experiment shape
-//!   of the paper and returns a [`Trace`];
+//!   driver × stop condition* that runs any experiment shape of the
+//!   paper and returns a [`Trace`];
 //! * [`Execution`] — the low-level stepper: per-agent states,
 //!   zero-allocation single-round stepping over a shared message slate
 //!   on any [`RoundTopology`](consensus_digraph::RoundTopology) (the
@@ -31,10 +31,7 @@
 //!   decision rounds are measured in hull diameter;
 //! * [`Trace`] — the recorded run: per-round outputs, diameters
 //!   `Δ(y(t))`, and contraction-rate estimators matching the paper's
-//!   `sup_E limsup_t (δ(C_t))^{1/t}` definition (§3);
-//! * [`byzantine`] — value-fault strategies (two-faced senders) for the
-//!   cautious-rule experiments tied to the Byzantine lineage \[14\],
-//!   injected via [`Scenario::faults`].
+//!   `sup_E limsup_t (δ(C_t))^{1/t}` definition (§3).
 //!
 //! # Example
 //!
@@ -54,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod byzantine;
 mod executor;
 pub mod metric;
 pub mod pattern;
@@ -64,6 +60,6 @@ mod trace;
 
 pub use executor::{Chunked, Execution, LimitEstimate, Lookahead, Serial, StepPolicy};
 pub use metric::{BoxDiameter, HullDiameter, Metric};
-pub use scenario::{FaultyScenario, Scenario};
+pub use scenario::Scenario;
 pub use sharded::ShardedExecution;
 pub use trace::{estimate_rates, RateEstimate, Trace};

@@ -2,7 +2,7 @@
 //! shape of the paper.
 //!
 //! Every lower-bound experiment is *"an algorithm, driven by a pattern
-//! source or adversary, possibly with faults, measured by a trace"*.
+//! source or adversary, measured by a trace"*.
 //! [`Scenario`] expresses exactly that shape:
 //!
 //! ```text
@@ -12,7 +12,6 @@
 //!     .adversary(d)    // any Driver (e.g. the valency adversaries)
 //!     .metric(m)       // optional: how spread is measured (default: hull diameter)
 //!     .decide(eps)     // optional: stop at the first spread ≤ ε
-//!     .faults(b, s)    // optional: Byzantine senders (scalar messages)
 //!     .run(rounds)     // -> Trace
 //! ```
 //!
@@ -26,9 +25,8 @@
 //! diameter rather than any scalar projection.
 
 use consensus_algorithms::{Algorithm, Point};
-use consensus_digraph::{agents_in, AgentSet, Digraph};
+use consensus_digraph::Digraph;
 
-use crate::byzantine::ByzantineStrategy;
 use crate::metric::{HullDiameter, Metric};
 use crate::pattern::PatternSource;
 use crate::{Execution, Trace};
@@ -280,61 +278,34 @@ impl<A: Algorithm<D>, Dr, const D: usize, M> Scenario<A, Dr, D, M> {
     }
 }
 
-/// The one driver loop behind every run variant: choose a block, apply
-/// it round by round, record, observe — with the stop threshold checked
-/// at block boundaries. [`Scenario`] and [`FaultyScenario`] differ only
-/// in the `spread`/`step`/`record` closures they plug in.
-#[allow(clippy::too_many_arguments)]
-fn drive_loop<A: Algorithm<D>, Dr: Driver<A, D>, const D: usize>(
-    exec: &mut Execution<A, D>,
-    driver: &mut Dr,
-    blocks: &mut Vec<Digraph>,
-    stop_below: Option<f64>,
-    max_rounds: usize,
-    spread: &mut dyn FnMut(&Execution<A, D>) -> f64,
-    step: &mut dyn FnMut(&mut Execution<A, D>, &Digraph),
-    record: &mut dyn FnMut(&Execution<A, D>, Digraph),
-) -> usize {
-    let mut done = 0;
-    while done < max_rounds {
-        if let Some(stop) = stop_below {
-            if spread(exec) <= stop {
-                break;
-            }
-        }
-        blocks.clear();
-        driver.next_block(exec, blocks);
-        assert!(
-            !blocks.is_empty(),
-            "driver must supply at least one graph per block"
-        );
-        for g in blocks.drain(..) {
-            step(exec, &g);
-            done += 1;
-            record(exec, g);
-        }
-        driver.observe(exec);
-    }
-    done
-}
-
 impl<A: Algorithm<D>, Dr: Driver<A, D>, const D: usize, M: Metric<D>> Scenario<A, Dr, D, M> {
+    /// The one driver loop behind every run variant: choose a block,
+    /// apply it round by round, record, observe — with the stop
+    /// threshold checked at block boundaries.
     fn drive(&mut self, max_rounds: usize, mut trace: Option<&mut Trace<D>>) -> usize {
-        let metric = &self.metric;
-        drive_loop(
-            &mut self.exec,
-            &mut self.driver,
-            &mut self.blocks,
-            self.stop_below,
-            max_rounds,
-            &mut |e| metric.measure(e.outputs_slice()),
-            &mut |e, g| e.step(g),
-            &mut |e, g| {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(g, e.outputs());
+        let mut done = 0;
+        while done < max_rounds {
+            if let Some(stop) = self.stop_below {
+                if self.metric.measure(self.exec.outputs_slice()) <= stop {
+                    break;
                 }
-            },
-        )
+            }
+            self.blocks.clear();
+            self.driver.next_block(&self.exec, &mut self.blocks);
+            assert!(
+                !self.blocks.is_empty(),
+                "driver must supply at least one graph per block"
+            );
+            for g in self.blocks.drain(..) {
+                self.exec.step(&g);
+                done += 1;
+                if let Some(t) = trace.as_deref_mut() {
+                    t.record(g, self.exec.outputs());
+                }
+            }
+            self.driver.observe(&self.exec);
+        }
+        done
     }
 
     /// Runs up to `max_rounds` rounds (whole blocks; a final partial
@@ -379,160 +350,11 @@ impl<A: Algorithm<D>, Dr: Driver<A, D>, const D: usize, M: Metric<D>> Scenario<A
     }
 }
 
-impl<A: Algorithm<1, Msg = Point<1>>, Dr> Scenario<A, Dr, 1> {
-    /// Replaces the outgoing messages of the agents in `byzantine` with
-    /// forgeries from `strategy` (two-faced faults included). Only
-    /// scalar-message algorithms can be attacked this way; the
-    /// resulting [`FaultyScenario`] traces **honest** outputs only and
-    /// measures the honest scalar spread — which for `D = 1` *is* the
-    /// default [`HullDiameter`] metric. `faults` is therefore only
-    /// available on default-metric scenarios: a custom [`Metric`] has
-    /// no honest-restricted counterpart here, and silently reverting to
-    /// the scalar spread would be worse than rejecting the combination
-    /// at compile time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every agent is Byzantine.
-    #[must_use]
-    pub fn faults<S: ByzantineStrategy>(
-        self,
-        byzantine: AgentSet,
-        strategy: S,
-    ) -> FaultyScenario<A, Dr, S> {
-        let n = self.exec.n();
-        let all: AgentSet = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        assert!(all & !byzantine != 0, "at least one honest agent required");
-        FaultyScenario {
-            exec: self.exec,
-            driver: self.driver,
-            byzantine,
-            strategy,
-            stop_below: self.stop_below,
-            blocks: self.blocks,
-        }
-    }
-}
-
-/// A [`Scenario`] with Byzantine value faults: the configured agents'
-/// messages are forged per receiver, and the recorded trace contains
-/// the **honest** agents' outputs only (matching the correct-agents
-/// conditions of fault-tolerant agreement).
-#[derive(Debug)]
-pub struct FaultyScenario<A: Algorithm<1, Msg = Point<1>>, Dr, S> {
-    exec: Execution<A, 1>,
-    driver: Dr,
-    byzantine: AgentSet,
-    strategy: S,
-    stop_below: Option<f64>,
-    blocks: Vec<Digraph>,
-}
-
-impl<A, Dr, S> FaultyScenario<A, Dr, S>
-where
-    A: Algorithm<1, Msg = Point<1>>,
-    Dr: Driver<A, 1>,
-    S: ByzantineStrategy,
-{
-    fn honest_outputs(exec: &Execution<A, 1>, byzantine: AgentSet) -> Vec<Point<1>> {
-        exec.outputs_slice()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| byzantine & (1u64 << i) == 0)
-            .map(|(_, &p)| p)
-            .collect()
-    }
-
-    /// The honest agents' value spread, computed without allocating
-    /// (`Δ` over scalars is `max − min`).
-    fn honest_spread(exec: &Execution<A, 1>, byzantine: AgentSet) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for (i, p) in exec.outputs_slice().iter().enumerate() {
-            if byzantine & (1u64 << i) == 0 {
-                lo = lo.min(p[0]);
-                hi = hi.max(p[0]);
-            }
-        }
-        (hi - lo).max(0.0)
-    }
-
-    fn drive(&mut self, max_rounds: usize, mut trace: Option<&mut Trace<1>>) -> usize {
-        let byz = self.byzantine;
-        let strategy = &mut self.strategy;
-        drive_loop(
-            &mut self.exec,
-            &mut self.driver,
-            &mut self.blocks,
-            self.stop_below,
-            max_rounds,
-            &mut |e| Self::honest_spread(e, byz),
-            &mut |e, g| e.step_with_faults(g, byz, &mut *strategy),
-            &mut |e, g| {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(g, Self::honest_outputs(e, byz));
-                }
-            },
-        )
-    }
-
-    /// Runs up to `max_rounds` further rounds under the driver with
-    /// fault injection, recording the honest agents' trace. Like
-    /// [`Scenario::run`], the scenario can be continued afterwards —
-    /// a later `run`/[`FaultyScenario::advance`] picks up from the
-    /// current configuration instead of recounting executed rounds.
-    pub fn run(&mut self, max_rounds: usize) -> Trace<1> {
-        let mut trace = Trace::new(Self::honest_outputs(&self.exec, self.byzantine));
-        self.drive(max_rounds, Some(&mut trace));
-        trace
-    }
-
-    /// Like [`FaultyScenario::run`] but records nothing; returns the
-    /// number of rounds executed (mirrors [`Scenario::advance`]).
-    pub fn advance(&mut self, max_rounds: usize) -> usize {
-        self.drive(max_rounds, None)
-    }
-
-    /// The first round at which the **honest** spread is ≤ the
-    /// configured `decide` threshold, or `None` if the `max_rounds`
-    /// horizon is exhausted first. As with [`Scenario::decision_round`],
-    /// `max_rounds` is a total horizon counted from round 0 — rounds
-    /// already executed are not recounted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no `decide`/`until_converged` threshold was configured
-    /// before [`Scenario::faults`].
-    pub fn decision_round(&mut self, max_rounds: usize) -> Option<u64> {
-        let eps = self
-            .stop_below
-            .expect("decision_round requires .decide(eps)");
-        let executed = usize::try_from(self.exec.round()).unwrap_or(usize::MAX);
-        self.advance(max_rounds.saturating_sub(executed));
-        (Self::honest_spread(&self.exec, self.byzantine) <= eps).then(|| self.exec.round())
-    }
-
-    /// The underlying execution (all agents, liars included).
-    #[must_use]
-    pub fn execution(&self) -> &Execution<A, 1> {
-        &self.exec
-    }
-
-    /// The honest agents, ascending (their outputs' order in the
-    /// trace).
-    pub fn honest_agents(&self) -> impl Iterator<Item = usize> + '_ {
-        let n = self.exec.n();
-        let all: AgentSet = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        agents_in(all & !self.byzantine)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::byzantine::SplitAttack;
     use crate::pattern::ConstantPattern;
-    use consensus_algorithms::{MeanValue, Midpoint, TrimmedMean};
+    use consensus_algorithms::{MeanValue, Midpoint};
     use consensus_digraph::families;
 
     fn pts(vals: &[f64]) -> Vec<Point<1>> {
@@ -616,20 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_scenario_traces_honest_agents_only() {
-        let n = 7;
-        let byz: AgentSet = 0b1100000;
-        let inits: Vec<Point<1>> = (0..n).map(|i| Point([i as f64 / (n - 1) as f64])).collect();
-        let mut sc = Scenario::new(TrimmedMean::new(2), &inits)
-            .pattern(ConstantPattern::new(Digraph::complete(n)))
-            .faults(byz, SplitAttack { magnitude: 1e6 });
-        let trace = sc.run(40);
-        assert_eq!(trace.outputs_at(0).len(), 5, "5 honest agents");
-        assert!(trace.final_diameter() < 1e-6, "honest agents agree");
-        assert!(trace.validity_holds(1e-9), "honest hull respected");
-    }
-
-    #[test]
     fn decision_round_does_not_recount_after_advance() {
         // Midpoint under deaf(K_3) halves per round: Δ/ε = 8 decides at
         // round 3. Splitting the drive as advance(2) + decision_round(64)
@@ -654,49 +462,6 @@ mod tests {
         exhausted.advance(2);
         assert_eq!(exhausted.decision_round(2), None);
         assert_eq!(exhausted.execution().round(), 2, "no extra rounds ran");
-    }
-
-    #[test]
-    fn faulty_scenario_advance_then_run_is_resumable() {
-        let n = 7;
-        let byz: AgentSet = 0b1100000;
-        let inits: Vec<Point<1>> = (0..n).map(|i| Point([i as f64 / (n - 1) as f64])).collect();
-        let build = || {
-            Scenario::new(TrimmedMean::new(2), &inits)
-                .pattern(ConstantPattern::new(Digraph::complete(n)))
-                .faults(byz, SplitAttack { magnitude: 1e6 })
-        };
-        let mut oneshot = build();
-        let full = oneshot.run(10);
-
-        let mut split = build();
-        assert_eq!(split.advance(4), 4);
-        let tail = split.run(6);
-        assert_eq!(tail.rounds(), 6, "run continues, not restarts");
-        assert_eq!(
-            tail.outputs_at(0),
-            full.outputs_at(4),
-            "resumed trace starts at the advanced configuration"
-        );
-        assert_eq!(tail.outputs_at(6), full.outputs_at(10));
-    }
-
-    #[test]
-    fn faulty_decision_round_not_recounted() {
-        let n = 5;
-        let byz: AgentSet = 0b10000;
-        let inits: Vec<Point<1>> = (0..n).map(|i| Point([i as f64 / (n - 1) as f64])).collect();
-        let build = || {
-            Scenario::new(TrimmedMean::new(1), &inits)
-                .pattern(ConstantPattern::new(Digraph::complete(n)))
-                .decide(1e-3)
-                .faults(byz, SplitAttack { magnitude: 10.0 })
-        };
-        let mut oneshot = build();
-        let t = oneshot.decision_round(64).expect("trimmed mean converges");
-        let mut split = build();
-        split.advance(1);
-        assert_eq!(split.decision_round(64), Some(t));
     }
 
     #[test]
@@ -759,18 +524,24 @@ mod tests {
         assert_eq!(sc.decision_round(16), Some(1), "clique agrees in 1 round");
     }
 
+    /// An empty block advances no round, so without the assert the drive
+    /// loop would spin forever.
+    #[test]
+    #[should_panic(expected = "driver must supply at least one graph per block")]
+    fn empty_block_driver_is_rejected() {
+        struct EmptyBlocks;
+        impl<A: Algorithm<1>> Driver<A, 1> for EmptyBlocks {
+            fn next_block(&mut self, _exec: &Execution<A, 1>, _out: &mut Vec<Digraph>) {}
+        }
+        let _ = Scenario::new(Midpoint, &pts(&[0.0, 1.0]))
+            .adversary(EmptyBlocks)
+            .run(1);
+    }
+
     #[test]
     #[should_panic(expected = "1..=64")]
     fn sixty_five_agent_scenario_rejected() {
         let inits: Vec<Point<1>> = (0..65).map(|i| Point([i as f64])).collect();
         let _ = Scenario::new(Midpoint, &inits);
-    }
-
-    #[test]
-    #[should_panic(expected = "honest")]
-    fn all_byzantine_rejected() {
-        let _ = Scenario::new(Midpoint, &pts(&[0.0, 1.0]))
-            .pattern(ConstantPattern::new(Digraph::complete(2)))
-            .faults(0b11, SplitAttack { magnitude: 1.0 });
     }
 }

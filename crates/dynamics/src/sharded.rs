@@ -28,9 +28,8 @@ impl ShardedExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::byzantine::SplitAttack;
-    use consensus_algorithms::{MeanValue, Midpoint, SelfWeightedAverage};
-    use consensus_digraph::{CsrDigraph, Digraph, WordSet};
+    use consensus_algorithms::{MeanValue, Midpoint};
+    use consensus_digraph::{CsrDigraph, Digraph};
 
     fn inits(n: usize) -> Vec<f64> {
         // Deterministic, non-uniform, sign-mixed values.
@@ -105,28 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_step_matches_dense_execution() {
-        // The same liars as a `u64` mask on the dense graph and as a
-        // word set on the CSR graph: one fault body, same bits.
-        let vals = inits(9);
-        let g = Digraph::complete(9);
-        let csr = CsrDigraph::from_dense(&g);
-        let byz_mask: u64 = 0b100000010; // agents 1 and 8
-        let byz: WordSet = [1, 8].into_iter().collect();
-
-        let alg = SelfWeightedAverage::new(0.5);
-        let mut dense = ShardedExecution::new(alg, &vals);
-        let mut shard = ShardedExecution::new(alg, &vals).threads(3);
-        let mut s1 = SplitAttack { magnitude: 2.0 };
-        let mut s2 = s1;
-        for _ in 0..6 {
-            dense.step_with_faults(&g, byz_mask, &mut s1);
-            shard.step_with_faults(&csr, &byz, &mut s2);
-        }
-        assert_eq!(bits(&dense), bits(&shard));
-    }
-
-    #[test]
     fn observed_step_is_bit_identical_to_step() {
         use consensus_obs::{lane, RoundTelemetry, TraceHandle};
         let vals = inits(301);
@@ -185,14 +162,5 @@ mod tests {
     fn size_mismatch_panics() {
         let mut e = ShardedExecution::new(Midpoint, &[0.0, 1.0]).threads(2);
         e.step(&CsrDigraph::ring_lattice(3, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "honest agent")]
-    fn all_byzantine_rejected() {
-        let mut e = ShardedExecution::new(Midpoint, &[0.0, 1.0]);
-        let byz = WordSet::full(2);
-        let mut s = |_: u64, _: usize, _: usize| 0.0;
-        e.step_with_faults(&CsrDigraph::complete(2), &byz, &mut s);
     }
 }

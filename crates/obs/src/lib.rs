@@ -36,8 +36,8 @@
 //! * the in-memory query API on [`EventStream`]
 //!   ([`EventStream::events_for_span`], [`EventStream::gauge_values`],
 //!   [`summarize`] percentiles);
-//! * [`render_summary`] — plaintext counters in the style of (and
-//!   appended to) the control-plane metrics endpoint.
+//! * [`render_summary`] — plaintext span and counter totals in the
+//!   Prometheus text style.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

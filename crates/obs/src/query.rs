@@ -1,6 +1,5 @@
 //! In-memory aggregation over event streams: histogram percentiles and
-//! the plaintext summary that extends the control-plane metrics
-//! endpoint.
+//! a plaintext summary of span and counter totals.
 //!
 //! All ordering goes through [`f64::total_cmp`] and all grouping
 //! through `BTreeMap`, so every summary is a deterministic function of
@@ -65,9 +64,9 @@ pub fn summarize(values: &[f64]) -> Option<HistogramSummary> {
     })
 }
 
-/// Renders a stream as plaintext lines in the Prometheus text style of
-/// `controlplane::metrics::render_plaintext` — the extension the live
-/// metrics endpoint appends when a trace is attached.
+/// Renders a stream as plaintext lines in the Prometheus text style:
+/// the event and dropped-event totals, then completed spans and counter
+/// totals per name — a run's metrics read from its own trace.
 ///
 /// Span counts are completed-pair counts; names iterate in `BTreeMap`
 /// order, so the rendering is deterministic.
