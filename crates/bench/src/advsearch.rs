@@ -22,6 +22,8 @@
 //! golden row says *which* continuations produced its `δ̂` — including
 //! the `constants(deaf-fallback)` degradation that used to be silent.
 
+use std::ops::ControlFlow;
+
 use consensus_obs::TraceHandle;
 use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::fingerprint;
@@ -272,9 +274,9 @@ impl AdvCell {
     }
 }
 
-/// Drives a [`Scenario`] round by round, collecting per-round value
-/// contraction ratios, and packs the outcome. The reported `rate` is
-/// the **mean per-round ratio**, which keeps exact halving exactly
+/// Drives a fresh [`Scenario`] for `rounds` rounds, collecting per-round
+/// value contraction ratios, and packs the outcome. The reported `rate`
+/// is the **mean per-round ratio**, which keeps exact halving exactly
 /// `0.5` (no `powf` round-off) — the form the golden invariants pin.
 fn outcome_of<A, Dr, const D: usize>(mut sc: Scenario<A, Dr, D>, rounds: usize) -> CellOutcome
 where
@@ -284,14 +286,14 @@ where
     const FLOOR: f64 = 1e-300;
     let mut ratios = Vec::new();
     let mut prev = sc.execution().value_diameter();
-    while sc.execution().round() < rounds as u64 {
-        sc.advance(1);
-        let d = sc.execution().value_diameter();
+    sc.drive(rounds, |_, exec| {
+        let d = exec.value_diameter();
         if prev > FLOOR && d > FLOOR {
             ratios.push(d / prev);
         }
         prev = d;
-    }
+        ControlFlow::Continue(())
+    });
     let exec = sc.execution();
     CellOutcome {
         rate: Stats::from_values(&ratios).map_or(0.0, |s| s.mean),

@@ -32,16 +32,17 @@
 //! the README's Observability section):
 //!
 //! ```text
-//!   --trace-out PATH      write the merged trace as JSONL to PATH
-//!   --trace-level LEVEL   span (default) | round; `round` adds a
-//!                         sequential per-cell round replay with
-//!                         per-round diameter/contraction gauges
-//!                         (ensemble grid on the classic path only; any
-//!                         other use is a usage error)
+//!   --trace-out PATH      write the merged trace as JSONL to PATH: the
+//!                         events of the cells this run executed in this
+//!                         process (an ensemble cell records a `round`
+//!                         span with diameter/contraction gauges per
+//!                         round; resumed cells record nothing), so
+//!                         --workers is a usage error with it
 //!   --trace-timing        use a real wall clock and keep profile
 //!                         events (timestamped JSONL; NOT byte-stable —
 //!                         without this flag the trace is the content
-//!                         stream, identical at any --threads value)
+//!                         stream, identical at any --threads value and
+//!                         on both paths)
 //! ```
 //!
 //! Control-plane flags (any of them routes the run through the
@@ -58,10 +59,15 @@
 //!   --stop-after N        stop dispatching after N cells (testing aid)
 //!   --cell-delay-ms MS    stretch every cell by MS ms (CI kill pacing)
 //!   --worker-fail-cells L inject worker failures for cells `a,b,c`
+//!                         (needs --workers)
 //! ```
 //!
-//! A missing or malformed flag value is a usage error: one stderr line
-//! naming the flag, exit code 2.
+//! A missing or malformed flag value, or a flag that needs another one
+//! (`--resume` needs `--checkpoint`, `--worker-fail-cells` needs
+//! `--workers`), is a usage error: one stderr line naming the flags,
+//! exit code 2. An output file (`--out`, `--metrics-out`, `--trace-out`)
+//! that cannot be written is one stderr line naming the flag, the path
+//! and the OS error, exit code 1.
 //!
 //! The CI gate commands are the `sweep-regression` matrix of
 //! `.github/workflows/ci.yml`: each golden file under `ci/` is diffed
@@ -80,9 +86,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use consensus_bench::cli::{flag_value, usage};
-use consensus_bench::experiments::{EnsembleSpec, SpecError};
-use consensus_bench::obswire::{self, TraceLevel};
-use consensus_bench::orchestrate::{AnySpec, Grid, DEFAULT_GRID};
+use consensus_bench::experiments::SpecError;
+use consensus_bench::obswire;
+use consensus_bench::orchestrate::{AnySpec, DEFAULT_GRID};
 use consensus_bench::wallclock::WallClock;
 use tight_bounds_consensus::controlplane::{self, Metrics, ProcessPool, RunConfig, WorkerSpawn};
 use tight_bounds_consensus::obs::{Clock, NullClock, TraceHandle, DEFAULT_RECORDER_CAP};
@@ -115,23 +121,12 @@ struct ControlFlags {
     fail_cells: Vec<u64>,
 }
 
-/// The tracing side of the CLI: where to write the JSONL capture, at
-/// what granularity, and whether to keep wall-clock timing.
-#[derive(Debug)]
+/// The tracing side of the CLI: where to write the JSONL capture, and
+/// whether to keep wall-clock timing.
+#[derive(Debug, Default)]
 struct TraceFlags {
     out: Option<String>,
-    level: TraceLevel,
     timing: bool,
-}
-
-impl Default for TraceFlags {
-    fn default() -> Self {
-        Self {
-            out: None,
-            level: TraceLevel::Span,
-            timing: false,
-        }
-    }
 }
 
 impl TraceFlags {
@@ -153,21 +148,30 @@ impl TraceFlags {
     /// `--trace-timing`); a no-op when tracing is off.
     fn write(&self, trace: &TraceHandle) {
         let Some(path) = &self.out else { return };
-        obswire::write_trace(path, trace, self.timing).expect("failed to write --trace-out");
+        obswire::write_trace(path, trace, self.timing)
+            .unwrap_or_else(|e| write_failed("--trace-out", path, &e));
         eprintln!("trace: JSONL written to {path}");
     }
 }
 
 impl ControlFlags {
+    /// `--resume` and `--worker-fail-cells` count through the flag each
+    /// one needs (`--checkpoint`, `--workers`).
     fn engaged(&self) -> bool {
         self.checkpoint.is_some()
-            || self.resume
             || self.workers.is_some()
             || self.metrics_out.is_some()
             || self.stop_after.is_some()
             || self.cell_delay_ms > 0
-            || !self.fail_cells.is_empty()
     }
+}
+
+/// Reports a failed write of `path`, the value of `flag`, on one stderr
+/// line with the OS error and exits with code 1, as a checkpoint I/O
+/// error does.
+fn write_failed(flag: &str, path: &str, err: &std::io::Error) -> ! {
+    eprintln!("sweep: cannot write {flag} {path}: {err}");
+    std::process::exit(1);
 }
 
 /// Locates the `sweep-worker` binary: the `SWEEP_WORKER` env override,
@@ -243,7 +247,7 @@ fn run_coordinated(
         );
         controlplane::run(&plan, &cfg, &pool, &metrics)
     } else {
-        let exec = spec.executor(delay);
+        let exec = spec.traced_executor(delay, trace.clone());
         controlplane::run(&plan, &cfg, &exec, &metrics)
     };
     let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
@@ -251,7 +255,7 @@ fn run_coordinated(
     if let Some(path) = &cf.metrics_out {
         let snap = metrics.snapshot(n_workers as u64);
         std::fs::write(path, snap.to_json(Some(elapsed_ms)))
-            .expect("failed to write --metrics-out");
+            .unwrap_or_else(|e| write_failed("--metrics-out", path, &e));
     }
 
     let outcome = match result {
@@ -351,14 +355,6 @@ fn main() {
             "--stop-after" => cf.stop_after = Some(flag_value(a, it.next(), "a cell count")),
             "--cell-delay-ms" => cf.cell_delay_ms = flag_value(a, it.next(), "a delay in ms"),
             "--trace-out" => tf.out = Some(flag_value(a, it.next(), "a path")),
-            "--trace-level" => {
-                let v: String = flag_value(a, it.next(), "span|round");
-                tf.level = TraceLevel::parse(&v).unwrap_or_else(|| {
-                    usage(&format!(
-                        "--trace-level: unknown level `{v}` (valid: span|round)"
-                    ))
-                });
-            }
             "--trace-timing" => tf.timing = true,
             "--worker-fail-cells" => {
                 let list: String = flag_value(a, it.next(), "a list of cell indices `a,b,c`");
@@ -376,21 +372,18 @@ fn main() {
     if let Some(s) = seed {
         spec.set_base_seed(s);
     }
-    if tf.out.is_none() && (tf.level != TraceLevel::Span || tf.timing) {
-        usage("--trace-level/--trace-timing need --trace-out PATH");
+    if tf.out.is_none() && tf.timing {
+        usage("--trace-timing needs --trace-out PATH");
     }
-    // The round replay rebuilds ensemble cells, after an in-process run.
-    let rounds = match tf.level {
-        TraceLevel::Span => None,
-        TraceLevel::Round => match spec.get::<EnsembleSpec>() {
-            Some(ensemble) if !cf.engaged() => Some(ensemble),
-            _ => usage(&format!(
-                "--trace-level round is supported only for --grid {} on the classic path \
-                 (no control-plane flags)",
-                EnsembleSpec::NAME
-            )),
-        },
-    };
+    if cf.resume && cf.checkpoint.is_none() {
+        usage("--resume needs --checkpoint PATH (the run to resume)");
+    }
+    if !cf.fail_cells.is_empty() && cf.workers.is_none() {
+        usage("--worker-fail-cells needs --workers N (it fails cells in worker processes)");
+    }
+    if tf.out.is_some() && cf.workers.is_some() {
+        usage("--trace-out and --workers exclude each other: worker cells record no events");
+    }
     // Every grid run leaves a machine-readable report behind
     // (BENCH_<grid>.json) unless the caller picked an explicit --out
     // path or asked for stdout-only JSON (the golden-diff mode, which
@@ -401,7 +394,7 @@ fn main() {
 
     let emit = |json: &str, mut table: String| {
         if let Some(path) = &out_path {
-            std::fs::write(path, json).expect("failed to write JSON output");
+            std::fs::write(path, json).unwrap_or_else(|e| write_failed("--out", path, &e));
         }
         if json_only {
             print!("{json}");
@@ -443,9 +436,6 @@ fn main() {
     let trace = tf.handle();
     let report = spec.run(threads, trace.clone());
     obswire::enrich_report(&trace, &report);
-    if let Some(ensemble) = rounds {
-        obswire::trace_rounds_ensemble(ensemble, &report, &trace);
-    }
     tf.write(&trace);
     emit(&report.to_json(), spec.table(&report));
 }

@@ -10,8 +10,9 @@
 //! The report aggregates the stream per `(lane, name)`: span pair
 //! counts (with wall-time totals when the capture was taken with
 //! `--trace-timing`), counter sums, and gauge min/mean/max — e.g. the
-//! per-round `contraction` gauges of a `--trace-level round` ensemble
-//! capture, or the `pool_worker_stolen` counters of a profiled sweep.
+//! per-round `contraction` gauges the cells of an ensemble capture
+//! record as they run, or the `pool_worker_stolen` counters of a
+//! profiled sweep.
 
 #![forbid(unsafe_code)]
 

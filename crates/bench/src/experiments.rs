@@ -4,7 +4,9 @@
 //! columns; see `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md`
 //! (recorded results) at the repository root.
 
-use consensus_obs::TraceHandle;
+use std::ops::ControlFlow;
+
+use consensus_obs::{lane, TraceHandle};
 use tight_bounds_consensus::algorithms::diameter;
 use tight_bounds_consensus::approx;
 use tight_bounds_consensus::asyncsim::engine::{ConstantDelay, Simulation};
@@ -15,6 +17,7 @@ use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::{fingerprint, EnsembleCell};
 use tight_bounds_consensus::valency::adversary::{AdversaryTrace, GreedyValencyAdversary};
 
+use crate::obswire;
 use crate::orchestrate::{run_grid, Grid};
 use crate::tablefmt::{check, interval, rate, section, Table};
 
@@ -963,17 +966,33 @@ impl Grid for EnsembleSpec {
     /// One ensemble cell: self-weighted averaging (`param` = self-weight)
     /// from the cell's initial distribution under its random dynamic-graph
     /// class, measured to the decision round (Theorems 8–11 semantics) with
-    /// the per-round contraction rate as the ensemble statistic.
-    fn run_cell(&self, cell: &EnsembleCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 1] {
+    /// the per-round contraction rate as the ensemble statistic. With an
+    /// enabled `trace`, every round it runs is recorded on
+    /// `(ctx.index, lane::EXECUTOR)` ([`obswire::record_round`]).
+    fn run_cell(&self, cell: &EnsembleCell, ctx: CellCtx, trace: &TraceHandle) -> [CellOutcome; 1] {
         let inits = cell.inits(&mut ctx.rng());
         let d0 = diameter(&inits);
         let mut sc = Scenario::new(SelfWeightedAverage::new(cell.param), &inits)
             .pattern(cell.pattern(ctx.subseed(1)))
             .decide(self.tol);
-        let decision = sc.decision_round(self.max_rounds);
+        let mut rec = trace.recorder(ctx.index as u64, lane::EXECUTOR);
+        let mut prev = d0;
+        sc.drive(self.max_rounds, |_, exec| {
+            if let Some(rec) = &mut rec {
+                let d = exec.value_diameter();
+                obswire::record_round(rec, exec.round(), prev, d);
+                prev = d;
+            }
+            ControlFlow::Continue(())
+        });
+        if let Some(rec) = rec {
+            trace.commit(rec);
+        }
         let exec = sc.execution();
         let rounds = exec.round();
         let d = exec.value_diameter();
+        // The drive stopped at the first spread ≤ tol or at the horizon.
+        let decision = (d <= self.tol).then_some(rounds);
         [CellOutcome {
             rate: measured_rate(d0, d, rounds),
             decision_round: decision,
@@ -1535,23 +1554,23 @@ impl Grid for DynamicSpec {
         let inits = cell.inits(&mut ctx.rng());
         let mut sc = Scenario::new(Midpoint, &inits).adversary(cell.driver(ctx.subseed(1)));
         let mut ratios = Vec::new();
-        let mut decision = None;
         let mut prev = sc.execution().value_diameter();
-        if prev <= self.tol {
-            decision = Some(0);
-        } else {
-            for _ in 0..self.max_rounds {
-                sc.advance(1);
-                let d = sc.execution().value_diameter();
+        let mut decision = (prev <= self.tol).then_some(0);
+        if decision.is_none() {
+            // The adversaries move one round per block, so a break stops
+            // the drive at the round that decided.
+            sc.drive(self.max_rounds, |_, exec| {
+                let d = exec.value_diameter();
                 if prev > FLOOR && d > FLOOR {
                     ratios.push(d / prev);
                 }
                 prev = d;
                 if d <= self.tol {
-                    decision = Some(sc.execution().round());
-                    break;
+                    decision = Some(exec.round());
+                    return ControlFlow::Break(());
                 }
-            }
+                ControlFlow::Continue(())
+            });
         }
         let exec = sc.execution();
         let rounds = exec.round();

@@ -1,6 +1,6 @@
 //! Wiring between the bench runners and the [`consensus_obs`] tracing
-//! core: trace levels, report enrichment, round-level replay, and the
-//! JSONL writer the `sweep` bin's `--trace-out` flag uses.
+//! core: report enrichment, the per-round event format of the cells,
+//! and the JSONL writer the `sweep` bin's `--trace-out` flag uses.
 //!
 //! Everything here emits **content-class** events on deterministic
 //! lanes, so a trace written with the default (timestamp-free) clock is
@@ -9,37 +9,10 @@
 
 use std::io::Write as _;
 
-use consensus_obs::{lane, to_jsonl_content, to_jsonl_full, TraceHandle};
-use tight_bounds_consensus::algorithms::diameter;
+use consensus_obs::{lane, to_jsonl_content, to_jsonl_full, Recorder, TraceHandle};
 use tight_bounds_consensus::prelude::*;
 
 use crate::experiments::EnsembleSpec;
-
-/// Granularity of a `sweep --trace-out` capture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceLevel {
-    /// Per-cell spans, pool profile, and report enrichment (cheap; the
-    /// default). Works on every grid.
-    Span,
-    /// Everything `Span` captures **plus** a sequential per-cell
-    /// round replay emitting per-round diameter and contraction on
-    /// [`lane::EXECUTOR`]. Only the ensemble grid's in-process path
-    /// replays rounds; the `sweep` bin rejects this level for any other
-    /// grid and for the coordinated path.
-    Round,
-}
-
-impl TraceLevel {
-    /// Parses a CLI value (`span` or `round`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "span" => Some(Self::Span),
-            "round" => Some(Self::Round),
-            _ => None,
-        }
-    }
-}
 
 /// Copies a finished report's per-cell outcomes into the trace on
 /// [`lane::ENRICH`] (shard = report row), so a trace file is
@@ -70,51 +43,26 @@ pub fn enrich_report(trace: &TraceHandle, report: &SweepReport) {
     }
 }
 
-/// Sequentially replays every ensemble cell for exactly the rounds its
-/// report row executed, emitting a `round` span with `diameter` and
-/// `contraction` gauges per round on `(cell, lane::EXECUTOR)`.
-///
-/// The replay reconstructs each cell from its seed (the same
-/// derivation [`crate::orchestrate::run_grid`] uses), so it never
-/// touches the reported outcomes — it is a read-only magnification of
-/// a run that already happened. Sequential by construction, hence
-/// thread-count invariant.
+/// Records one executed round on a cell's `(cell, lane::EXECUTOR)`
+/// recorder: a `round` span around the round's `diameter` gauge `d` and
+/// its `contraction` gauge `d / prev`, where `prev` is the spread before
+/// the round. Contraction reads `1.0` when `prev` is 0. This is the one
+/// format of round events; `ci/golden_trace.jsonl` pins it.
+pub fn record_round(rec: &mut Recorder, round: u64, prev: f64, d: f64) {
+    let contraction = if prev > 0.0 { d / prev } else { 1.0 };
+    rec.span_begin("round", round);
+    rec.gauge("diameter", round, d);
+    rec.gauge("contraction", round, contraction);
+    rec.span_end("round", round);
+}
+
+/// Does nothing. Kept under the name and signature of the former
+/// sequential round replay, which `perfbench/` still calls after a
+/// traced ensemble run: ensemble cells now record their round events
+/// in-line ([`record_round`]) when their trace is enabled, so a replay
+/// on top would record every round twice.
 pub fn trace_rounds_ensemble(spec: &EnsembleSpec, report: &SweepReport, trace: &TraceHandle) {
-    if !trace.is_enabled() {
-        return;
-    }
-    let sweep = Sweep::new(spec.grid.cells()).seed(spec.base_seed);
-    assert_eq!(
-        sweep.len(),
-        report.outcomes.len(),
-        "report rows must match the spec grid"
-    );
-    for (i, cell) in sweep.cells().iter().enumerate() {
-        let ctx = CellCtx {
-            index: i,
-            seed: sweep.seed_of(i),
-        };
-        let Some(mut rec) = trace.recorder(i as u64, lane::EXECUTOR) else {
-            return;
-        };
-        let inits = cell.inits(&mut ctx.rng());
-        let mut sc = Scenario::new(SelfWeightedAverage::new(cell.param), &inits)
-            .pattern(cell.pattern(ctx.subseed(1)))
-            .decide(spec.tol);
-        let mut prev = diameter(&inits);
-        for r in 1..=report.outcomes[i].rounds {
-            if sc.advance(1) == 0 {
-                break;
-            }
-            let d = sc.execution().value_diameter();
-            rec.span_begin("round", r);
-            rec.gauge("diameter", r, d);
-            rec.gauge("contraction", r, if prev > 0.0 { d / prev } else { 1.0 });
-            rec.span_end("round", r);
-            prev = d;
-        }
-        trace.commit(rec);
-    }
+    let _ = (spec, report, trace);
 }
 
 /// Writes the merged trace to `path` as JSONL: the content stream
@@ -138,16 +86,12 @@ pub fn write_trace(path: &str, trace: &TraceHandle, timing: bool) -> std::io::Re
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::experiments::EnsembleSpec;
-    use crate::orchestrate::{run_grid, Grid};
-
-    #[test]
-    fn trace_level_parses_cli_values() {
-        assert_eq!(TraceLevel::parse("span"), Some(TraceLevel::Span));
-        assert_eq!(TraceLevel::parse("round"), Some(TraceLevel::Round));
-        assert_eq!(TraceLevel::parse("ROUND"), None);
-    }
+    use crate::orchestrate::{run_grid, Grid, GridSpec};
+    use tight_bounds_consensus::controlplane::{self, Metrics, RunConfig};
 
     #[test]
     fn enrichment_is_a_pure_function_of_the_report() {
@@ -166,32 +110,44 @@ mod tests {
     }
 
     #[test]
-    fn round_replay_matches_reported_rounds_and_never_alters_the_report() {
+    fn ensemble_cells_record_their_rounds_in_line_on_both_paths() {
         let spec = EnsembleSpec::preset("golden").expect("preset");
         let plain = run_grid(&spec, Some(2), TraceHandle::disabled());
-        let trace = TraceHandle::enabled();
-        let traced = run_grid(&spec, Some(2), trace.clone());
-        assert_eq!(plain.to_json(), traced.to_json());
-        trace_rounds_ensemble(&spec, &traced, &trace);
-        let merged = trace.merged();
-        for (i, o) in traced.outcomes.iter().enumerate() {
-            let span_events = merged
-                .events_for_span("round")
-                .into_iter()
-                .filter(|e| e.shard == i as u64)
-                .count();
-            assert_eq!(
-                span_events as u64,
-                2 * o.rounds,
-                "cell {i} must replay exactly its reported rounds"
-            );
+        let mut streams = Vec::new();
+        for threads in [1, 3] {
+            let trace = TraceHandle::enabled();
+            let report = run_grid(&spec, Some(threads), trace.clone());
+            assert_eq!(plain.to_json(), report.to_json(), "tracing changes no row");
+            let merged = trace.merged();
+            for (i, o) in report.outcomes.iter().enumerate() {
+                let round_events = merged
+                    .events_for_span("round")
+                    .into_iter()
+                    .filter(|e| e.shard == i as u64)
+                    .count();
+                assert_eq!(
+                    round_events as u64,
+                    2 * o.rounds,
+                    "cell {i} records exactly its reported rounds"
+                );
+            }
+            streams.push(to_jsonl_content(&merged));
         }
-        // The replay itself is sequential, so a second replay at any
-        // thread count produces identical bytes.
-        let again = TraceHandle::enabled();
-        trace_rounds_ensemble(&spec, &traced, &again);
-        let lhs = merged.content();
-        let rhs = again.merged().content();
-        assert_eq!(lhs.events_for_span("round"), rhs.events_for_span("round"));
+        // The coordinator's in-process executor hands the cells the run's
+        // trace, so its capture is the classic path's.
+        let trace = TraceHandle::enabled();
+        let cfg = RunConfig {
+            threads: 3,
+            trace: trace.clone(),
+            ..RunConfig::default()
+        };
+        let exec = spec.traced_executor(Duration::ZERO, trace.clone());
+        let out = controlplane::run(&spec.plan("golden"), &cfg, &exec, &Metrics::new())
+            .expect("coordinated run");
+        let report = spec.report_from_rows(out.outcome_rows().expect("complete"));
+        assert_eq!(plain.to_json(), report.to_json());
+        streams.push(to_jsonl_content(&trace.merged()));
+        assert_eq!(streams[0], streams[1], "1 vs 3 threads");
+        assert_eq!(streams[0], streams[2], "classic vs coordinated");
     }
 }

@@ -25,7 +25,6 @@
 //! on every registered grid's golden preset; the CI `sweep-regression`
 //! job checks every golden file on both paths.
 
-use std::any::Any;
 use std::fmt;
 use std::io::{BufRead as _, Write as _};
 use std::ops::{Deref, DerefMut};
@@ -197,12 +196,6 @@ impl AnySpec {
     pub fn registry() -> impl Iterator<Item = (&'static str, &'static str)> {
         REGISTRY.iter().map(|e| (e.name, e.about))
     }
-
-    /// The wrapped grid, if it is a `G`.
-    #[must_use]
-    pub fn get<G: Grid>(&self) -> Option<&G> {
-        self.0.as_any().downcast_ref()
-    }
 }
 
 /// The object-safe face of every [`Grid`], which [`AnySpec`] derefs to.
@@ -221,10 +214,11 @@ pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
     /// The in-process path with a live trace: [`run_grid`] on this grid.
     fn run(&self, threads: Option<usize>, trace: TraceHandle) -> SweepReport;
     /// An in-process [`CellExecutor`] over this grid (cells
-    /// materialized once). `delay` stretches every cell by a sleep —
+    /// materialized once) whose cells record into `trace`, the
+    /// coordinated run's trace. `delay` stretches every cell by a sleep —
     /// the CI crash-resume job uses it to make a mid-grid `SIGKILL`
     /// land reliably; zero means no overhead.
-    fn executor(&self, delay: Duration) -> GridExecutor<'_>;
+    fn traced_executor(&self, delay: Duration, trace: TraceHandle) -> GridExecutor<'_>;
     /// Assembles the grid's [`SweepReport`] from coordinator outcome
     /// rows (flat, `rows_per_cell` per cell, cell order), laid out by the
     /// same function as the in-process run's, so the JSON is
@@ -243,8 +237,11 @@ pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
     fn table(&self, report: &SweepReport) -> String;
     /// A boxed copy of the grid.
     fn clone_box(&self) -> Box<dyn GridSpec>;
-    /// The grid as [`Any`], for [`AnySpec::get`].
-    fn as_any(&self) -> &dyn Any;
+
+    /// [`GridSpec::traced_executor`] with cells that record nothing.
+    fn executor(&self, delay: Duration) -> GridExecutor<'_> {
+        self.traced_executor(delay, TraceHandle::disabled())
+    }
 
     /// The coordinator plan (and checkpoint header identity) of this
     /// spec under the given preset name.
@@ -290,15 +287,12 @@ impl<G: Grid> GridSpec for G {
         run_grid(self, threads, trace)
     }
 
-    fn executor(&self, delay: Duration) -> GridExecutor<'_> {
+    fn traced_executor(&self, delay: Duration, trace: TraceHandle) -> GridExecutor<'_> {
         let cells = self.cells();
-        let untraced = TraceHandle::disabled();
         let rows = move |index| {
             let seed = cell_seed(Grid::base_seed(self), index as u64);
             let ctx = CellCtx { index, seed };
-            self.run_cell(&cells[index], ctx, &untraced)
-                .as_ref()
-                .to_vec()
+            self.run_cell(&cells[index], ctx, &trace).as_ref().to_vec()
         };
         GridExecutor {
             rows: Box::new(rows),
@@ -327,16 +321,13 @@ impl<G: Grid> GridSpec for G {
     fn clone_box(&self) -> Box<dyn GridSpec> {
         Box::new(self.clone())
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// An in-process [`CellExecutor`] over one grid: runs the grid's
 /// [`Grid::run_cell`] with the same `(base_seed, cell)`-derived
 /// [`CellCtx`] as the in-process runner, so its rows are bit-identical
-/// to an uncoordinated sweep's. Cells record no spans of their own here.
+/// to an uncoordinated sweep's, and so are the events its cells record
+/// into the trace of [`GridSpec::traced_executor`].
 pub struct GridExecutor<'s> {
     rows: Box<dyn Fn(usize) -> Vec<CellOutcome> + Send + Sync + 's>,
     delay: Duration,

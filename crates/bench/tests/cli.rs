@@ -109,35 +109,6 @@ fn replay_prints_the_rows_of_the_json_report() {
     }
 }
 
-#[test]
-fn round_trace_level_outside_the_ensemble_classic_path_is_a_usage_error() {
-    let trace = tmpfile("round.jsonl");
-    let ck = tmpfile("round.sweepck");
-    let (trace_s, ck_s) = (trace.to_str().expect("utf8"), ck.to_str().expect("utf8"));
-    for args in [
-        ["--grid", "multidim", "--quick"],
-        ["--golden", "--checkpoint", ck_s],
-    ] {
-        let out = run(&[
-            &args[..],
-            &["--json", "--trace-out", trace_s, "--trace-level", "round"],
-        ]
-        .concat());
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(
-                "--trace-level round is supported only for --grid ensemble on the classic path"
-            ),
-            "{args:?}: {err}"
-        );
-        assert!(
-            out.stdout.is_empty() && !trace.exists() && !ck.exists(),
-            "{args:?}"
-        );
-    }
-}
-
 /// Asserts `out` is a usage error that names `flag`.
 fn assert_usage_error(out: &std::process::Output, args: &[&str], flag: &str) {
     assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -145,6 +116,77 @@ fn assert_usage_error(out: &std::process::Output, args: &[&str], flag: &str) {
     assert!(err.contains(flag), "{args:?}: {err}");
     assert!(!err.contains("panicked"), "{args:?}: {err}");
     assert!(out.stdout.is_empty(), "{args:?}");
+}
+
+#[test]
+fn resume_without_a_checkpoint_is_a_usage_error() {
+    let args = ["--golden", "--json", "--resume"];
+    let out = run(&args);
+    assert_usage_error(&out, &args, "--resume");
+    assert_usage_error(&out, &args, "--checkpoint");
+}
+
+#[test]
+fn worker_fail_cells_without_workers_is_a_usage_error() {
+    let args = ["--golden", "--json", "--worker-fail-cells", "3"];
+    let out = run(&args);
+    assert_usage_error(&out, &args, "--worker-fail-cells");
+    assert_usage_error(&out, &args, "--workers");
+}
+
+#[test]
+fn trace_out_with_workers_is_a_usage_error_and_writes_no_trace() {
+    let trace = tmpfile("workers.jsonl");
+    std::fs::remove_file(&trace).ok();
+    let trace_s = trace.to_str().expect("utf8");
+    let args = [
+        "--golden",
+        "--json",
+        "--workers",
+        "2",
+        "--trace-out",
+        trace_s,
+    ];
+    let out = run(&args);
+    assert_usage_error(&out, &args, "--trace-out");
+    assert_usage_error(&out, &args, "--workers");
+    assert!(!trace.exists(), "no trace written");
+}
+
+#[test]
+fn trace_level_is_an_unknown_flag() {
+    let trace = tmpfile("level.jsonl");
+    let trace_s = trace.to_str().expect("utf8");
+    let args = [
+        "--golden",
+        "--json",
+        "--trace-out",
+        trace_s,
+        "--trace-level",
+        "round",
+    ];
+    let out = run(&args);
+    assert_usage_error(&out, &args, "unknown flag `--trace-level`");
+    assert!(!trace.exists(), "no trace written");
+}
+
+#[test]
+fn unwritable_output_paths_exit_one_naming_the_flag_and_the_path() {
+    let missing = std::env::temp_dir().join(format!("sweep-cli-missing-{}", std::process::id()));
+    let missing = missing.join("out.json");
+    let path = missing.to_str().expect("utf8");
+    for flag in ["--out", "--metrics-out", "--trace-out"] {
+        let args = ["--golden", "--json", flag, path];
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+        assert!(
+            err.contains(&format!("{flag} {path}: ")) && err.contains("os error"),
+            "names the flag, the path and the OS error: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }
 
 #[test]

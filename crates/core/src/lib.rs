@@ -89,7 +89,7 @@ pub mod prelude {
         DynamicCell, DynamicGrid, ExhaustiveRooted, RotatingTreeSchedule, TIntervalAdversary,
     };
     pub use consensus_netmodel::{alpha, beta, NetworkModel};
-    pub use consensus_obs::{Clock, NullClock, RoundTelemetry, TraceHandle};
+    pub use consensus_obs::{Clock, NullClock, TraceHandle};
     pub use consensus_sweep::{
         CellCtx, CellOutcome, EnsembleGrid, InitDist, MultidimCell, MultidimGrid, MultidimInitDist,
         Stats, Sweep, SweepReport, SweepSummary, Topology,

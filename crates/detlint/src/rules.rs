@@ -404,7 +404,7 @@ mod tests {
             "#![forbid(unsafe_code)]\nlet t = Instant::now();"
         )
         .is_empty());
-        assert!(finding_ids("crates/bench/tests/overhead.rs", src).is_empty());
+        assert!(finding_ids("crates/bench/tests/cli.rs", src).is_empty());
         assert!(finding_ids("crates/bench/benches/b.rs", src).is_empty());
         // Outside crates/bench the clock rule is R3, not R7.
         assert_eq!(finding_ids("crates/sweep/src/pool.rs", src), vec!["R3"]);

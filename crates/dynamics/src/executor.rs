@@ -238,38 +238,6 @@ impl<A: Algorithm<D>, const D: usize, P: StepPolicy> Execution<A, D, P> {
         self.refresh_outputs();
     }
 
-    /// [`Execution::step`] with round-level telemetry: wraps the round
-    /// in a `round` span and emits the resulting diameter, the
-    /// contraction ratio Δ(t)/Δ(t−1), and the round's reception count
-    /// (the sum of in-degrees, self-loops included) through `tel`.
-    ///
-    /// The emitted events are a pure function of the execution — the
-    /// observed step is bit-identical to [`Execution::step`] and the
-    /// event content never depends on threads or time (timestamps ride
-    /// the side-channel the injected
-    /// [`Clock`](consensus_obs::Clock) feeds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.n() != self.n()`.
-    pub fn step_observed<G: RoundTopology>(
-        &mut self,
-        g: &G,
-        tel: &mut consensus_obs::RoundTelemetry,
-    ) {
-        let round = self.round + 1;
-        if !tel.needs_diameter(round) {
-            // A decimated round no emitted ratio depends on: run the
-            // plain step — zero telemetry overhead.
-            self.step(g);
-            return;
-        }
-        tel.begin_round(round);
-        self.step(g);
-        let receptions: u64 = (0..self.n()).map(|i| g.sender_set(i).len() as u64).sum();
-        tel.end_round(round, self.value_diameter(), receptions);
-    }
-
     /// Runs under `pattern` until the spread drops to ≤ `tol` (or
     /// `max_rounds` elapse) and returns the limit estimate (the centroid
     /// of the final outputs) **together with its convergence status**.
@@ -506,32 +474,6 @@ mod tests {
     fn size_mismatch_panics() {
         let mut e = Execution::new(Midpoint, &pts(&[0.0, 1.0]));
         e.step(&Digraph::complete(3));
-    }
-
-    #[test]
-    fn observed_step_is_bit_identical_and_emits_the_curve() {
-        use consensus_obs::{lane, RoundTelemetry, TraceHandle};
-        let g = Digraph::complete(3).make_deaf(0);
-        let mut plain = Execution::new(Midpoint, &pts(&[0.0, 1.0, 1.0]));
-        let mut observed = Execution::new(Midpoint, &pts(&[0.0, 1.0, 1.0]));
-        let trace = TraceHandle::enabled();
-        let mut tel = RoundTelemetry::new(trace.recorder(0, lane::EXECUTOR).expect("enabled"))
-            .initial_diameter(observed.value_diameter());
-        for _ in 0..6 {
-            plain.step(&g);
-            observed.step_observed(&g, &mut tel);
-        }
-        assert_eq!(plain.outputs(), observed.outputs(), "telemetry is inert");
-        trace.commit(tel.finish());
-        let s = trace.merged();
-        let ratios = s.gauge_values("contraction");
-        assert_eq!(ratios.len(), 6);
-        for r in ratios {
-            assert!((r - 0.5).abs() < 1e-12, "deaf F_0 halves the spread: {r}");
-        }
-        // K_3 with agent 0 deaf: in-degrees 1, 3, 3 (self included).
-        assert_eq!(s.counter_total("messages"), 6 * 7);
-        assert_eq!(s.events_for_span("round").len(), 12);
     }
 }
 

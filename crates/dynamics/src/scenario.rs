@@ -12,8 +12,16 @@
 //!     .adversary(d)    // any Driver (e.g. the valency adversaries)
 //!     .metric(m)       // optional: how spread is measured (default: hull diameter)
 //!     .decide(eps)     // optional: stop at the first spread ≤ ε
-//!     .run(rounds)     // -> Trace
+//!     .run(rounds)     // -> Trace, or
+//!     .drive(rounds, on_round)  // on_round(graph, exec) after every round
 //! ```
+//!
+//! Every run goes through one drive loop, [`Scenario::drive`], and every
+//! per-round measurement through its callback: [`Scenario::run`] records
+//! a [`Trace`] there, [`Scenario::advance`] and
+//! [`Scenario::decision_round`] pass a callback that does nothing, and
+//! the sweep cells collect their contraction ratios and trace events
+//! there.
 //!
 //! The graph choice per round-block is abstracted by the [`Driver`]
 //! trait, so pattern sources, state-dependent schedulers (the `N_A`
@@ -23,6 +31,8 @@
 //! abstracted by [`Metric`] (default: [`HullDiameter`], the paper's
 //! `Δ`), so multidimensional decision rounds are measured in hull
 //! diameter rather than any scalar projection.
+
+use std::ops::ControlFlow;
 
 use consensus_algorithms::{Algorithm, Point};
 use consensus_digraph::Digraph;
@@ -279,14 +289,26 @@ impl<A: Algorithm<D>, Dr, const D: usize, M> Scenario<A, Dr, D, M> {
 }
 
 impl<A: Algorithm<D>, Dr: Driver<A, D>, const D: usize, M: Metric<D>> Scenario<A, Dr, D, M> {
-    /// The one driver loop behind every run variant: choose a block,
-    /// apply it round by round, record, observe — with the stop
-    /// threshold checked at block boundaries.
-    fn drive(&mut self, max_rounds: usize, mut trace: Option<&mut Trace<D>>) -> usize {
+    /// The one drive loop behind every run variant: choose a block,
+    /// apply it round by round, call `on_round` with each round's graph
+    /// and the execution after it, then [`Driver::observe`] the block.
+    /// Runs up to `max_rounds` rounds (whole blocks; a final partial
+    /// horizon is rounded up to the block length) and returns the number
+    /// executed.
+    ///
+    /// The drive stops early at the first block boundary where the
+    /// configured stop threshold ([`Scenario::decide`]) is reached, or at
+    /// the end of a block in which `on_round` returned
+    /// [`ControlFlow::Break`]. The scenario can be continued afterwards.
+    pub fn drive<F>(&mut self, max_rounds: usize, mut on_round: F) -> usize
+    where
+        F: FnMut(&Digraph, &Execution<A, D>) -> ControlFlow<()>,
+    {
         let mut done = 0;
-        while done < max_rounds {
-            if let Some(stop) = self.stop_below {
-                if self.metric.measure(self.exec.outputs_slice()) <= stop {
+        let mut stop = false;
+        while done < max_rounds && !stop {
+            if let Some(eps) = self.stop_below {
+                if self.metric.measure(self.exec.outputs_slice()) <= eps {
                     break;
                 }
             }
@@ -299,30 +321,29 @@ impl<A: Algorithm<D>, Dr: Driver<A, D>, const D: usize, M: Metric<D>> Scenario<A
             for g in self.blocks.drain(..) {
                 self.exec.step(&g);
                 done += 1;
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(g, self.exec.outputs());
-                }
+                stop |= on_round(&g, &self.exec).is_break();
             }
             self.driver.observe(&self.exec);
         }
         done
     }
 
-    /// Runs up to `max_rounds` rounds (whole blocks; a final partial
-    /// horizon is rounded up to the block length) or until the
-    /// configured stop threshold is reached, recording a [`Trace`].
-    /// The scenario can be continued afterwards.
+    /// [`Scenario::drive`], recording every round's graph and outputs
+    /// in a [`Trace`].
     pub fn run(&mut self, max_rounds: usize) -> Trace<D> {
         let mut trace = Trace::new(self.exec.outputs());
-        self.drive(max_rounds, Some(&mut trace));
+        self.drive(max_rounds, |g, exec| {
+            trace.record(g.clone(), exec.outputs());
+            ControlFlow::Continue(())
+        });
         trace
     }
 
-    /// Like [`Scenario::run`] but records nothing — the allocation-free
-    /// variant for rate measurement and probing. Returns the number of
-    /// rounds executed.
+    /// [`Scenario::drive`] with a callback that does nothing — the
+    /// allocation-free variant for rate measurement and probing. Returns
+    /// the number of rounds executed.
     pub fn advance(&mut self, max_rounds: usize) -> usize {
-        self.drive(max_rounds, None)
+        self.drive(max_rounds, |_, _| ControlFlow::Continue(()))
     }
 
     /// Runs until the spread (per the configured [`Metric`]) drops to
@@ -332,10 +353,11 @@ impl<A: Algorithm<D>, Dr: Driver<A, D>, const D: usize, M: Metric<D>> Scenario<A
     /// the `max_rounds` horizon is exhausted first.
     ///
     /// `max_rounds` is a **total horizon counted from round 0**, not a
-    /// relative budget: rounds already executed (via [`Scenario::run`]
-    /// or [`Scenario::advance`]) are not recounted, so interleaving
-    /// `advance(k)` with `decision_round(T)` measures the same decision
-    /// round as a single `decision_round(T)` call.
+    /// relative budget: rounds already executed (via
+    /// [`Scenario::drive`], [`Scenario::run`] or [`Scenario::advance`])
+    /// are not recounted, so interleaving `advance(k)` with
+    /// `decision_round(T)` measures the same decision round as a single
+    /// `decision_round(T)` call.
     ///
     /// # Panics
     ///
@@ -424,6 +446,74 @@ mod tests {
         assert_eq!(b.advance(7), 7);
         assert_eq!(a.execution().outputs_slice(), b.execution().outputs_slice());
         assert_eq!(trace.rounds(), 7);
+    }
+
+    /// Blocks of three rounds; agent `(t − 1) mod n` is deaf in round `t`.
+    struct DeafTriples;
+
+    impl<A: Algorithm<1>> Driver<A, 1> for DeafTriples {
+        fn block_len(&self) -> usize {
+            3
+        }
+
+        fn next_block(&mut self, exec: &Execution<A, 1>, out: &mut Vec<Digraph>) {
+            let n = exec.n();
+            for k in 0..3 {
+                out.push(Digraph::complete(n).make_deaf((exec.round() as usize + k) % n));
+            }
+        }
+    }
+
+    #[test]
+    fn drive_calls_back_after_every_round_of_a_block() {
+        let mut sc = Scenario::new(Midpoint, &pts(&[0.0, 1.0, 0.4])).adversary(DeafTriples);
+        let mut seen = Vec::new();
+        // A partial horizon is rounded up to the block: 7 rounds → 9.
+        let done = sc.drive(7, |g, exec| {
+            seen.push((exec.round(), g.clone()));
+            ControlFlow::Continue(())
+        });
+        assert_eq!(done, 9);
+        for (t, (round, g)) in (1..).zip(&seen) {
+            assert_eq!(*round, t);
+            assert_eq!(*g, Digraph::complete(3).make_deaf((t as usize - 1) % 3));
+        }
+        assert_eq!(seen.len(), 9);
+
+        // A break ends the drive with its block: round 11 closes at 12.
+        let mut rounds = Vec::new();
+        let done = sc.drive(64, |_, exec| {
+            rounds.push(exec.round());
+            if exec.round() == 11 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(done, 3);
+        assert_eq!(rounds, [10, 11, 12]);
+    }
+
+    #[test]
+    fn run_records_what_a_recording_callback_sees() {
+        let build = || Scenario::new(MeanValue, &pts(&[0.0, 1.0, 0.3, 0.9])).adversary(DeafTriples);
+        let trace = build().run(7);
+        let mut sc = build();
+        let mut graphs = Vec::new();
+        let mut outputs = vec![sc.execution().outputs()];
+        sc.drive(7, |g, exec| {
+            graphs.push(g.clone());
+            outputs.push(exec.outputs());
+            ControlFlow::Continue(())
+        });
+        assert_eq!(trace.rounds(), 9);
+        assert_eq!(graphs.len(), 9);
+        for (t, outs) in outputs.iter().enumerate() {
+            assert_eq!(trace.outputs_at(t), outs.as_slice(), "outputs of round {t}");
+        }
+        for (t, g) in (1..).zip(&graphs) {
+            assert_eq!(trace.graph_at(t), g, "graph of round {t}");
+        }
     }
 
     #[test]

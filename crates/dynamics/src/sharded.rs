@@ -104,60 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_step_is_bit_identical_to_step() {
-        use consensus_obs::{lane, RoundTelemetry, TraceHandle};
-        let vals = inits(301);
-        let csr = CsrDigraph::ring_lattice(301, 3);
-        let mut plain = ShardedExecution::new(MeanValue, &vals)
-            .threads(3)
-            .chunk_size(37);
-        let trace = TraceHandle::enabled();
-        let mut tel = RoundTelemetry::new(trace.recorder(0, lane::EXECUTOR).expect("enabled"))
-            .initial_diameter(plain.value_diameter());
-        let mut observed = ShardedExecution::new(MeanValue, &vals)
-            .threads(3)
-            .chunk_size(37);
-        for _ in 0..7 {
-            plain.step(&csr);
-            observed.step_observed(&csr, &mut tel);
-        }
-        assert_eq!(bits(&plain), bits(&observed), "telemetry is inert");
-        trace.commit(tel.finish());
-        let s = trace.merged();
-        let diameters = s.gauge_values("diameter");
-        assert_eq!(diameters.len(), 7);
-        assert_eq!(diameters[6].to_bits(), plain.value_diameter().to_bits());
-        assert_eq!(s.gauge_values("contraction").len(), 7);
-        // Ring lattice with k=3: every agent hears 4 agents (self + 3
-        // predecessors), for 7 rounds.
-        assert_eq!(s.counter_total("messages"), 7 * 301 * 4);
-    }
-
-    #[test]
-    fn observed_content_is_thread_count_invariant() {
-        use consensus_obs::{lane, RoundTelemetry, TraceHandle};
-        let vals = inits(200);
-        let csr = CsrDigraph::ring_lattice(200, 2);
-        let mut streams = Vec::new();
-        for threads in [1, 4] {
-            let trace = TraceHandle::enabled();
-            let mut tel = RoundTelemetry::new(trace.recorder(0, lane::EXECUTOR).expect("enabled"));
-            let mut e = ShardedExecution::new(Midpoint, &vals)
-                .threads(threads)
-                .chunk_size(13);
-            for _ in 0..5 {
-                e.step_observed(&csr, &mut tel);
-            }
-            trace.commit(tel.finish());
-            streams.push(trace.merged().content());
-        }
-        assert_eq!(
-            streams[0], streams[1],
-            "content stream must not depend on the worker count"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "graph size")]
     fn size_mismatch_panics() {
         let mut e = ShardedExecution::new(Midpoint, &[0.0, 1.0]).threads(2);

@@ -1,9 +1,10 @@
 //! # consensus-obs
 //!
 //! Deterministic structured observability for the *Tight Bounds for
-//! Asymptotic and Approximate Consensus* reproduction: event tracing,
-//! round-level telemetry, and profiling that never violates the repo's
-//! determinism contract.
+//! Asymptotic and Approximate Consensus* reproduction: event tracing and
+//! profiling that never violate the repo's determinism contract. The
+//! events come from the code that did the work: a sweep cell records
+//! its own spans, and the per-round events of its rounds, as it runs.
 //!
 //! The paper's claims are trajectory claims — per-round contraction
 //! ratios approaching the tight 1/2 and 1/3 rates, decision-time
@@ -47,7 +48,6 @@ pub mod event;
 pub mod jsonl;
 pub mod query;
 pub mod recorder;
-pub mod telemetry;
 pub mod trace;
 
 pub use clock::{Clock, NullClock, TickClock};
@@ -55,5 +55,4 @@ pub use event::{Class, Event, EventKind};
 pub use jsonl::{parse_line, to_jsonl_content, to_jsonl_full, ParsedEvent};
 pub use query::{percentile, render_summary, summarize, HistogramSummary};
 pub use recorder::{Recorder, TimedEvent};
-pub use telemetry::RoundTelemetry;
 pub use trace::{lane, EventStream, TraceHandle, DEFAULT_RECORDER_CAP, PROFILE_SHARD};

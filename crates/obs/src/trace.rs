@@ -37,7 +37,7 @@ pub mod lane {
     pub const SWEEP: u8 = 0;
     /// Bench-layer per-cell outcome enrichment.
     pub const ENRICH: u8 = 1;
-    /// Executor round telemetry.
+    /// Per-round events of a cell's executed rounds.
     pub const EXECUTOR: u8 = 2;
     /// Valency probe spans.
     pub const PROBE: u8 = 3;

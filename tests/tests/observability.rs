@@ -7,7 +7,7 @@
 //! the proptests here sample the rest.
 
 use consensus_bench::experiments::EnsembleSpec;
-use consensus_bench::obswire::{enrich_report, trace_rounds_ensemble};
+use consensus_bench::obswire::enrich_report;
 use consensus_bench::orchestrate::{run_grid, AnySpec, Grid};
 use proptest::prelude::*;
 use tight_bounds_consensus::obs::{to_jsonl_content, TraceHandle};
@@ -26,10 +26,10 @@ proptest! {
         prop_assert_eq!(plain.to_json(), traced.to_json());
     }
 
-    /// The content stream (spans, counters, gauges, enrichment) from a
-    /// single-threaded run is bit-identical to the one from an
-    /// N-threaded run — scheduling may reorder execution, never the
-    /// merged trace.
+    /// The content stream (cell spans, the cells' round events,
+    /// enrichment) from a single-threaded run is bit-identical to the one
+    /// from an N-threaded run — scheduling may reorder execution, never
+    /// the merged trace.
     #[test]
     fn content_stream_is_thread_count_invariant(threads in 2u64..9) {
         let spec = EnsembleSpec::preset("golden").expect("golden preset");
@@ -40,8 +40,6 @@ proptest! {
         let rn = run_grid(&spec, Some(threads), tn.clone());
         enrich_report(&t1, &r1);
         enrich_report(&tn, &rn);
-        trace_rounds_ensemble(&spec, &r1, &t1);
-        trace_rounds_ensemble(&spec, &rn, &tn);
         prop_assert_eq!(
             to_jsonl_content(&t1.merged()),
             to_jsonl_content(&tn.merged())
@@ -49,8 +47,8 @@ proptest! {
     }
 }
 
-/// The same two properties hold on the multidim and dynamic grids
-/// (span-level tracing only — round replay is ensemble-specific).
+/// The same two properties hold on the multidim and dynamic grids,
+/// whose cells record no round events.
 #[test]
 fn multidim_and_dynamic_grids_trace_deterministically() {
     for grid in ["multidim", "dynamic_rates"] {
