@@ -56,18 +56,20 @@
 //!   --resume              resume an interrupted run from --checkpoint
 //!   --workers N           run cells in N spawned `sweep-worker` processes
 //!   --metrics-out PATH    write the end-of-run metrics JSON to PATH
-//!   --stop-after N        stop dispatching after N cells (testing aid)
+//!   --stop-after N        stop dispatching after N cells (testing aid;
+//!                         needs --checkpoint)
 //!   --cell-delay-ms MS    stretch every cell by MS ms (CI kill pacing)
 //!   --worker-fail-cells L inject worker failures for cells `a,b,c`
 //!                         (needs --workers)
 //! ```
 //!
-//! A missing or malformed flag value, or a flag that needs another one
-//! (`--resume` needs `--checkpoint`, `--worker-fail-cells` needs
-//! `--workers`), is a usage error: one stderr line naming the flags,
-//! exit code 2. An output file (`--out`, `--metrics-out`, `--trace-out`)
-//! that cannot be written is one stderr line naming the flag, the path
-//! and the OS error, exit code 1.
+//! A missing or malformed flag value, a flag that needs another one
+//! (`--resume` and `--stop-after` need `--checkpoint`,
+//! `--worker-fail-cells` needs `--workers`), or an output flag with
+//! `--replay` (`--out`, `--trace-out`) is a usage error: one stderr line
+//! naming the flags, exit code 2. An output file (`--out`,
+//! `--metrics-out`, `--trace-out`) that cannot be written is one stderr
+//! line naming the flag, the path and the OS error, exit code 1.
 //!
 //! The CI gate commands are the `sweep-regression` matrix of
 //! `.github/workflows/ci.yml`: each golden file under `ci/` is diffed
@@ -377,6 +379,12 @@ fn main() {
     }
     if cf.resume && cf.checkpoint.is_none() {
         usage("--resume needs --checkpoint PATH (the run to resume)");
+    }
+    if cf.stop_after.is_some() && cf.checkpoint.is_none() {
+        usage("--stop-after needs --checkpoint PATH (where the finished cells wait for --resume)");
+    }
+    if replay.is_some() && (out_path.is_some() || tf.out.is_some()) {
+        usage("--replay prints one cell's rows and writes no file: drop --out and --trace-out");
     }
     if !cf.fail_cells.is_empty() && cf.workers.is_none() {
         usage("--worker-fail-cells needs --workers N (it fails cells in worker processes)");

@@ -2,19 +2,20 @@
 //!
 //! Spawned by `sweep --workers N` (never run by hand), configured once
 //! on the command line with the grid identity, then driven with one
-//! line-delimited JSON request per cell on stdin, answering one
-//! response per line on stdout until stdin closes:
+//! request line per cell on stdin (the decimal cell index), answering
+//! one reply line per request on stdout until stdin closes:
 //!
 //! ```text
 //! sweep-worker --grid NAME --preset golden [--seed S]
 //!              [--cell-delay-ms MS] [--fail-cells a,b,c]
 //! ```
 //!
-//! Rates and fingerprints cross the pipe as raw bit patterns
-//! (`f64::to_bits` hex), so a worker-computed cell is bit-identical to
-//! an in-process one — the property the CI `resume-integrity` gate
-//! pins. `--fail-cells` injects `failed` responses for the named cells
-//! (the coordinator-retry test aid).
+//! A reply is one framed `.sweepck` record in lowercase hex: the cell's
+//! checkpoint record, rates as raw `f64::to_bits`, so a worker-computed
+//! cell is bit-identical to an in-process one — the property the CI
+//! `resume-integrity` gate pins — or, for a cell error, a failure
+//! record with the message. `--fail-cells` injects failure replies for
+//! the named cells (the coordinator-retry test aid).
 
 #![forbid(unsafe_code)]
 

@@ -32,7 +32,7 @@ use std::panic::RefUnwindSafe;
 use std::time::Duration;
 
 use consensus_obs::TraceHandle;
-use tight_bounds_consensus::controlplane::{protocol, CellExecutor, SweepPlan};
+use tight_bounds_consensus::controlplane::{checkpoint, CellExecutor, SweepPlan};
 use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::cell_seed;
 
@@ -353,10 +353,12 @@ impl CellExecutor for GridExecutor<'_> {
     }
 }
 
-/// The `sweep-worker` serve loop: one request line in, one response
-/// line out, until stdin closes. `fail_cells` injects `failed`
-/// responses for the named cells (the coordinator-retry test aid —
-/// never used by real runs).
+/// The `sweep-worker` serve loop, until stdin closes: one request line
+/// in (the decimal cell index), one reply line out (the framed
+/// checkpoint record of [`checkpoint::encode_reply`], in hex). A cell
+/// runs as the coordinator's in-process executor runs it, `delay`
+/// included. `fail_cells` injects failure replies for the named cells
+/// (the coordinator-retry test aid — never used by real runs).
 ///
 /// # Errors
 ///
@@ -372,32 +374,34 @@ pub fn worker_serve(
     let mut out = stdout.lock();
     for line in stdin.lock().lines() {
         let line = line?;
-        if line.trim().is_empty() {
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
-        let reply = match protocol::decode_request(&line) {
-            Err(e) => protocol::encode_failed(u64::MAX, &format!("bad request: {e}")),
+        let (cell, result) = match line.parse::<u64>() {
+            Err(e) => (u64::MAX, Err(format!("bad request {line:?}: {e}"))),
             Ok(cell) if fail_cells.contains(&cell) => {
-                protocol::encode_failed(cell, "injected failure (--fail-cells)")
+                (cell, Err("injected failure (--fail-cells)".to_owned()))
             }
             Ok(cell) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    exec.rows(cell as usize)
-                })) {
-                    Ok(rows) => protocol::encode_done(cell, &rows),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned());
-                        protocol::encode_failed(cell, &format!("cell panicked: {msg}"))
-                    }
-                }
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    exec.run_cell(cell as usize)
+                }))
+                .unwrap_or_else(|payload| {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_owned());
+                    Err(format!("cell panicked: {msg}"))
+                });
+                (cell, result)
             }
         };
+        let seed = cell_seed(spec.base_seed(), cell);
+        let mut reply = checkpoint::encode_reply(cell, seed, result);
+        reply.push('\n');
         out.write_all(reply.as_bytes())?;
-        out.write_all(b"\n")?;
         out.flush()?;
     }
     Ok(())
@@ -406,7 +410,7 @@ pub fn worker_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tight_bounds_consensus::controlplane::{self, Metrics, RunConfig};
+    use tight_bounds_consensus::controlplane::{self, CellRecord, CellStatus, Metrics, RunConfig};
 
     #[test]
     fn resolve_covers_the_registry_and_rejects_strangers() {
@@ -475,18 +479,26 @@ mod tests {
 
     #[test]
     fn worker_protocol_round_trips_executor_rows() {
-        let spec = AnySpec::resolve("ensemble", "golden").expect("golden");
-        let exec = spec.executor(Duration::ZERO);
-        let rows = exec.rows(3);
-        let line = protocol::encode_done(3, &rows);
-        let protocol::Response::Done { outcomes, .. } =
-            protocol::decode_response(&line).expect("decode")
-        else {
-            panic!("expected done");
-        };
-        for (a, b) in outcomes.iter().zip(&rows) {
-            assert_eq!(a.rate.to_bits(), b.rate.to_bits());
-            assert_eq!(a.fingerprint, b.fingerprint);
+        for (grid, preset, cell) in [("ensemble", "golden", 3u64), ("multidim", "quick", 5)] {
+            let spec = AnySpec::resolve(grid, preset).expect("registered");
+            let want = CellRecord {
+                cell,
+                seed: cell_seed(spec.base_seed(), cell),
+                status: CellStatus::Done,
+                outcomes: spec.executor(Duration::ZERO).rows(cell as usize),
+            };
+            assert_eq!(want.outcomes.len(), spec.rows_per_cell(), "{grid}");
+            let line = checkpoint::encode_reply(cell, want.seed, Ok(want.outcomes.clone()));
+            let got = CellRecord {
+                outcomes: checkpoint::decode_reply(&line, cell)
+                    .expect("a well-formed reply")
+                    .expect("a finished cell"),
+                ..want.clone()
+            };
+            assert!(
+                got.bit_eq(&want),
+                "{grid}: the rows cross the pipe bit-exactly"
+            );
         }
     }
 }

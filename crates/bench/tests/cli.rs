@@ -154,6 +154,46 @@ fn trace_out_with_workers_is_a_usage_error_and_writes_no_trace() {
 }
 
 #[test]
+fn replay_with_an_output_flag_is_a_usage_error_and_writes_nothing() {
+    for flag in ["--out", "--trace-out"] {
+        let path = tmpfile(&format!("replay{flag}"));
+        std::fs::remove_file(&path).ok();
+        let args = [
+            "--golden",
+            "--replay",
+            "3",
+            flag,
+            path.to_str().expect("utf8"),
+        ];
+        let out = run(&args);
+        assert_usage_error(&out, &args, "--replay");
+        assert_usage_error(&out, &args, flag);
+        assert!(!path.exists(), "{flag}: no file written");
+    }
+}
+
+#[test]
+fn stop_after_without_a_checkpoint_is_a_usage_error_and_writes_nothing() {
+    let json = tmpfile("stop-after.json");
+    let metrics = tmpfile("stop-after-metrics.json");
+    std::fs::remove_file(&json).ok();
+    std::fs::remove_file(&metrics).ok();
+    let args = [
+        "--golden",
+        "--stop-after",
+        "3",
+        "--out",
+        json.to_str().expect("utf8"),
+        "--metrics-out",
+        metrics.to_str().expect("utf8"),
+    ];
+    let out = run(&args);
+    assert_usage_error(&out, &args, "--stop-after");
+    assert_usage_error(&out, &args, "--checkpoint");
+    assert!(!json.exists() && !metrics.exists(), "no file written");
+}
+
+#[test]
 fn trace_level_is_an_unknown_flag() {
     let trace = tmpfile("level.jsonl");
     let trace_s = trace.to_str().expect("utf8");
@@ -328,6 +368,28 @@ fn worker_processes_produce_the_identical_golden_json() {
     assert_eq!(
         out.stdout, classic,
         "worker-computed JSON is byte-identical"
+    );
+}
+
+#[test]
+fn worker_processes_honour_the_cell_delay() {
+    let classic = classic_golden_json();
+    // 16 cells of at least 50 ms each, split over 2 workers.
+    let start = std::time::Instant::now();
+    let out = run(&[
+        "--golden",
+        "--json",
+        "--workers",
+        "2",
+        "--cell-delay-ms",
+        "50",
+    ]);
+    let elapsed = start.elapsed();
+    assert!(out.status.success());
+    assert_eq!(out.stdout, classic, "the delay never touches the rows");
+    assert!(
+        elapsed >= std::time::Duration::from_millis(16 * 50 / 2),
+        "every worker cell slept its delay: the run took {elapsed:?}"
     );
 }
 

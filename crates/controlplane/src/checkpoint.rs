@@ -1,5 +1,6 @@
-//! The `.sweepck` checkpoint file: an append-only record log that
-//! survives a `SIGKILL` mid-write.
+//! The cell-record format: the `.sweepck` checkpoint file, an
+//! append-only record log that survives a `SIGKILL` mid-write, and the
+//! replies of the `sweep-worker` pipe, which carry the same records.
 //!
 //! ## Format
 //!
@@ -16,6 +17,19 @@
 //! cell's outcomes with the rate stored as raw `f64::to_bits` — the
 //! checkpoint round-trips outcomes *bit*-exactly, no decimal formatting
 //! in the loop.
+//!
+//! ## The worker pipe
+//!
+//! A `sweep-worker` answers each request (one line: the decimal cell
+//! index) with one line of lowercase hex that encodes one framed
+//! record, the bytes [`CheckpointWriter::append`] writes: the cell
+//! record of a finished cell, or, for a cell error, a **failure
+//! record** (tag `0x03`, used only on the pipe) that holds the cell
+//! index and the worker's message. [`load`] rejects a failure record in
+//! a file, as it rejects any unknown tag. A reply is exactly one line,
+//! so a torn or stray write costs one rejected line, and the checksum
+//! rejects any changed digit; see [`encode_reply`] and
+//! [`decode_reply`].
 //!
 //! ## Crash tolerance
 //!
@@ -50,6 +64,14 @@ const MAX_PAYLOAD: u32 = 16 << 20;
 
 const TAG_HEADER: u8 = 0x01;
 const TAG_CELL: u8 = 0x02;
+const TAG_FAILURE: u8 = 0x03;
+
+/// The bytes a frame adds around its payload: length prefix and
+/// checksum.
+const FRAME_OVERHEAD: usize = 12;
+
+/// The digits of a reply line.
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// FNV-1a over a byte slice — the per-record checksum.
 #[must_use]
@@ -354,6 +376,119 @@ fn decode_cell(payload: &[u8]) -> Result<CellRecord, SweepError> {
     })
 }
 
+// ---- framing -----------------------------------------------------------
+
+/// One whole record: length prefix, payload, checksum.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    put_u32(&mut buf, payload.len() as u32);
+    buf.extend_from_slice(payload);
+    put_u64(&mut buf, fnv1a(payload));
+    buf
+}
+
+/// The payload of the record framed at the start of `bytes`, or `None`
+/// when `bytes` ends inside the frame. Errs, with a message that
+/// follows the record's position, on an impossible length prefix or a
+/// checksum mismatch.
+fn unframe(bytes: &[u8]) -> Result<Option<&[u8]>, String> {
+    let Some(prefix) = bytes.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes"));
+    if len == 0 || len > MAX_PAYLOAD {
+        return Err(format!("declares an impossible payload length {len}"));
+    }
+    let Some(rest) = bytes.get(4..len as usize + FRAME_OVERHEAD) else {
+        return Ok(None);
+    };
+    let (payload, sum) = rest.split_at(len as usize);
+    let stored = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+    let computed = fnv1a(payload);
+    if computed != stored {
+        return Err(format!(
+            "fails its checksum (stored {stored:#018x}, computed {computed:#018x})"
+        ));
+    }
+    Ok(Some(payload))
+}
+
+// ---- the worker pipe ---------------------------------------------------
+
+/// Encodes a worker's reply to the request for `cell` as one line of
+/// lowercase hex, without the newline. Rows become the framed
+/// [`CellStatus::Done`] cell record with seed `seed`, byte for byte
+/// what [`CheckpointWriter::append`] writes for it; a cell error becomes
+/// the framed failure record holding its message.
+#[must_use]
+pub fn encode_reply(cell: u64, seed: u64, result: Result<Vec<CellOutcome>, String>) -> String {
+    let payload = match result {
+        Ok(outcomes) => encode_cell(&CellRecord {
+            cell,
+            seed,
+            status: CellStatus::Done,
+            outcomes,
+        }),
+        Err(message) => {
+            let mut p = vec![TAG_FAILURE];
+            put_u64(&mut p, cell);
+            put_str(&mut p, &message);
+            p
+        }
+    };
+    let framed = frame(&payload);
+    let mut line = String::with_capacity(2 * framed.len());
+    for b in framed {
+        line.push(char::from(HEX[usize::from(b >> 4)]));
+        line.push(char::from(HEX[usize::from(b & 0x0f)]));
+    }
+    line
+}
+
+/// Decodes a worker's reply line (without its newline) to the request
+/// for `cell`: `Ok(Ok(rows))` for a finished cell, `Ok(Err(message))`
+/// for a cell error the worker reported.
+///
+/// # Errors
+///
+/// A transport failure: the line is not lowercase hex of exactly one
+/// framed record, fails its checksum, holds neither a cell record nor a
+/// failure record, or names another cell.
+pub fn decode_reply(line: &str, cell: u64) -> Result<Result<Vec<CellOutcome>, String>, SweepError> {
+    let digit = |d: &u8| HEX.iter().position(|h| h == d).map(|v| v as u8);
+    let bytes = line
+        .as_bytes()
+        .chunks(2)
+        .map(|pair| match pair {
+            [hi, lo] => Some(digit(hi)? << 4 | digit(lo)?),
+            _ => None,
+        })
+        .collect::<Option<Vec<u8>>>()
+        .ok_or_else(|| SweepError::checkpoint("reply is not lowercase hex"))?;
+    let payload = unframe(&bytes)
+        .map_err(|e| SweepError::checkpoint(format!("reply record {e}")))?
+        .filter(|p| p.len() + FRAME_OVERHEAD == bytes.len())
+        .ok_or_else(|| SweepError::checkpoint("reply is not exactly one framed record"))?;
+    let (named, result) = if payload[0] == TAG_FAILURE {
+        let mut c = Cursor::new(&payload[1..]);
+        let named = c.u64()?;
+        let message = c.string()?;
+        if !c.done() {
+            return Err(SweepError::checkpoint("failure record has trailing bytes"));
+        }
+        (named, Err(message))
+    } else {
+        let record = decode_cell(payload)?;
+        (record.cell, Ok(record.outcomes))
+    };
+    if named != cell {
+        return Err(SweepError::checkpoint(format!(
+            "reply names cell {named}, not the requested cell {cell}"
+        )));
+    }
+    Ok(result)
+}
+
 // ---- load --------------------------------------------------------------
 
 fn io_err(context: &str, e: &std::io::Error) -> SweepError {
@@ -381,42 +516,18 @@ pub fn load(path: &Path) -> Result<LoadedCheckpoint, SweepError> {
     }
 
     let mut pos = MAGIC.len();
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    let mut valid_len = pos;
+    let mut payloads: Vec<&[u8]> = Vec::new();
     let mut dropped_tail = false;
     while pos < bytes.len() {
-        // A record needs a 4-byte length, the payload, and an 8-byte
-        // checksum; anything that runs past EOF is a truncated tail.
-        if bytes.len() - pos < 4 {
+        let Some(payload) = unframe(&bytes[pos..])
+            .map_err(|e| SweepError::checkpoint(format!("record at byte {pos} {e}")))?
+        else {
+            // A record that runs past EOF is a truncated tail.
             dropped_tail = true;
             break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_PAYLOAD {
-            return Err(SweepError::checkpoint(format!(
-                "record at byte {pos} declares an impossible payload length {len}"
-            )));
-        }
-        let len = len as usize;
-        if bytes.len() - pos < 4 + len + 8 {
-            dropped_tail = true;
-            break;
-        }
-        let payload = &bytes[pos + 4..pos + 4 + len];
-        let stored = u64::from_le_bytes(
-            bytes[pos + 4 + len..pos + 4 + len + 8]
-                .try_into()
-                .expect("8"),
-        );
-        if fnv1a(payload) != stored {
-            return Err(SweepError::checkpoint(format!(
-                "record at byte {pos} fails its checksum (stored {stored:#018x}, computed {:#018x})",
-                fnv1a(payload)
-            )));
-        }
-        payloads.push(payload.to_vec());
-        pos += 4 + len + 8;
-        valid_len = pos;
+        };
+        payloads.push(payload);
+        pos += payload.len() + FRAME_OVERHEAD;
     }
 
     let Some((head, tail)) = payloads.split_first() else {
@@ -433,7 +544,7 @@ pub fn load(path: &Path) -> Result<LoadedCheckpoint, SweepError> {
     Ok(LoadedCheckpoint {
         header,
         records,
-        valid_len: valid_len as u64,
+        valid_len: pos as u64,
         dropped_tail,
     })
 }
@@ -503,12 +614,8 @@ impl CheckpointWriter {
     }
 
     fn write_record(&mut self, payload: &[u8]) -> Result<(), SweepError> {
-        let mut buf = Vec::with_capacity(payload.len() + 12);
-        put_u32(&mut buf, payload.len() as u32);
-        buf.extend_from_slice(payload);
-        put_u64(&mut buf, fnv1a(payload));
         self.file
-            .write_all(&buf)
+            .write_all(&frame(payload))
             .and_then(|()| self.file.flush())
             .map_err(|e| io_err("cannot append checkpoint record", &e))
     }
@@ -659,6 +766,132 @@ mod tests {
             "retry overrode the failure"
         );
         assert!(slots[0].is_none() && slots[1].is_none() && slots[3].is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// One row per awkward field value: NaN and `-0.0` rates, no
+    /// decision.
+    fn awkward_rows(n: usize) -> Vec<CellOutcome> {
+        let rates = [1.0 / 3.0, f64::NAN, -0.0];
+        (0..n)
+            .map(|i| CellOutcome {
+                rate: rates[i % rates.len()],
+                decision_round: (i % 2 == 0).then_some(12 + i as u64),
+                rounds: 12 + i as u64,
+                converged: i % 2 == 0,
+                fingerprint: 0xDEAD_BEEF + i as u64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn done_reply_round_trips_bit_exactly_as_the_appended_record() {
+        for n in [1, 2, 3] {
+            let rows = awkward_rows(n);
+            let line = encode_reply(9, 77, Ok(rows.clone()));
+            assert!(
+                line.bytes().all(|b| HEX.contains(&b)),
+                "one lowercase hex line: {line}"
+            );
+            let got = decode_reply(&line, 9).expect("well formed").expect("done");
+            let want = CellRecord {
+                cell: 9,
+                seed: 77,
+                status: CellStatus::Done,
+                outcomes: rows,
+            };
+            let back = CellRecord {
+                outcomes: got,
+                ..want.clone()
+            };
+            assert!(back.bit_eq(&want), "{n} rows cross bit-exactly");
+
+            // The reply is the hex of the bytes `append` writes.
+            let path = tmp(&format!("reply-{n}"));
+            let mut w = CheckpointWriter::create(&path, &header()).expect("create");
+            let start = std::fs::metadata(&path).expect("meta").len() as usize;
+            w.append(&want).expect("append");
+            drop(w);
+            let bytes = std::fs::read(&path).expect("read");
+            let hex: String = bytes[start..].iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(line, hex);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn no_decision_reply_decodes_as_none_not_round_zero() {
+        let row = |decision_round| CellOutcome {
+            rate: 0.5,
+            decision_round,
+            rounds: 12,
+            converged: false,
+            fingerprint: 0xDEAD_BEEF,
+        };
+        let rows = vec![row(None), row(Some(0))];
+        let line = encode_reply(0, 1, Ok(rows));
+        let got = decode_reply(&line, 0).expect("well formed").expect("done");
+        assert_eq!(got[0].decision_round, None);
+        assert_eq!(got[1].decision_round, Some(0));
+    }
+
+    #[test]
+    fn failure_reply_round_trips_its_message() {
+        for message in ["", "panic: \"quoted\"\nsecond line\r\n\t\\ — ✓"] {
+            let line = encode_reply(3, 0, Err(message.to_owned()));
+            assert!(!line.contains('\n'), "one line");
+            assert_eq!(
+                decode_reply(&line, 3).expect("well formed"),
+                Err(message.to_owned())
+            );
+        }
+    }
+
+    #[test]
+    fn a_reply_naming_another_cell_is_rejected() {
+        for reply in [Ok(awkward_rows(1)), Err("boom".to_owned())] {
+            let line = encode_reply(4, 0, reply);
+            let err = decode_reply(&line, 5).expect_err("asked for cell 5");
+            assert!(err.to_string().contains("names cell 4"), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_replies_are_rejected() {
+        let line = encode_reply(1, 2, Ok(awkward_rows(1)));
+        let bad = [
+            String::new(),
+            line[..line.len() - 1].to_owned(),
+            line[..line.len() - 2].to_owned(),
+            line.to_uppercase(),
+            format!("{line}{line}"),
+            format!("{line}00"),
+            format!(" {line}"),
+            "{\"cell\": 1, \"status\": \"done\"}".to_owned(),
+        ];
+        for b in &bad {
+            assert!(decode_reply(b, 1).is_err(), "rejected: {b:?}");
+        }
+        // A well-framed record of another kind is no reply either.
+        let header_line: String = frame(&encode_header(&header()))
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert!(decode_reply(&header_line, 1).is_err());
+    }
+
+    #[test]
+    fn failure_records_are_rejected_in_a_file() {
+        let path = tmp("failtag");
+        let mut w = CheckpointWriter::create(&path, &header()).expect("create");
+        w.append(&record(0)).expect("append");
+        let mut failure = vec![TAG_FAILURE];
+        put_u64(&mut failure, 1);
+        put_str(&mut failure, "boom");
+        w.write_record(&failure).expect("write");
+        drop(w);
+        let err = load(&path).expect_err("a pipe-only record in a file");
+        assert!(err.to_string().contains("unknown record tag 0x03"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,12 +11,14 @@
 //!
 //! * [`coordinator`] — the run loop: resume, dispatch, retry-once-then-
 //!   [`WorkerFailed`](checkpoint::CellStatus::WorkerFailed), merge.
-//! * [`checkpoint`] — the `.sweepck` file: length-prefixed, checksummed
-//!   records; tolerant of the truncated tail a `SIGKILL` leaves behind.
-//! * [`worker`] — spawned `sweep-worker` processes and their pool.
-//! * [`protocol`] — the line-delimited JSON the worker pipe speaks,
-//!   with rates crossing as raw `f64::to_bits` so no decimal formatting
-//!   ever touches the data path.
+//! * [`checkpoint`] — the one cell-record format: length-prefixed,
+//!   checksummed records with rates as raw `f64::to_bits`, so no
+//!   decimal formatting ever touches the data path. The `.sweepck` file
+//!   is a log of them, tolerant of the truncated tail a `SIGKILL`
+//!   leaves behind; the worker pipe carries them as one hex line per
+//!   reply.
+//! * [`worker`] — spawned `sweep-worker` processes and their pool,
+//!   which kills and reaps its workers when it drops.
 //! * [`metrics`] — lock-free run counters and a deterministic JSON
 //!   snapshot. No clocks in this crate: elapsed time is measured by
 //!   the caller.
@@ -67,7 +69,6 @@
 pub mod checkpoint;
 pub mod coordinator;
 pub mod metrics;
-pub mod protocol;
 pub mod worker;
 
 pub use checkpoint::{

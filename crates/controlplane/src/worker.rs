@@ -1,17 +1,19 @@
 //! Spawned worker processes: the coordinator side of the
-//! `sweep-worker` protocol.
+//! `sweep-worker` pipe.
 //!
 //! A [`ProcessPool`] owns a stack of idle worker processes. Dispatching
 //! a cell pops one (spawning lazily if the stack is empty), writes one
-//! request line, reads one response line, and pushes the worker back.
-//! Workers that die mid-cell — crash, kill, malformed output — are
-//! discarded and counted as a restart; the *cell* error is returned to
-//! the coordinator, whose retry policy (once, then `WorkerFailed`)
-//! decides what happens next. A retried cell therefore runs on a fresh
-//! process.
+//! request line (the decimal cell index), reads one reply line (a
+//! framed checkpoint record in hex, decoded by
+//! [`checkpoint::decode_reply`]), and pushes the worker back. Workers
+//! that die mid-cell — crash, kill, a reply that does not decode or
+//! names another cell — are discarded and counted as a restart; the
+//! *cell* error is returned to the coordinator, whose retry policy
+//! (once, then `WorkerFailed`) decides what happens next. A retried
+//! cell therefore runs on a fresh process.
 //!
-//! Workers exit on stdin EOF, so dropping the pool (which drops every
-//! child's stdin) is a clean broadcast shutdown — no signals needed.
+//! Dropping a worker (a discarded one, or every idle one when the pool
+//! drops) kills its process and reaps it, so no zombies accumulate.
 //! Because each cell's result is a pure function of `(grid, preset,
 //! base_seed, cell)`, *which* process runs a cell never matters: the
 //! process path aggregates bit-identically to the in-process path.
@@ -23,9 +25,9 @@ use std::sync::Mutex;
 
 use consensus_sweep::CellOutcome;
 
+use crate::checkpoint;
 use crate::coordinator::CellExecutor;
 use crate::metrics::Metrics;
-use crate::protocol;
 
 /// How to spawn one worker process.
 #[derive(Debug, Clone)]
@@ -61,12 +63,12 @@ impl WorkerProc {
         })
     }
 
-    /// One request/response round trip.
-    fn run_cell(&mut self, cell: u64) -> Result<protocol::Response, String> {
-        let mut line = protocol::encode_request(cell);
-        line.push('\n');
+    /// One request/reply round trip: `Ok` holds the cell's own result
+    /// (its rows, or the error the worker reported), `Err` a transport
+    /// failure.
+    fn run_cell(&mut self, cell: u64) -> Result<Result<Vec<CellOutcome>, String>, String> {
         self.stdin
-            .write_all(line.as_bytes())
+            .write_all(format!("{cell}\n").as_bytes())
             .and_then(|()| self.stdin.flush())
             .map_err(|e| format!("worker hung up on request for cell {cell}: {e}"))?;
         let mut reply = String::new();
@@ -77,26 +79,16 @@ impl WorkerProc {
         if n == 0 {
             return Err(format!("worker exited before replying for cell {cell}"));
         }
-        let resp = protocol::decode_response(reply.trim_end())
-            .map_err(|e| format!("malformed worker reply for cell {cell}: {e}"))?;
-        let echoed = match &resp {
-            protocol::Response::Done { cell, .. } | protocol::Response::Failed { cell, .. } => {
-                *cell
-            }
-        };
-        if echoed != cell {
-            return Err(format!(
-                "worker answered cell {echoed} to a request for cell {cell}"
-            ));
-        }
-        Ok(resp)
+        checkpoint::decode_reply(reply.strip_suffix('\n').unwrap_or(&reply), cell)
+            .map_err(|e| format!("malformed worker reply for cell {cell}: {e}"))
     }
 }
 
 impl Drop for WorkerProc {
     fn drop(&mut self) {
-        // Closing stdin asks the worker to exit; reap it so no zombies
-        // accumulate over a long sweep.
+        // Kill rather than wait for the worker to see stdin close: a
+        // discarded worker may be hung. Reap it so no zombies accumulate
+        // over a long sweep.
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
@@ -138,21 +130,14 @@ impl CellExecutor for ProcessPool<'_> {
     fn run_cell(&self, cell: usize) -> Result<Vec<CellOutcome>, String> {
         let mut worker = self.take_worker()?;
         match worker.run_cell(cell as u64) {
-            Ok(protocol::Response::Done { outcomes, .. }) => {
-                // Healthy worker: back on the stack for the next cell.
+            Ok(result) => {
+                // The worker answered, with rows or a cell error of its
+                // own: it is healthy, so it goes back on the stack.
                 self.idle
                     .lock()
                     .expect("worker stack poisoned")
                     .push(worker);
-                Ok(outcomes)
-            }
-            Ok(protocol::Response::Failed { error, .. }) => {
-                // The worker survived and reported a cell error; keep it.
-                self.idle
-                    .lock()
-                    .expect("worker stack poisoned")
-                    .push(worker);
-                Err(error)
+                result
             }
             Err(e) => {
                 // Transport failure: the process is suspect. Drop it
@@ -161,6 +146,60 @@ impl CellExecutor for ProcessPool<'_> {
                 drop(worker);
                 Err(e)
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::CellStatus;
+    use crate::coordinator::{self, RunConfig, SweepPlan};
+
+    #[test]
+    fn transport_failures_retry_on_a_fresh_worker_then_fail_the_cell() {
+        let stray = checkpoint::encode_reply(7, 0, Ok(vec![CellOutcome::of_rate(0.5, 1)]));
+        let workers = [
+            ("read -r cell; exit 0".to_owned(), "exited before replying"),
+            ("read -r cell; echo garbage".to_owned(), "not lowercase hex"),
+            (
+                format!("while read -r cell; do echo {stray}; done"),
+                "names cell 7",
+            ),
+        ];
+        let plan = SweepPlan {
+            grid: "ensemble".into(),
+            preset: "unit".into(),
+            base_seed: 1,
+            n_cells: 3,
+            rows_per_cell: 1,
+        };
+        for (script, why) in workers {
+            let metrics = Metrics::new();
+            let pool = ProcessPool::new(
+                WorkerSpawn {
+                    program: "/bin/sh".into(),
+                    args: vec!["-c".into(), script.clone()],
+                },
+                &metrics,
+            );
+            let out = coordinator::run(&plan, &RunConfig::default(), &pool, &metrics)
+                .expect("the run completes");
+            assert!(out.completed, "{script}");
+            for r in &out.records {
+                let r = r.as_ref().expect("every cell recorded");
+                assert_eq!(r.status, CellStatus::WorkerFailed, "{script}");
+            }
+            assert_eq!(out.failed_cells.len(), 3, "{script}");
+            for (_, error) in &out.failed_cells {
+                assert!(error.contains(why), "{script}: {error}");
+            }
+            let snap = metrics.snapshot(1);
+            assert_eq!(snap.retries, 3, "{script}");
+            assert_eq!(
+                snap.worker_restarts, 6,
+                "{script}: both attempts of every cell restart their worker"
+            );
         }
     }
 }

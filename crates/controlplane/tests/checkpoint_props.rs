@@ -1,5 +1,6 @@
 //! Property tests for checkpoint robustness: round-trip bit-equality,
-//! truncated-tail recovery at every byte offset, and resume-after-kill
+//! truncated-tail recovery at every byte offset, rejection of any
+//! corrupted record or worker reply line, and resume-after-kill
 //! bit-identity at randomized kill points.
 
 use std::fs::OpenOptions;
@@ -157,6 +158,36 @@ proptest! {
                 prop_assert!(r.bit_eq(&record(c as u64, 1)), "surviving record {} intact", c);
             }
         }
+    }
+
+    /// Change any one hex digit of a worker's reply line to another:
+    /// the line is rejected, never decoded to other outcomes.
+    #[test]
+    fn any_changed_hex_digit_rejects_the_reply(
+        cell in 0u64..40,
+        rows in 0u32..3,
+        victim in 0usize..100_000,
+        bump in 1u8..16,
+    ) {
+        // Zero rows stands for a cell error: the failure record.
+        let result = if rows == 0 {
+            Err(format!("cell {cell} panicked: \"boom\"\nat line {victim}"))
+        } else {
+            Ok(record(cell, rows).outcomes)
+        };
+        let line = checkpoint::encode_reply(cell, cell_seed(0x00C0_FFEE, cell), result);
+        prop_assert!(checkpoint::decode_reply(&line, cell).is_ok());
+        let mut bytes = line.into_bytes();
+        let idx = victim % bytes.len();
+        let hex = b"0123456789abcdef";
+        let digit = hex.iter().position(|&h| h == bytes[idx]).expect("a hex digit");
+        bytes[idx] = hex[(digit + usize::from(bump)) % 16];
+        let changed = String::from_utf8(bytes).expect("still ASCII");
+        prop_assert!(
+            checkpoint::decode_reply(&changed, cell).is_err(),
+            "digit {} changed, line still decoded",
+            idx
+        );
     }
 
     /// Kill the coordinator at a random point (deterministically, via

@@ -10,8 +10,7 @@
 use crate::stats::{CellOutcome, Stats, SweepSummary};
 
 /// Escapes a string for a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
