@@ -122,29 +122,37 @@ pub enum AdvCell {
 }
 
 impl AdvCell {
+    /// The probe family the cell's valency adversary is built with, or
+    /// `None` for a cell without one. [`AdvCell::label`] names it
+    /// without building the adversary, and [`AdvCell::run`] asserts that
+    /// the adversary it builds reports it.
+    #[must_use]
+    pub fn probe_family(&self) -> Option<ProbeFamily> {
+        match self {
+            AdvCell::Theorem1 { .. } | AdvCell::Theorem2 { .. } => Some(ProbeFamily::Explicit),
+            AdvCell::DeafValency { .. } => Some(ProbeFamily::Deaf),
+            AdvCell::Theorem3 { .. } => Some(ProbeFamily::SigmaPsi),
+            AdvCell::DiameterMaxDeaf { .. }
+            | AdvCell::BeamFullWidth { .. }
+            | AdvCell::Exhaustive { .. }
+            | AdvCell::BeamLarge { .. } => None,
+        }
+    }
+
     /// The stable report/JSON label. Valency cells embed the probe
     /// family so golden rows are self-describing.
     #[must_use]
     pub fn label(&self) -> String {
+        let fam = self.probe_family().map_or("", ProbeFamily::label);
         match *self {
-            AdvCell::Theorem1 { steps } => {
-                let fam = adversary::theorem1().probes().family().label();
-                format!("thm1 n=2 probes={fam} strict steps={steps}")
-            }
+            AdvCell::Theorem1 { steps } => format!("thm1 n=2 probes={fam} strict steps={steps}"),
             AdvCell::Theorem2 { n, steps, threads } => {
-                let fam = adversary::theorem2(&Digraph::complete(n))
-                    .probes()
-                    .family()
-                    .label();
                 format!("thm2 n={n} probes={fam} strict threads={threads} steps={steps}")
             }
             AdvCell::DeafValency { n, steps } => {
-                let model = NetworkModel::deaf(&Digraph::complete(n));
-                let fam = ProbeSet::deaf_continuations(&model).family().label();
                 format!("deaf-valency n={n} probes={fam} steps={steps}")
             }
             AdvCell::Theorem3 { n, steps } => {
-                let fam = adversary::theorem3(n).probes().family().label();
                 format!("thm3 n={n} probes={fam} strict steps={steps}")
             }
             AdvCell::DiameterMaxDeaf { n, rounds, threads } => {
@@ -197,6 +205,7 @@ impl AdvCell {
             AdvCell::Theorem1 { steps } => {
                 let adv = adversary::theorem1().strict().trace(trace.clone(), shard);
                 valency_outcome(
+                    self,
                     &adv,
                     Execution::new(TwoAgentThirds, &spread_inits(2)),
                     steps,
@@ -207,7 +216,12 @@ impl AdvCell {
                     .strict()
                     .threads(threads)
                     .trace(trace.clone(), shard);
-                valency_outcome(&adv, Execution::new(Midpoint, &spread_inits(n)), steps)
+                valency_outcome(
+                    self,
+                    &adv,
+                    Execution::new(Midpoint, &spread_inits(n)),
+                    steps,
+                )
             }
             AdvCell::DeafValency { n, steps } => {
                 let model = NetworkModel::deaf(&Digraph::complete(n));
@@ -223,11 +237,17 @@ impl AdvCell {
                 let probes = ProbeSet::deaf_continuations(&model).strict();
                 let adv = adversary::GreedyValencyAdversary::new(candidates, probes)
                     .trace(trace.clone(), shard);
-                valency_outcome(&adv, Execution::new(Midpoint, &spread_inits(n)), steps)
+                valency_outcome(
+                    self,
+                    &adv,
+                    Execution::new(Midpoint, &spread_inits(n)),
+                    steps,
+                )
             }
             AdvCell::Theorem3 { n, steps } => {
                 let adv = adversary::theorem3(n).strict().trace(trace.clone(), shard);
                 valency_outcome(
+                    self,
                     &adv,
                     Execution::new(AmortizedMidpoint::for_agents(n), &spread_inits(n)),
                     steps,
@@ -304,9 +324,17 @@ where
     }
 }
 
-/// Packs a greedy-valency drive: rate from the δ̂ trace (per round),
-/// convergence from the probes, fingerprint from the final outputs.
+/// Packs the greedy-valency drive of `cell`: rate from the δ̂ trace
+/// (per round), convergence from the probes, fingerprint from the final
+/// outputs.
+///
+/// # Panics
+///
+/// Panics if `adv` probes another family than [`AdvCell::probe_family`]
+/// names, so a constructor change fails loudly instead of mislabelling
+/// a golden row.
 fn valency_outcome<A, const D: usize>(
+    cell: &AdvCell,
     adv: &adversary::GreedyValencyAdversary,
     mut exec: Execution<A, D>,
     steps: usize,
@@ -314,6 +342,12 @@ fn valency_outcome<A, const D: usize>(
 where
     A: Algorithm<D> + Clone,
 {
+    assert_eq!(
+        Some(adv.probes().family()),
+        cell.probe_family(),
+        "`{}` names another probe family than its adversary's",
+        cell.label()
+    );
     let trace = adv.drive(&mut exec, steps);
     CellOutcome {
         rate: trace.per_round_rate(),

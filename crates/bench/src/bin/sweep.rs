@@ -25,7 +25,10 @@
 //!                   default BENCH_<grid>.json side file)
 //!   --out PATH      write the JSON to PATH instead of the default
 //!                   BENCH_<grid>.json side file
-//!   --replay I      re-run cell I solo and print its rows
+//!   --replay I      re-run cell I solo and print its rows; with --json,
+//!                   print the one-cell report's JSON instead, whose
+//!                   cells_detail rows equal the cell's rows of the full
+//!                   report
 //! ```
 //!
 //! Tracing flags (the [`consensus_obs`] structured-trace capture; see
@@ -69,7 +72,11 @@
 //! `--replay` (`--out`, `--trace-out`) is a usage error: one stderr line
 //! naming the flags, exit code 2. An output file (`--out`,
 //! `--metrics-out`, `--trace-out`) that cannot be written is one stderr
-//! line naming the flag, the path and the OS error, exit code 1.
+//! line naming the flag, the path and the OS error, exit code 1. With
+//! `--workers`, one worker is spawned before any cell is dispatched; if
+//! that fails, the run is one stderr line naming the worker program and
+//! the OS error, exit code 1, with nothing on stdout and no checkpoint
+//! written.
 //!
 //! The CI gate commands are the `sweep-regression` matrix of
 //! `.github/workflows/ci.yml`: each golden file under `ci/` is diffed
@@ -190,8 +197,8 @@ fn worker_program() -> PathBuf {
 
 /// Runs the spec through the coordinator (threads or worker processes),
 /// emits the report if the grid completed, and returns the process exit
-/// code: 0 clean/interrupted-with-checkpoint, 1 on failed cells or a
-/// checkpoint error.
+/// code: 0 clean/interrupted-with-checkpoint, 1 on failed cells, a
+/// checkpoint error or a worker program that cannot be spawned.
 fn run_coordinated(
     spec: &AnySpec,
     preset: &str,
@@ -247,6 +254,12 @@ fn run_coordinated(
             },
             &metrics,
         );
+        // A worker that cannot start would fail every cell twice over:
+        // spawn one before dispatching, and stop before any output.
+        if let Err(e) = pool.spawn_idle() {
+            eprintln!("sweep: {e}");
+            return 1;
+        }
         controlplane::run(&plan, &cfg, &pool, &metrics)
     } else {
         let exec = spec.traced_executor(delay, trace.clone());
@@ -435,6 +448,10 @@ fn main() {
                 spec.n_cells()
             ));
         };
+        if json_only {
+            print!("{}", solo.to_json());
+            return;
+        }
         for ((label, seed), o) in solo.labels.iter().zip(&solo.seeds).zip(&solo.outcomes) {
             print_outcome(index, label, *seed, o);
         }

@@ -101,10 +101,11 @@ pub fn run_grid<G: Grid>(grid: &G, threads: Option<usize>, trace: TraceHandle) -
     assemble(grid, sweep.cells().iter().enumerate(), rows)
 }
 
-/// Builds the report of `cells`, given as `(index, cell)` pairs, from
-/// their rows (`ROWS_PER_CELL` per cell, in the same order). This is the
-/// one place the row labels and seeds are laid out: the in-process
-/// runner, the coordinator's report and `--replay` all call it.
+/// Builds the report of `cells`, given as consecutive `(index, cell)`
+/// pairs, from their rows (`ROWS_PER_CELL` per cell, in the same order).
+/// This is the one place the row labels, seeds and JSON row indices are
+/// laid out: the in-process runner, the coordinator's report and
+/// `--replay` all call it.
 fn assemble<'c, G: Grid>(
     grid: &G,
     cells: impl Iterator<Item = (usize, &'c G::Cell)>,
@@ -112,14 +113,18 @@ fn assemble<'c, G: Grid>(
 ) -> SweepReport {
     let mut labels = Vec::with_capacity(rows.len());
     let mut seeds = Vec::with_capacity(rows.len());
+    let mut first = None;
     for (i, cell) in cells {
+        first.get_or_insert(i);
         let seed = cell_seed(grid.base_seed(), i as u64);
         for row in 0..G::ROWS_PER_CELL {
             labels.push(grid.row_label(cell, row));
             seeds.push(seed);
         }
     }
-    SweepReport::new(grid.report_name(), grid.base_seed(), labels, seeds, rows)
+    let mut report = SweepReport::new(grid.report_name(), grid.base_seed(), labels, seeds, rows);
+    report.first_index = first.unwrap_or(0) * G::ROWS_PER_CELL;
+    report
 }
 
 /// A registry entry: a grid's name, `--list` text and preset

@@ -109,6 +109,71 @@ fn replay_prints_the_rows_of_the_json_report() {
     }
 }
 
+#[test]
+fn replay_with_json_prints_the_one_cell_report() {
+    let ci = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci");
+    for (grid, golden, rows_per_cell) in [
+        ("ensemble", "golden_sweep.json", 1),
+        ("multidim", "golden_multidim.json", 2),
+        ("dynamic_rates", "golden_dynamic.json", 1),
+        ("adversary_search", "golden_adversary.json", 1),
+    ] {
+        let golden = std::fs::read_to_string(ci.join(golden)).expect("golden file");
+        let want: Vec<&str> = golden
+            .lines()
+            .filter(|l| l.contains("\"index\": "))
+            .skip(3 * rows_per_cell)
+            .take(rows_per_cell)
+            .map(|l| l.strip_suffix(',').unwrap_or(l))
+            .collect();
+        let out = run(&["--grid", grid, "--golden", "--json", "--replay", "3"]);
+        assert!(out.status.success(), "{grid}");
+        let json = String::from_utf8(out.stdout).expect("utf8");
+        // One document: one top-level object, no text rows around it.
+        assert!(
+            json.starts_with("{\n") && json.ends_with("\n}\n"),
+            "{grid}: {json}"
+        );
+        assert_eq!(json.matches("\n}").count(), 1, "{grid}: {json}");
+        assert!(
+            json.contains(&format!("\"cells\": {rows_per_cell},")),
+            "{grid}: {json}"
+        );
+        let got: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"index\": "))
+            .map(|l| l.strip_suffix(',').unwrap_or(l))
+            .collect();
+        assert_eq!(got, want, "{grid}: the replayed rows are the golden rows");
+    }
+}
+
+#[test]
+fn an_unspawnable_worker_fails_the_run_before_any_cell() {
+    let missing = std::env::temp_dir().join(format!("sweep-no-worker-{}", std::process::id()));
+    let ck = tmpfile("no-worker.sweepck");
+    std::fs::remove_file(&ck).ok();
+    let ck_s = ck.to_str().expect("utf8 temp path");
+    for extra in [&[][..], &["--checkpoint", ck_s]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .env("SWEEP_WORKER", &missing)
+            .args(["--golden", "--json", "--workers", "2"])
+            .args(extra)
+            .output()
+            .expect("spawn the sweep bin");
+        assert_eq!(out.status.code(), Some(1), "{extra:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+        assert!(
+            err.contains(&missing.display().to_string()) && err.contains("os error"),
+            "names the program and the OS error: {err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(out.stdout.is_empty(), "no report: {extra:?}");
+        assert!(!ck.exists(), "no checkpoint written");
+    }
+}
+
 /// Asserts `out` is a usage error that names `flag`.
 fn assert_usage_error(out: &std::process::Output, args: &[&str], flag: &str) {
     assert_eq!(out.status.code(), Some(2), "{args:?}");

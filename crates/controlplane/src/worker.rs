@@ -2,7 +2,9 @@
 //! `sweep-worker` pipe.
 //!
 //! A [`ProcessPool`] owns a stack of idle worker processes. Dispatching
-//! a cell pops one (spawning lazily if the stack is empty), writes one
+//! a cell pops one (spawning lazily if the stack is empty;
+//! [`ProcessPool::spawn_idle`] spawns one ahead, so a caller learns
+//! that the worker program cannot start before any cell runs), writes one
 //! request line (the decimal cell index), reads one reply line (a
 //! framed checkpoint record in hex, decoded by
 //! [`checkpoint::decode_reply`]), and pushes the worker back. Workers
@@ -116,6 +118,22 @@ impl<'m> ProcessPool<'m> {
             idle: Mutex::new(Vec::new()),
             metrics,
         }
+    }
+
+    /// Spawns one worker onto the idle stack, where the first cell
+    /// dispatched picks it up.
+    ///
+    /// # Errors
+    ///
+    /// The spawn failure, on one line naming the program and the OS
+    /// error.
+    pub fn spawn_idle(&self) -> Result<(), String> {
+        let worker = WorkerProc::spawn(&self.spawn)?;
+        self.idle
+            .lock()
+            .expect("worker stack poisoned")
+            .push(worker);
+        Ok(())
     }
 
     fn take_worker(&self) -> Result<WorkerProc, String> {

@@ -18,18 +18,35 @@
 //! [`Execution::lookahead`], which gathers the message slate once. The
 //! search keeps the output row of every frontier graph it expands, and
 //! a toggle or mutant of that graph differs from it in one to three
-//! agents' in-masks, so scoring it recomputes only those agents' outputs
-//! and measures the row. At `D = 1` the measurement is the O(n)
+//! agents' in-masks, so scoring it recomputes only those agents'
+//! outputs. At `D = 1` the diameter of a finite row is the O(n)
 //! `dist(max, min)` path of [`consensus_algorithms::diameter`], which is
 //! bit-exact with the pairwise maximum because correctly rounded
-//! subtraction, squaring and `sqrt` are monotone. Candidates live as flat
-//! in-mask rows in one per-search arena; a [`Digraph`] is built only for
-//! the committed graph. An edit is checked for rootedness only when it
-//! removes an edge of its parent's spanning tree. Each wave is scored in
-//! contiguous chunks of candidates, at most one per pool worker, and
-//! forks only chunks of at least [`FORK_GRAIN`](crate::FORK_GRAIN)
-//! message receptions: a candidate costs about `2n`, so every wave at
-//! `n ≤ 24` scores inline and the waves of `n = 48`–`64` beams fork.
+//! subtraction, squaring and `sqrt` are monotone. So each expanded graph
+//! also records its row's largest and smallest value, the agent holding
+//! each and the runner-up of each over the other agents, and a
+//! single-edge toggle costs its one changed agent's output plus O(1):
+//! `dist` of the larger of the new value and the other agents' maximum,
+//! and the smaller of it and their minimum. Every other case — a seed, a
+//! 2–3-agent mutant, a row or a new value that is not finite, `D > 1` —
+//! copies the parent's row, recomputes the changed agents and measures
+//! the row.
+//!
+//! Candidates live as flat in-mask rows in an arena; a [`Digraph`] is
+//! built only for the committed graph. An edit is checked for rootedness
+//! only when it removes an edge of its parent's spanning tree, and then
+//! first by asking whether the tree's root still reaches each agent that
+//! lost its tree in-edge. Each wave is scored in contiguous chunks of
+//! candidates, at most one per pool worker, and forks only chunks of at
+//! least [`FORK_GRAIN`](crate::FORK_GRAIN) message receptions. The chunk
+//! estimate takes a candidate to cost `2n` receptions. That is an upper
+//! bound on a wave of toggles, which now cost at most `n` plus O(1)
+//! each: every wave at `n ≤ 24` scores inline and the waves of
+//! `n = 48`–`64` beams fork.
+//!
+//! A [`BeamSearch`] keeps its search buffers — the arena, the candidate
+//! lists and the per-expansion rows, trees and extremes — for its whole
+//! drive and clears them at the start of each round.
 //!
 //! # Exactness at small `n`
 //!
@@ -45,6 +62,7 @@
 //! `beam_props` suite pin this equivalence at `n ∈ {2, 3, 4}`.
 
 use std::cmp::Ordering;
+use std::fmt;
 
 use consensus_algorithms::{Algorithm, Point};
 use consensus_digraph::{
@@ -101,18 +119,17 @@ struct Candidate {
     expanded: u32,
 }
 
-/// One search's candidates as flat in-mask rows, with a membership
-/// index that drops a duplicate before it is stored. The index is open
+/// A search's candidates as flat in-mask rows, with a membership index
+/// that drops a duplicate before it is stored. The index is open
 /// addressing (linear probing) on [`row_hash`]; it is only probed, never
 /// iterated, so its layout cannot reach the search's result.
 ///
 /// Rows are stored in blocks of [`BLOCK_ROWS`] rather than one growing
-/// buffer: adding a row never copies the table, and every block is a
-/// small allocation (at most 64 KiB), under glibc's default mmap
-/// threshold, so freeing the arena at the end of a round returns heap
-/// that the next round's allocations reuse. A multi-megabyte buffer
-/// freed every round would instead raise the allocator's mmap threshold
-/// and leave the freed heap resident.
+/// buffer, so adding a row never copies the table. The arena lives as
+/// long as its [`BeamSearch`]: [`Arena::clear`] forgets the rows at the
+/// start of a round and keeps the blocks, hashes and slot index
+/// allocated. When each round freed its arena instead, glibc trimmed
+/// the freed heap and the next round faulted it back in, page by page.
 struct Arena {
     n: usize,
     blocks: Vec<Vec<AgentSet>>,
@@ -158,6 +175,14 @@ impl Arena {
         }
     }
 
+    /// Forgets every row, keeping the buffers: the next row stored is
+    /// row 0.
+    fn clear(&mut self) {
+        self.blocks.iter_mut().for_each(Vec::clear);
+        self.hashes.clear();
+        self.slots.fill(NONE);
+    }
+
     fn row(&self, k: u32) -> &[AgentSet] {
         let k = k as usize;
         let start = k % BLOCK_ROWS * self.n;
@@ -185,11 +210,11 @@ impl Arena {
         }
         let rows = self.hashes.len();
         let k = u32::try_from(rows).expect("fewer than 2^32 candidates per round");
-        if rows.is_multiple_of(BLOCK_ROWS) {
+        let block = rows / BLOCK_ROWS;
+        if block == self.blocks.len() {
             self.blocks.push(Vec::with_capacity(BLOCK_ROWS * self.n));
         }
-        let block = self.blocks.last_mut().expect("a block has room");
-        block.extend_from_slice(masks);
+        self.blocks[block].extend_from_slice(masks);
         self.hashes.push(hash);
         self.slots[slot] = k;
         if 2 * self.hashes.len() > self.slots.len() {
@@ -207,19 +232,146 @@ impl Arena {
     }
 }
 
-/// Whether a rooted graph with spanning tree `tree`, edited at the
-/// agents in `changed` into the in-masks `masks`, is still rooted. An
-/// edit that keeps every tree edge keeps the tree, so only one that
-/// removes a tree edge is checked.
-fn keeps_rooted(tree: &[AgentSet], masks: &[AgentSet], changed: AgentSet) -> bool {
-    agents_in(changed).all(|v| masks[v] & tree[v] == tree[v]) || in_masks_are_rooted(masks)
+/// Whether agent `from` reaches agent `to` in the graph with in-masks
+/// `masks`: a walk backward from `to` over the in-masks that stops as
+/// soon as it meets `from`.
+fn reaches(masks: &[AgentSet], from: usize, to: usize) -> bool {
+    let (mut seen, mut wave) = (1 << to, 1 << to);
+    while seen >> from & 1 == 0 {
+        if wave == 0 {
+            return false;
+        }
+        let next = agents_in(wave).fold(0, |set, k| set | masks[k]);
+        wave = next & !seen;
+        seen |= next;
+    }
+    true
 }
 
-/// One round's beam search: the candidates generated so far and what
-/// scoring and expanding them needs.
-struct Search<'e, A: Algorithm<D>, const D: usize> {
+/// Whether a rooted graph with spanning tree `tree` rooted at `root`,
+/// edited at the agents in `changed` into the in-masks `masks`, is still
+/// rooted. An edit that keeps every tree edge keeps the tree. Otherwise,
+/// if `root` still reaches every changed agent that lost its tree
+/// in-edge, it reaches every agent: the tree path down from the nearest
+/// such agent is intact. Only when it does not can another agent be the
+/// root, and only then is the whole graph checked.
+fn keeps_rooted(tree: &[AgentSet], root: usize, masks: &[AgentSet], changed: AgentSet) -> bool {
+    agents_in(changed)
+        .filter(|&v| masks[v] & tree[v] != tree[v])
+        .all(|v| reaches(masks, root, v))
+        || in_masks_are_rooted(masks)
+}
+
+/// Marks an [`Expansion`] whose row has no recorded extremes.
+const UNMEASURED: u8 = u8::MAX;
+
+/// An expanded graph's spanning-tree root and, at `D = 1` with a finite
+/// output row, that row's extremes: what scoring a one-agent edit of the
+/// graph in O(1) needs. Agents are `u8`s, so a record is 40 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Expansion {
+    /// The spanning tree's root.
+    root: u8,
+    /// The agent holding the row's largest value, and the one holding
+    /// its smallest; both [`UNMEASURED`] when `D > 1` or the row holds a
+    /// non-finite value.
+    hi_at: u8,
+    lo_at: u8,
+    /// The row's largest value, and the largest over the agents other
+    /// than `hi_at`.
+    hi: f64,
+    hi_next: f64,
+    /// The row's smallest value, and the smallest over the agents other
+    /// than `lo_at`.
+    lo: f64,
+    lo_next: f64,
+}
+
+/// An agent index as an [`Expansion`] stores it.
+fn agent_u8(agent: usize) -> u8 {
+    u8::try_from(agent).expect("beam graphs have at most 64 agents")
+}
+
+impl Expansion {
+    /// The record of a graph whose spanning tree is rooted at `root` and
+    /// whose output row is `values` at `D = 1` (at least two values), or
+    /// unmeasured (`None`) at `D > 1`. The extremes are found with `>`
+    /// and `<`, as [`consensus_algorithms::diameter`] finds them.
+    fn new(root: usize, values: Option<&[f64]>) -> Self {
+        let root = agent_u8(root);
+        let Some(values) = values.filter(|v| v.iter().all(|x| x.is_finite())) else {
+            return Expansion {
+                root,
+                hi_at: UNMEASURED,
+                lo_at: UNMEASURED,
+                hi: 0.0,
+                hi_next: 0.0,
+                lo: 0.0,
+                lo_next: 0.0,
+            };
+        };
+        let (mut hi_at, mut lo_at) = (0, 0);
+        let (mut hi, mut lo) = (values[0], values[0]);
+        let (mut hi_next, mut lo_next) = (f64::NEG_INFINITY, f64::INFINITY);
+        for (i, &v) in values.iter().enumerate().skip(1) {
+            if v > hi {
+                (hi_next, hi, hi_at) = (hi, v, i);
+            } else if v > hi_next {
+                hi_next = v;
+            }
+            if v < lo {
+                (lo_next, lo, lo_at) = (lo, v, i);
+            } else if v < lo_next {
+                lo_next = v;
+            }
+        }
+        Expansion {
+            root,
+            hi_at: agent_u8(hi_at),
+            lo_at: agent_u8(lo_at),
+            hi,
+            hi_next,
+            lo,
+            lo_next,
+        }
+    }
+
+    fn is_measured(&self) -> bool {
+        self.hi_at != UNMEASURED
+    }
+
+    /// The value diameter of the row once agent `agent`'s value becomes
+    /// `v`, in O(1), or `None` unless the row is measured and `v` is
+    /// finite. It is `dist` of the edited row's largest and smallest
+    /// value, which is what [`consensus_algorithms::diameter`] measures
+    /// for a finite row at `D = 1`: a tie between `0.0` and `-0.0` picks
+    /// either sign, and `dist` squares the difference, so the bits agree.
+    fn edited(&self, agent: usize, v: f64) -> Option<f64> {
+        if !self.is_measured() || !v.is_finite() {
+            return None;
+        }
+        let hi = if agent == usize::from(self.hi_at) {
+            self.hi_next
+        } else {
+            self.hi
+        };
+        let lo = if agent == usize::from(self.lo_at) {
+            self.lo_next
+        } else {
+            self.lo
+        };
+        let hi = if v > hi { v } else { hi };
+        let lo = if v < lo { v } else { lo };
+        Some(Point([hi]).dist(&Point([lo])))
+    }
+}
+
+/// A beam search's state: the candidates generated in the current round
+/// and what scoring and expanding them needs. A [`BeamSearch`] keeps one
+/// for its whole drive and [clears](Search::clear) it at the start of
+/// each round, so its buffers stay allocated from round to round.
+struct Search {
     n: usize,
-    la: Lookahead<'e, A, D>,
     arena: Arena,
     /// Candidates generated this wave, not scored yet.
     fresh: Vec<Candidate>,
@@ -228,29 +380,61 @@ struct Search<'e, A: Algorithm<D>, const D: usize> {
     frontier: Vec<Candidate>,
     /// The best candidate scored so far.
     best: Option<Candidate>,
-    /// The output row after the round of each expanded graph, `n`
-    /// points per expansion slot.
-    rows: Vec<Point<D>>,
+    /// The output row after the round of each expanded graph: `n` points
+    /// of `D` coordinates per expansion slot.
+    rows: Vec<f64>,
     /// A spanning tree of each expanded graph, `n` masks per slot.
     trees: Vec<AgentSet>,
+    /// The rest of each expanded graph's bookkeeping, one per slot.
+    expansions: Vec<Expansion>,
 }
 
-impl<'e, A, const D: usize> Search<'e, A, D>
-where
-    A: Algorithm<D>,
-{
-    fn new(la: Lookahead<'e, A, D>) -> Self {
-        let n = la.n();
+/// A clone starts empty: a search carries nothing from one round into
+/// the next.
+impl Clone for Search {
+    fn clone(&self) -> Self {
+        Search::new(self.n)
+    }
+}
+
+/// Prints none of the buffers.
+impl fmt::Debug for Search {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Search").finish_non_exhaustive()
+    }
+}
+
+/// Copies the flat coordinates `flat`, `D` per point, into `row`.
+fn load_row<const D: usize>(flat: &[f64], row: &mut [Point<D>]) {
+    for (j, p) in row.iter_mut().enumerate() {
+        p.0.copy_from_slice(&flat[j * D..(j + 1) * D]);
+    }
+}
+
+impl Search {
+    fn new(n: usize) -> Self {
         Search {
             n,
-            la,
             arena: Arena::new(n),
             fresh: Vec::new(),
             frontier: Vec::new(),
             best: None,
             rows: Vec::new(),
             trees: Vec::new(),
+            expansions: Vec::new(),
         }
+    }
+
+    /// Starts a round: forgets every candidate and expansion, keeping
+    /// the buffers.
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.fresh.clear();
+        self.frontier.clear();
+        self.best = None;
+        self.rows.clear();
+        self.trees.clear();
+        self.expansions.clear();
     }
 
     /// Generates the deterministic seeds: the Theorem-2 deaf family
@@ -320,31 +504,38 @@ where
     }
 
     /// Expands frontier graph `k`: stores its output row (its parent's
-    /// row with the changed agents recomputed) and a spanning tree, and
-    /// generates all of its rooted single-edge toggles, in deterministic
-    /// `(from, to)` order. Only a toggle that removes a tree edge is
-    /// checked for rootedness.
-    fn expand(&mut self, k: usize) {
+    /// row with the changed agents recomputed), a spanning tree and the
+    /// row's [`Expansion`] record, and generates all of its rooted
+    /// single-edge toggles, in deterministic `(from, to)` order. Only a
+    /// toggle that removes a tree edge is checked for rootedness.
+    fn expand<A: Algorithm<D>, const D: usize>(&mut self, la: &Lookahead<'_, A, D>, k: usize) {
         let n = self.n;
         let f = self.frontier[k];
-        let slot = u32::try_from(self.trees.len() / n).expect("fewer than 2^32 expanded graphs");
+        let slot = u32::try_from(self.expansions.len()).expect("fewer than 2^32 expanded graphs");
         self.frontier[k].expanded = slot;
         let mut buf = [0; MAX_AGENTS];
         let masks = &mut buf[..n];
         masks.copy_from_slice(self.arena.row(f.row));
 
-        let e = self.rows.len();
+        let (e, len) = (self.rows.len(), n * D);
         if f.parent == NONE {
-            self.rows.resize(e + n, Point::ZERO);
+            self.rows.resize(e + len, 0.0);
         } else {
-            let p = f.parent as usize * n;
-            self.rows.extend_from_within(p..p + n);
+            let p = f.parent as usize * len;
+            self.rows.extend_from_within(p..p + len);
         }
         for i in agents_in(f.changed) {
-            self.rows[e + i] = self.la.output(i, masks[i]);
+            let at = e + i * D;
+            self.rows[at..at + D].copy_from_slice(&la.output(i, masks[i]).0);
         }
         let tree = spanning_tree(masks).expect("frontier graphs are rooted");
         self.trees.extend_from_slice(&tree[..n]);
+        let root = tree[..n]
+            .iter()
+            .position(|&m| m == 0)
+            .expect("a tree has a root");
+        let values = (D == 1).then(|| &self.rows[e..]);
+        self.expansions.push(Expansion::new(root, values));
 
         let base = row_hash(masks);
         for from in 0..n {
@@ -354,7 +545,7 @@ where
                 masks[to] ^= bit;
                 let changed = 1 << to;
                 self.admit(masks, hash, slot, changed, || {
-                    keeps_rooted(&tree, masks, changed)
+                    keeps_rooted(&tree, root, masks, changed)
                 });
                 masks[to] ^= bit;
             }
@@ -373,6 +564,7 @@ where
         masks[..n].copy_from_slice(self.arena.row(self.frontier[k].row));
         let e = slot as usize * n;
         tree[..n].copy_from_slice(&self.trees[e..e + n]);
+        let root = usize::from(self.expansions[slot as usize].root);
         for _ in 0..count {
             let mut mutant = masks;
             // 2–3 toggles per mutant: enough to escape the single-toggle
@@ -390,24 +582,53 @@ where
             let changed = (0..n)
                 .filter(|&v| mutant[v] != masks[v])
                 .fold(0, |set, v| set | 1 << v);
-            let keep = || keeps_rooted(&tree, mutant, changed);
+            let keep = || keeps_rooted(&tree, root, mutant, changed);
             self.admit(mutant, row_hash(mutant), slot, changed, keep);
         }
     }
 
+    /// The score of fresh candidate `k`. A one-agent edit of a measured
+    /// expansion costs that agent's output plus O(1)
+    /// ([`Expansion::edited`]); any other candidate fills `row` with its
+    /// parent's row (a seed with nothing), recomputes its changed agents
+    /// and measures the row.
+    fn score<A: Algorithm<D>, const D: usize>(
+        &self,
+        la: &Lookahead<'_, A, D>,
+        k: usize,
+        row: &mut [Point<D>],
+    ) -> f64 {
+        let n = self.n;
+        let c = &self.fresh[k];
+        let masks = self.arena.row(c.row);
+        if c.parent != NONE {
+            let parent = &self.expansions[c.parent as usize];
+            if parent.is_measured() && c.changed.is_power_of_two() {
+                let i = c.changed.trailing_zeros() as usize;
+                if let Some(d) = parent.edited(i, la.output(i, masks[i]).0[0]) {
+                    return d;
+                }
+            }
+            let p = c.parent as usize * n * D;
+            load_row(&self.rows[p..p + n * D], row);
+        }
+        rescore(la, masks, c.changed, row)
+    }
+
     /// Scores the fresh candidates on up to `threads` pool workers and
-    /// moves them to the frontier. A candidate costs about `2n`
-    /// receptions: its one to three changed agents' outputs (a seed
-    /// recomputes all of them, but seeds are few) and the O(n) diameter.
-    fn score_fresh(&mut self, threads: usize) {
+    /// moves them to the frontier. The chunk estimate takes a candidate
+    /// to cost `2n` receptions: a toggle, nearly every candidate of a
+    /// wave, costs its agent's in-degree (at most `n`) plus O(1), and a
+    /// mutant or seed its changed agents' in-degrees plus the O(n)
+    /// diameter.
+    fn score_fresh<A: Algorithm<D>, const D: usize>(
+        &mut self,
+        la: &Lookahead<'_, A, D>,
+        threads: usize,
+    ) {
         let n = self.n;
         let scores = score_chunks(self.fresh.len(), 2 * n, threads, n, |k, row, _| {
-            let c = &self.fresh[k];
-            if c.parent != NONE {
-                let p = c.parent as usize * n;
-                row.copy_from_slice(&self.rows[p..p + n]);
-            }
-            rescore(&self.la, self.arena.row(c.row), c.changed, row)
+            self.score(la, k, row)
         });
         let mut fresh = std::mem::take(&mut self.fresh);
         for (mut c, s) in fresh.drain(..).zip(scores) {
@@ -444,7 +665,9 @@ where
 ///
 /// The mutation stream is a pure function of `(seed, round)` and the
 /// deterministic frontier order, so the driver is replayable and
-/// bit-identical at every thread count.
+/// bit-identical at every thread count. The search buffers live as long
+/// as the driver and are cleared at the start of each round; a clone
+/// starts with empty buffers, and `Debug` does not print them.
 ///
 /// [`DiameterMaximiser`]: crate::DiameterMaximiser
 #[derive(Debug, Clone)]
@@ -459,6 +682,8 @@ pub struct BeamSearch {
     round: u64,
     trace: consensus_obs::TraceHandle,
     trace_shard: u64,
+    /// Boxed, so the driver stays small to move and to hold in an enum.
+    search: Box<Search>,
 }
 
 impl BeamSearch {
@@ -482,6 +707,7 @@ impl BeamSearch {
             round: 0,
             trace: consensus_obs::TraceHandle::disabled(),
             trace_shard: 0,
+            search: Box::new(Search::new(n)),
         }
     }
 
@@ -532,7 +758,7 @@ impl BeamSearch {
     /// [`consensus_pool::default_threads`]; the default `1` scores
     /// serially). `threads` is an upper bound: a wave forks only into
     /// chunks that carry at least [`FORK_GRAIN`](crate::FORK_GRAIN)
-    /// message receptions, at about `2n` per candidate, so a smaller wave
+    /// message receptions, estimated at `2n` per candidate, so a smaller wave
     /// scores inline on the calling thread, as does a wave of a search
     /// that itself runs on a pool worker. The committed schedule is
     /// bit-for-bit identical at every thread count.
@@ -555,12 +781,14 @@ impl BeamSearch {
     /// One full beam search against the configuration in `exec`: the
     /// committed graph, its one-step score, and the number of candidate
     /// graphs scored (for telemetry).
-    fn search<A, const D: usize>(&self, exec: &Execution<A, D>) -> (Digraph, f64, u64)
+    fn search<A, const D: usize>(&mut self, exec: &Execution<A, D>) -> (Digraph, f64, u64)
     where
         A: Algorithm<D>,
     {
         assert_eq!(exec.n(), self.n, "graph size must match agent count");
-        let mut s = Search::new(exec.lookahead());
+        let la = exec.lookahead();
+        let s = &mut self.search;
+        s.clear();
         s.seed(self.committed.as_ref());
         // The mutation stream depends only on (seed, round): replays and
         // thread counts cannot perturb it.
@@ -574,7 +802,7 @@ impl BeamSearch {
                     // it is expanded; a later wave would only regenerate
                     // duplicates.
                     if s.frontier[k].expanded == NONE {
-                        s.expand(k);
+                        s.expand(&la, k);
                     }
                     // Mutants are drawn on every wave: skipping them would
                     // shift the splitmix64 stream, and with it the search.
@@ -585,7 +813,7 @@ impl BeamSearch {
                 }
             }
             scored_count += s.fresh.len() as u64;
-            s.score_fresh(self.threads);
+            s.score_fresh(&la, self.threads);
         }
         let best = s.best.expect("seed frontier is non-empty");
         let g = Digraph::from_in_masks(s.arena.row(best.row))
@@ -793,19 +1021,19 @@ mod tests {
         assert_eq!(t4.merged().content(), s1.content());
     }
 
-    /// Every candidate of a pruning, mutating search scores exactly what
-    /// replaying the execution and stepping the candidate gives, and
-    /// every expanded graph's stored row is that step's output row: the
-    /// changed-agents bookkeeping never leaves a stale output behind.
-    #[test]
-    fn every_candidate_scores_as_a_replayed_step() {
+    /// Every candidate of a pruning, mutating search against `alg` from
+    /// `inits` (9 agents) scores exactly what replaying the execution
+    /// and stepping the candidate gives, and every expanded graph's
+    /// stored row is that step's output row: the changed-agents
+    /// bookkeeping never leaves a stale output behind.
+    fn check_replayed_steps<A: Algorithm<D> + Clone, const D: usize>(alg: A, inits: &[Point<D>]) {
         let n = 9;
         let mut warm = Digraph::complete(n).make_deaf(2);
         warm.remove_edge(4, 7);
         let warm = [warm, Digraph::complete(n).make_deaf(5)];
         // The warm-up rounds, then optionally one round under `masks`.
         let replay = |masks: Option<&[AgentSet]>| {
-            let mut exec = Execution::new(MeanValue, &spread(n));
+            let mut exec = Execution::new(alg.clone(), inits);
             let last = masks.map(|m| Digraph::from_in_masks(m).expect("2 ≤ n ≤ 64"));
             for g in warm.iter().chain(&last) {
                 exec.step(g);
@@ -814,7 +1042,8 @@ mod tests {
         };
 
         let exec = replay(None);
-        let mut s = Search::new(exec.lookahead());
+        let la = exec.lookahead();
+        let mut s = Search::new(n);
         s.seed(None);
         let mut rng = 11;
         for wave in 0..=3 {
@@ -822,22 +1051,37 @@ mod tests {
                 s.select(4);
                 for k in 0..s.frontier.len() {
                     if s.frontier[k].expanded == NONE {
-                        s.expand(k);
+                        s.expand(&la, k);
                         let slot = s.frontier[k].expanded as usize;
                         let stepped = replay(Some(s.arena.row(s.frontier[k].row)));
-                        assert_eq!(&s.rows[slot * n..(slot + 1) * n], stepped.outputs_slice());
+                        let want: Vec<f64> =
+                            stepped.outputs_slice().iter().flat_map(|p| p.0).collect();
+                        assert_eq!(s.rows[slot * n * D..(slot + 1) * n * D], want);
                     }
                     s.mutate(k, 3, &mut rng);
                 }
             }
             let fresh = s.fresh.len();
             assert!(fresh > 0, "wave {wave} generates candidates");
-            s.score_fresh(1);
+            s.score_fresh(&la, 1);
             for c in &s.frontier[s.frontier.len() - fresh..] {
                 let want = replay(Some(s.arena.row(c.row))).value_diameter();
                 assert_eq!(c.score.to_bits(), want.to_bits(), "wave {wave}");
             }
         }
+    }
+
+    #[test]
+    fn every_candidate_scores_as_a_replayed_step() {
+        // Mean-value rows are spread out; midpoint rows tie at their
+        // largest and at their smallest value. In the plane every
+        // candidate measures its row.
+        check_replayed_steps(MeanValue, &spread(9));
+        check_replayed_steps(Midpoint, &spread(9));
+        let plane: Vec<Point<2>> = (0..9)
+            .map(|i| Point([i as f64 / 8.0, ((i * 5) % 9) as f64 / 8.0]))
+            .collect();
+        check_replayed_steps(Midpoint, &plane);
     }
 
     #[test]
@@ -918,21 +1162,33 @@ mod tests {
         /// brute-force rootedness filter admits: every single-edge
         /// toggle, and random 2–3-toggle mutants, of random rooted graphs
         /// from trees (where most tree-edge removals unroot) to cliques.
+        /// Among the rooted edits are ones where the old root no longer
+        /// reaches a changed agent but another agent is a root, as when
+        /// `r → v` is removed from the 2-cycle `r ⇄ v`: the shortcut must
+        /// fall back to the full check there.
         #[test]
         fn tree_shortcut_admits_exactly_the_rooted_edits(seed in any::<u64>()) {
             let mut rng = seed;
-            let (mut kept, mut dropped) = (0, 0);
+            let (mut kept, mut dropped, mut rerooted) = (0, 0, 0);
+            let mut check = |tree: &[AgentSet], root, edited: &[AgentSet], changed| {
+                let rooted = in_masks_are_rooted(edited);
+                prop_assert_eq!(keeps_rooted(tree, root, edited, changed), rooted);
+                if rooted { kept += 1 } else { dropped += 1 }
+                if rooted && agents_in(changed).any(|v| !reaches(edited, root, v)) {
+                    rerooted += 1;
+                }
+                Ok(())
+            };
             for n in 2..=16 {
                 for density in 0..=4 {
                     let masks = rooted_masks(n, density, &mut rng);
                     let tree = spanning_tree(&masks).expect("a planted tree is rooted");
+                    let root = tree[..n].iter().position(|&m| m == 0).expect("a root");
                     let mut edited = masks.clone();
                     for from in 0..n {
                         for to in (0..n).filter(|&to| to != from) {
                             edited[to] ^= 1 << from;
-                            let rooted = in_masks_are_rooted(&edited);
-                            prop_assert_eq!(keeps_rooted(&tree, &edited, 1 << to), rooted);
-                            if rooted { kept += 1 } else { dropped += 1 }
+                            check(&tree, root, &edited, 1 << to)?;
                             edited[to] ^= 1 << from;
                         }
                     }
@@ -946,14 +1202,89 @@ mod tests {
                         let changed = (0..n)
                             .filter(|&v| mutant[v] != masks[v])
                             .fold(0, |set, v| set | 1 << v);
-                        prop_assert_eq!(
-                            keeps_rooted(&tree, &mutant, changed),
-                            in_masks_are_rooted(&mutant)
-                        );
+                        check(&tree, root, &mutant, changed)?;
                     }
                 }
             }
             prop_assert!(kept > 0 && dropped > 0, "both outcomes occur");
+            prop_assert!(rerooted > 0, "another agent roots some edit");
+        }
+
+        /// [`Expansion::edited`] is [`consensus_algorithms::diameter`] of
+        /// the edited row, bit for bit, whenever the row and the new value
+        /// are finite, and declines (leaving the full path) otherwise.
+        /// Rows draw from a few values, so the largest and the smallest
+        /// are often held by several agents and `0.0` and `-0.0` often
+        /// tie; half the rows get a lone largest value, half a lone
+        /// smallest, and every eighth row holds a non-finite value. Every
+        /// agent is edited to every value of the row, the extremes nudged
+        /// by one ulp, `±0.0`, `±∞` and NaN.
+        #[test]
+        fn one_agent_edits_score_as_the_measured_row(seed in any::<u64>(), n in 2usize..65) {
+            const BASE: [f64; 9] = [0.0, -0.0, 0.5, -1.25, 3.0, 1e300, -5e-324, 2.0, -2.0];
+            const SPECIAL: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            let mut rng = seed;
+            let mut pick = |len: usize| (splitmix64(&mut rng) % len as u64) as usize;
+            let palette: Vec<f64> = (0..1 + pick(4)).map(|_| BASE[pick(BASE.len())]).collect();
+            let mut values: Vec<f64> = (0..n).map(|_| palette[pick(palette.len())]).collect();
+            for lone in [1e301, -1e301] {
+                if pick(2) == 0 {
+                    values[pick(n)] = lone;
+                }
+            }
+            if pick(8) == 0 {
+                values[pick(n)] = SPECIAL[pick(SPECIAL.len())];
+            }
+            let finite = values.iter().all(|v| v.is_finite());
+            let rec = Expansion::new(0, Some(&values));
+            prop_assert_eq!(rec.is_measured(), finite);
+
+            let (hi, lo) = values.iter().fold((values[0], values[0]), |(hi, lo), &v| {
+                (if v > hi { v } else { hi }, if v < lo { v } else { lo })
+            });
+            let mut edits = values.clone();
+            for x in [hi, lo] {
+                edits.extend([x.next_up(), x.next_down()]);
+            }
+            edits.extend([0.0, -0.0]);
+            edits.extend(SPECIAL);
+            let mut row: Vec<Point<1>> = values.iter().map(|&v| Point([v])).collect();
+            for agent in 0..n {
+                for &v in &edits {
+                    row[agent] = Point([v]);
+                    let want = consensus_algorithms::diameter(&row);
+                    let got = rec.edited(agent, v);
+                    if finite && v.is_finite() {
+                        prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()));
+                    } else {
+                        prop_assert_eq!(got, None);
+                    }
+                }
+                row[agent] = Point([values[agent]]);
+            }
+        }
+    }
+
+    /// One [`BeamSearch`] driven for several rounds, its buffers reused
+    /// from round to round, commits the graphs a fresh clone (empty
+    /// buffers) commits in each round, at 1 and 2 threads.
+    #[test]
+    fn reused_buffers_commit_what_fresh_ones_commit() {
+        let n = 7;
+        for threads in [1, 2] {
+            let mut adv = BeamSearch::new(n, 5)
+                .width(3)
+                .depth(3)
+                .mutations(2)
+                .threads(threads);
+            let mut exec = Execution::new(MeanValue, &spread(n));
+            for round in 0..8 {
+                let (mut fresh, mut reused) = (Vec::new(), Vec::new());
+                Driver::next_block(&mut adv.clone(), &exec, &mut fresh);
+                Driver::next_block(&mut adv, &exec, &mut reused);
+                assert_eq!(reused, fresh, "threads {threads}, round {round}");
+                exec.step(&reused[0]);
+            }
         }
     }
 
@@ -981,6 +1312,20 @@ mod tests {
                 "row numbers follow admission order"
             );
         }
+        // After a reset every row is new again, numbered from 0, both when
+        // the arena refills past its old size and when it stays small.
+        for rows in [1000, 10] {
+            arena.clear();
+            for (i, k) in (0..rows).rev().enumerate() {
+                let masks = row(k);
+                let stored = arena.admit(&masks, row_hash(&masks), || true);
+                assert_eq!(stored, Some(i as u32), "row {k} is new after a reset");
+                assert_eq!(arena.row(i as u32), masks);
+            }
+        }
+        let masks = row(999);
+        let stale = arena.admit(&masks, row_hash(&masks), || true);
+        assert_eq!(stale, Some(10), "a row stored before the reset is new");
     }
 
     #[test]

@@ -69,6 +69,10 @@ pub struct SweepReport {
     pub outcomes: Vec<CellOutcome>,
     /// The aggregate statistics of `outcomes`.
     pub summary: SweepSummary,
+    /// The `index` the JSON gives the first row: 0, except in the
+    /// report of one cell re-run solo, whose rows keep their index in
+    /// the full report.
+    pub first_index: usize,
 }
 
 impl SweepReport {
@@ -95,6 +99,7 @@ impl SweepReport {
             seeds,
             outcomes,
             summary,
+            first_index: 0,
         }
     }
 
@@ -131,7 +136,8 @@ impl SweepReport {
                 .decision_round
                 .map_or("null".to_owned(), |r| r.to_string());
             out.push_str(&format!(
-                "    {{\"index\": {i}, \"label\": \"{}\", \"seed\": {}, \"rate\": {}, \"decision_round\": {decision}, \"rounds\": {}, \"converged\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
+                "    {{\"index\": {}, \"label\": \"{}\", \"seed\": {}, \"rate\": {}, \"decision_round\": {decision}, \"rounds\": {}, \"converged\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
+                self.first_index + i,
                 json_escape(&self.labels[i]),
                 self.seeds[i],
                 json_f64(o.rate),
