@@ -20,30 +20,34 @@
 //!   `T(Δ, ε)`; the wrapper is itself an [`Algorithm`], so it runs under
 //!   any pattern/adversary;
 //! * [`rules`] — the decision rounds of the paper's matching algorithms
-//!   and the lower-bound formulas of Theorems 8–11;
-//! * [`measure`] — empirical minimal decision time against an adversary
-//!   (first round at which the adversarial execution's spread is ≤ ε).
+//!   and the lower-bound formulas of Theorems 8–11.
+//!
+//! The empirical minimal decision time against an adversary (the first
+//! round at which the adversarial execution's spread is ≤ ε) is a
+//! [`Scenario`](consensus_dynamics::Scenario) with `.decide(ε)`.
 //!
 //! # Example
 //!
 //! ```
-//! use consensus_approx::{measure, rules};
+//! use consensus_approx::rules;
 //! use consensus_algorithms::{Midpoint, Point};
 //! use consensus_digraph::Digraph;
+//! use consensus_dynamics::Scenario;
 //! use consensus_valency::adversary;
 //!
 //! // Midpoint + Theorem 2 adversary: deciding earlier than
 //! // ⌈log2(Δ/ε)⌉ rounds would violate ε-agreement.
 //! let adv = adversary::theorem2(&Digraph::complete(3));
-//! let t = measure::minimal_decision_round(
-//!     Midpoint, &adv, &[Point([0.0]), Point([1.0]), Point([0.5])], 1e-3, 64);
+//! let t = Scenario::new(Midpoint, &[Point([0.0]), Point([1.0]), Point([0.5])])
+//!     .adversary(adv.driver())
+//!     .decide(1e-3)
+//!     .decision_round(64);
 //! assert_eq!(t, Some(rules::midpoint_decision_round(1.0, 1e-3)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod measure;
 pub mod rules;
 
 use consensus_algorithms::{Agent, Algorithm, Inbox, Point};
@@ -55,7 +59,8 @@ use consensus_algorithms::{Agent, Algorithm, Inbox, Point};
 ///
 /// The decision round itself comes from a spread measurement: either a
 /// closed-form rule ([`rules`]) or an empirical minimal decision round
-/// ([`measure`]), both of which are parameterised by the
+/// (a [`Scenario`](consensus_dynamics::Scenario) with `.decide(ε)`),
+/// which is parameterised by the
 /// [`Metric`](consensus_dynamics::Metric) abstraction — hull-diameter
 /// ε-agreement by default, so multidimensional deciders are safe
 /// without projecting to a scalar.

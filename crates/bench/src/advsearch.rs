@@ -29,9 +29,9 @@ use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::fingerprint;
 use tight_bounds_consensus::valency::adversary;
 
-use crate::experiments::{spread_inits, SpecError};
+use crate::experiments::{no_failures, spread_inits, SpecError, PROBE};
 use crate::orchestrate::{run_grid, Grid};
-use crate::tablefmt::{check, rate, section, Table};
+use crate::tablefmt::{mark, rate, section, Table};
 
 /// One cell of the adversary-search grid. Cells are plain parameter
 /// records: everything a cell does is a pure function of these numbers,
@@ -531,23 +531,28 @@ impl Grid for AdversarySpec {
         out.push_str(
             "rate = mean per-round contraction (valency δ̂ for theorem rows, value\ndiameter for adaptive rows); probes run strict where labelled\n\n",
         );
-        let mut t = Table::new(&["cell", "rate", "rounds", "probes ok", "fingerprint"]);
+        let mut t = Table::new(&["cell", "rate", "rounds", "converged", "fingerprint"]);
         for (i, cell) in self.cells.iter().enumerate() {
             let o = &report.outcomes[i];
             t.row(&[
                 cell.label(),
                 rate(o.rate),
                 o.rounds.to_string(),
-                check(o.converged),
+                o.converged.to_string(),
                 format!("{:016x}", o.fingerprint),
             ]);
         }
         out.push_str(&t.render());
         out.push('\n');
         for (desc, ok) in adversary_checks(self, report) {
-            out.push_str(&format!("{} {}\n", check(ok), desc));
+            out.push_str(&format!("{} {}\n", mark(ok), desc));
         }
         out
+    }
+
+    /// [`adversary_checks`].
+    fn claims(&self, report: &SweepReport) -> Vec<(String, bool)> {
+        adversary_checks(self, report)
     }
 }
 
@@ -570,24 +575,24 @@ pub fn run_adversary_cell_traced(cell: &AdvCell, ctx: CellCtx, trace: &TraceHand
     cell.run(ctx, trace)
 }
 
-/// The grid's cross-cell invariants, as `(description, holds)` rows:
-/// every serial/pooled (and beam/exhaustive) pair with the same
-/// [`AdvCell::pair_key`] must have identical fingerprints, the
-/// deaf-family diameter-max rate must be exactly 1/2, the large-`n`
-/// beam must contract strictly slower than 1/2 per round, and the
-/// Theorem 3 valency rate δ̂ must reach the paper's lower bound
-/// `(1/2)^{1/(n−2)}`.
+/// The grid's claims, as `(description, holds)` rows: every cell's
+/// probes converged, every serial/pooled (and beam/exhaustive) pair with
+/// the same [`AdvCell::pair_key`] has identical fingerprints, the
+/// deaf-family diameter-max rate is exactly 1/2, the large-`n` beam
+/// contracts strictly slower than 1/2 per round, the Theorem 1/2 valency
+/// rates are 1/3 and 1/2, and the Theorem 3 valency rate δ̂ reaches the
+/// paper's lower bound `(1/2)^{1/(n−2)}`.
 #[must_use]
 pub fn adversary_checks(spec: &AdversarySpec, report: &SweepReport) -> Vec<(String, bool)> {
     assert_eq!(spec.cells.len(), report.outcomes.len(), "one row per cell");
-    let mut checks = Vec::new();
+    let mut checks = vec![no_failures(report)];
 
     // Thread-count pairs: equal pair_key ⇒ equal fingerprint.
     for (i, a) in spec.cells.iter().enumerate() {
         for (j, b) in spec.cells.iter().enumerate().skip(i + 1) {
             if a.pair_key() == b.pair_key() {
                 checks.push((
-                    format!("replay-equal: {} ≡ {}", a.label(), b.label()),
+                    format!("replay-equal: {} ≡ {} (bit for bit)", a.label(), b.label()),
                     report.outcomes[i].fingerprint == report.outcomes[j].fingerprint
                         && report.outcomes[i].rate.to_bits() == report.outcomes[j].rate.to_bits(),
                 ));
@@ -601,8 +606,10 @@ pub fn adversary_checks(spec: &AdversarySpec, report: &SweepReport) -> Vec<(Stri
             for (j, b) in spec.cells.iter().enumerate() {
                 if *b == (AdvCell::Exhaustive { n, rounds }) {
                     checks.push((
-                        format!("beam ≡ exhaustive (n={n})"),
-                        report.outcomes[i].fingerprint == report.outcomes[j].fingerprint,
+                        format!("beam ≡ exhaustive (n={n}): same fingerprint and rate bits"),
+                        report.outcomes[i].fingerprint == report.outcomes[j].fingerprint
+                            && report.outcomes[i].rate.to_bits()
+                                == report.outcomes[j].rate.to_bits(),
                     ));
                 }
             }
@@ -616,19 +623,19 @@ pub fn adversary_checks(spec: &AdversarySpec, report: &SweepReport) -> Vec<(Stri
                 report.outcomes[i].rate == 0.5,
             )),
             AdvCell::BeamLarge { n, .. } => checks.push((
-                format!("beam n={n} rate > 1/2 (slower than the deaf bound)"),
+                format!("beam n={n} rate > 1/2, slower than the deaf bound (strict)"),
                 report.outcomes[i].rate > 0.5,
             )),
             AdvCell::Theorem1 { .. } => checks.push((
-                "thm1 rate = 1/3 (±1e-6)".into(),
+                format!("thm1 rate = 1/3 ± 1e-6 ({})", PROBE.1),
                 (report.outcomes[i].rate - 1.0 / 3.0).abs() < 1e-6,
             )),
             AdvCell::Theorem2 { .. } | AdvCell::DeafValency { .. } => checks.push((
-                format!("{} rate = 1/2 (±1e-6)", cell.pair_key()),
+                format!("{} rate = 1/2 ± 1e-6 ({})", cell.pair_key(), PROBE.1),
                 (report.outcomes[i].rate - 0.5).abs() < 1e-6,
             )),
             AdvCell::Theorem3 { n, .. } => checks.push((
-                format!("thm3 n={n} δ̂ ≥ (1/2)^(1/(n−2))"),
+                format!("thm3 n={n} δ̂ ≥ (1/2)^(1/(n−2)) exactly"),
                 report.outcomes[i].rate >= bounds::theorem3_lower(n),
             )),
             _ => {}

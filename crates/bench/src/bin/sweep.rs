@@ -66,6 +66,13 @@
 //!                         (needs --workers)
 //! ```
 //!
+//! Every grid states claims about its complete report (`Grid::claims`:
+//! the paper's bounds for the `paper` grid, the separations and
+//! invariants of the others), and the table's ✓/✗ marks come from them.
+//! After printing a complete report (and, for the default grid at
+//! `--quick`, the appended tables), the bin names each failed claim on
+//! stderr and exits 1. A `--replay` or an interrupted run states none.
+//!
 //! A missing or malformed flag value, a flag that needs another one
 //! (`--resume` and `--stop-after` need `--checkpoint`,
 //! `--worker-fail-cells` needs `--workers`), or an output flag with
@@ -197,8 +204,8 @@ fn worker_program() -> PathBuf {
 
 /// Runs the spec through the coordinator (threads or worker processes),
 /// emits the report if the grid completed, and returns the process exit
-/// code: 0 clean/interrupted-with-checkpoint, 1 on failed cells, a
-/// checkpoint error or a worker program that cannot be spawned.
+/// code: 0 clean/interrupted-with-checkpoint, 1 on failed cells, a failed
+/// claim, a checkpoint error or a worker program that cannot be spawned.
 fn run_coordinated(
     spec: &AnySpec,
     preset: &str,
@@ -206,7 +213,7 @@ fn run_coordinated(
     tf: &TraceFlags,
     threads: Option<usize>,
     seed: Option<u64>,
-    emit: impl Fn(&str, String),
+    emit: impl Fn(&SweepReport) -> bool,
 ) -> i32 {
     let trace = &tf.handle();
     let plan = spec.plan(preset);
@@ -297,27 +304,44 @@ fn run_coordinated(
     let report = spec.report_from_rows(outcome.outcome_rows().expect("completed run has rows"));
     obswire::enrich_report(trace, &report);
     tf.write(trace);
-    emit(&report.to_json(), spec.table(&report));
-    i32::from(!outcome.failed_cells.is_empty())
+    let claim_failed = emit(&report);
+    i32::from(claim_failed || !outcome.failed_cells.is_empty())
+}
+
+/// The stderr lines naming the failed claims of `spec` about its
+/// complete `report`.
+fn failed_claims(spec: &AnySpec, report: &SweepReport) -> Vec<String> {
+    let grid = spec.grid_name();
+    (spec.claims(report).into_iter())
+        .filter(|(_, ok)| !ok)
+        .map(|(what, _)| format!("sweep: {grid} claim failed: {what}"))
+        .collect()
 }
 
 /// What the default grid's table ends with, on either path: at `quick`,
 /// every other grid's quick table on the same seed, then a note that the
-/// JSON covers the default grid only.
-fn default_grid_appendix(preset: &str, threads: Option<usize>, seed: Option<u64>) -> String {
+/// JSON covers the default grid only. Also the failed claims of the
+/// appended grids.
+fn default_grid_appendix(
+    preset: &str,
+    threads: Option<usize>,
+    seed: Option<u64>,
+) -> (String, Vec<String>) {
     let others: Vec<&str> = AnySpec::registry()
         .map(|(name, _)| name)
         .filter(|&name| name != DEFAULT_GRID)
         .collect();
-    let mut out = String::new();
+    let (mut out, mut failed) = (String::new(), Vec::new());
     if preset == "quick" {
         for name in &others {
             let mut other = spec_or_exit(AnySpec::resolve(name, preset));
             if let Some(s) = seed {
                 other.set_base_seed(s);
             }
+            let report = other.run_in_process(threads);
             out.push('\n');
-            out.push_str(&other.table(&other.run_in_process(threads)));
+            out.push_str(&other.table(&report));
+            failed.extend(failed_claims(&other, &report));
         }
     }
     out.push_str(&format!(
@@ -325,7 +349,7 @@ fn default_grid_appendix(preset: &str, threads: Option<usize>, seed: Option<u64>
          of another grid: {})",
         others.join(", ")
     ));
-    out
+    (out, failed)
 }
 
 fn main() {
@@ -413,21 +437,32 @@ fn main() {
         out_path = Some(format!("BENCH_{grid}.json"));
     }
 
-    let emit = |json: &str, mut table: String| {
+    // Prints a complete report, then names its failed claims on stderr;
+    // whether one failed.
+    let emit = |report: &SweepReport| {
+        let json = report.to_json();
         if let Some(path) = &out_path {
-            std::fs::write(path, json).unwrap_or_else(|e| write_failed("--out", path, &e));
+            std::fs::write(path, &json).unwrap_or_else(|e| write_failed("--out", path, &e));
         }
+        let mut failed = failed_claims(&spec, report);
         if json_only {
             print!("{json}");
-            return;
+        } else {
+            let mut table = spec.table(report);
+            if grid == DEFAULT_GRID {
+                let (appendix, appendix_failed) = default_grid_appendix(&preset, threads, seed);
+                table.push_str(&appendix);
+                failed.extend(appendix_failed);
+            }
+            println!("{table}");
+            if let Some(path) = &out_path {
+                println!("JSON written to {path}");
+            }
         }
-        if grid == DEFAULT_GRID {
-            table.push_str(&default_grid_appendix(&preset, threads, seed));
+        for line in &failed {
+            eprintln!("{line}");
         }
-        println!("{table}");
-        if let Some(path) = &out_path {
-            println!("JSON written to {path}");
-        }
+        !failed.is_empty()
     };
 
     if cf.engaged() {
@@ -462,5 +497,7 @@ fn main() {
     let report = spec.run(threads, trace.clone());
     obswire::enrich_report(&trace, &report);
     tf.write(&trace);
-    emit(&report.to_json(), spec.table(&report));
+    if emit(&report) {
+        std::process::exit(1);
+    }
 }

@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 
+use consensus_bench::cli::{flag_value, usage};
 use consensus_bench::tablefmt::{rate, section, Table};
 use tight_bounds_consensus::obs::{parse_line, Class, EventKind, ParsedEvent};
 
@@ -81,36 +82,32 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 fn main() {
+    const USAGE: &str = "usage: trace-report PATH [--lane NAME]";
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut lane_filter: Option<u8> = None;
-    let mut it = args.iter();
+    let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
-        match a.as_str() {
+        match a {
             "--lane" => {
-                let v = it.next().expect("--lane needs a name");
-                lane_filter = Some(
-                    LANES
-                        .iter()
-                        .find(|(_, n)| n == v)
-                        .map(|(id, _)| *id)
-                        .unwrap_or_else(|| {
-                            eprintln!("--lane: unknown lane `{v}`");
-                            std::process::exit(2);
-                        }),
-                );
+                let v: String = flag_value(a, it.next(), "a lane name");
+                let Some(&(id, _)) = LANES.iter().find(|(_, n)| *n == v) else {
+                    let names: Vec<&str> = LANES.iter().map(|(_, n)| *n).collect();
+                    usage(&format!(
+                        "--lane: unknown lane `{v}` (use {})",
+                        names.join("|")
+                    ));
+                };
+                lane_filter = Some(id);
             }
-            other if path.is_none() && !other.starts_with("--") => path = Some(other.to_owned()),
-            other => {
-                eprintln!("unknown flag `{other}` — usage: trace-report PATH [--lane NAME]");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}` — {USAGE}")),
+            p if path.is_none() => path = Some(p.to_owned()),
+            p => usage(&format!(
+                "a second PATH `{p}`: trace-report reads one file — {USAGE}"
+            )),
         }
     }
-    let path = path.unwrap_or_else(|| {
-        eprintln!("usage: trace-report PATH [--lane NAME]");
-        std::process::exit(2);
-    });
+    let path = path.unwrap_or_else(|| usage(USAGE));
     let body = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("failed to read {path}: {e}");
         std::process::exit(1);

@@ -1,6 +1,6 @@
-//! Command-line parsing shared by the `sweep` and `sweep-worker` bins:
-//! a bad command line is a one-line usage error on stderr with exit
-//! code 2, never a panic.
+//! Command-line parsing shared by the `sweep`, `sweep-worker` and
+//! `trace-report` bins: a bad command line is a one-line usage error on
+//! stderr with exit code 2, never a panic.
 
 use std::str::FromStr;
 

@@ -1,11 +1,13 @@
-//! The reproduction harness: every table and figure of the paper as an
-//! executable experiment.
+//! The reproduction harness: every measured artefact of the paper, and
+//! the sweep grids around it, as registry grids of the `sweep` bin.
 //!
-//! Each public function in [`experiments`] regenerates one artefact
-//! (Table 1, Figures 1–2, the theorem series) and returns it as a
-//! printable report. The `tables` bench target prints all of them (so
-//! `cargo bench` reproduces the paper end-to-end), and each also has a
-//! standalone binary (`cargo run -p consensus-bench --bin table1`, …).
+//! [`orchestrate`] declares the [`orchestrate::Grid`] interface and its
+//! registry; [`experiments`] holds the `paper` grid (Table 1 and
+//! Theorems 1–11, one row per number, each with its claim) and the
+//! ensemble, multidim and dynamic-rates grids; [`advsearch`] holds the
+//! adversary-search grid. `cargo run --release -p consensus-bench --bin
+//! sweep -- --grid paper --quick` prints the paper's tables and exits 1
+//! if a claim fails.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

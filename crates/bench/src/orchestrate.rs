@@ -1,6 +1,6 @@
 //! The experiment grids behind one interface. A grid is one [`Grid`]
-//! impl: its registry name, presets, cells, row labels, cell runner and
-//! table. Everything else is shared and grid-agnostic:
+//! impl: its registry name, presets, cells, row labels, cell runner,
+//! table and claims. Everything else is shared and grid-agnostic:
 //!
 //! - [`run_grid`], the in-process runner on the sweep pool;
 //! - the registry behind [`AnySpec`], which resolves a `(grid, preset)`
@@ -37,7 +37,7 @@ use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::cell_seed;
 
 use crate::advsearch::AdversarySpec;
-use crate::experiments::{DynamicSpec, EnsembleSpec, MultidimSpec, SpecError};
+use crate::experiments::{DynamicSpec, EnsembleSpec, MultidimSpec, PaperSpec, SpecError};
 
 /// One experiment grid of the `sweep` bin, declared as data: how to
 /// name, build, label and run it. The runner, the report layout, the
@@ -77,8 +77,16 @@ pub trait Grid: Clone + fmt::Debug + Send + Sync + RefUnwindSafe + 'static {
     /// Runs one cell. A cell that records spans of its own writes them to
     /// `trace` on shard `ctx.index`; its rows never depend on `trace`.
     fn run_cell(&self, cell: &Self::Cell, ctx: CellCtx, trace: &TraceHandle) -> Self::Rows;
-    /// Renders the human table of a report of this grid.
+    /// Renders the human table of a report of this grid. Its ✓/✗ marks
+    /// come from [`Grid::claims`].
     fn table(&self, report: &SweepReport) -> String;
+    /// The grid's claims about a complete report, as `(what is tested,
+    /// holds)` rows. The text names the quantity, the relation and its
+    /// tolerance (exact, or ± a tolerance and why). The `sweep` bin exits
+    /// 1 when one of them fails.
+    fn claims(&self, _report: &SweepReport) -> Vec<(String, bool)> {
+        Vec::new()
+    }
 }
 
 /// Runs `grid` in process on the sweep pool (`threads = None` ⇒ all
@@ -146,11 +154,12 @@ const fn register<G: Grid>() -> Registered {
 /// Every grid the `sweep` bin can run, in `--list` order. This is the
 /// one dispatch point: adding a grid is one [`Grid`] impl plus one entry
 /// here.
-const REGISTRY: [Registered; 4] = [
+const REGISTRY: [Registered; 5] = [
     register::<EnsembleSpec>(),
     register::<MultidimSpec>(),
     register::<DynamicSpec>(),
     register::<AdversarySpec>(),
+    register::<PaperSpec>(),
 ];
 
 /// The grid the `sweep` bin runs without `--grid`: the first registered.
@@ -240,6 +249,8 @@ pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
     fn replay(&self, index: usize) -> Option<SweepReport>;
     /// Renders the grid's human table for a report.
     fn table(&self, report: &SweepReport) -> String;
+    /// The grid's [`Grid::claims`] about a complete report.
+    fn claims(&self, report: &SweepReport) -> Vec<(String, bool)>;
     /// A boxed copy of the grid.
     fn clone_box(&self) -> Box<dyn GridSpec>;
 
@@ -321,6 +332,10 @@ impl<G: Grid> GridSpec for G {
 
     fn table(&self, report: &SweepReport) -> String {
         Grid::table(self, report)
+    }
+
+    fn claims(&self, report: &SweepReport) -> Vec<(String, bool)> {
+        Grid::claims(self, report)
     }
 
     fn clone_box(&self) -> Box<dyn GridSpec> {
@@ -480,6 +495,28 @@ mod tests {
         assert_eq!(spec.rows_per_cell(), 2);
         let classic = spec.run_in_process(Some(1)).to_json();
         assert_eq!(classic, coordinated_json(&spec, "unit"));
+    }
+
+    #[test]
+    fn a_flipped_pooled_fingerprint_fails_exactly_the_replay_claim() {
+        let spec = AnySpec::resolve("adversary_search", "golden").expect("registered");
+        let exec = spec.executor(Duration::ZERO);
+        let mut rows: Vec<CellOutcome> = (0..spec.n_cells()).flat_map(|i| exec.rows(i)).collect();
+        assert!(spec
+            .claims(&spec.report_from_rows(rows.clone()))
+            .iter()
+            .all(|c| c.1));
+        // Cell 2 is the pooled Theorem 2 cell, the partner of serial cell 1.
+        rows[2].fingerprint ^= 1;
+        let failed: Vec<String> = (spec.claims(&spec.report_from_rows(rows)).into_iter())
+            .filter(|(_, ok)| !ok)
+            .map(|(what, _)| what)
+            .collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(
+            failed[0].starts_with("replay-equal: thm2 n=4"),
+            "{failed:?}"
+        );
     }
 
     #[test]

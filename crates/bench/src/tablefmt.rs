@@ -76,13 +76,13 @@ pub fn interval(lo: f64, hi: f64) -> String {
     format!("[{lo:.4}, {hi:.4}]")
 }
 
-/// A ✓/✗ marker for a boolean check.
+/// The ✓/✗ mark of a claim that holds or fails.
 #[must_use]
-pub fn check(ok: bool) -> String {
+pub fn mark(ok: bool) -> &'static str {
     if ok {
-        "✓".to_owned()
+        "✓"
     } else {
-        "✗ MISMATCH".to_owned()
+        "✗"
     }
 }
 
@@ -110,7 +110,7 @@ mod tests {
     fn helpers() {
         assert_eq!(rate(0.5), "0.5000");
         assert_eq!(interval(0.2, 0.25), "[0.2000, 0.2500]");
-        assert_eq!(check(true), "✓");
+        assert_eq!((mark(true), mark(false)), ("✓", "✗"));
         assert!(section("Table 1").contains("Table 1"));
     }
 

@@ -6,6 +6,11 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::Duration;
+
+use consensus_bench::orchestrate::AnySpec;
+use tight_bounds_consensus::controlplane::{CellRecord, CellStatus, CheckpointWriter};
+use tight_bounds_consensus::sweep::cell_seed;
 
 fn sweep() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_sweep"));
@@ -48,7 +53,7 @@ fn unknown_preset_is_a_clean_usage_error() {
 
 #[test]
 fn unknown_preset_error_names_the_selected_grid() {
-    for grid in ["multidim", "dynamic_rates", "adversary_search"] {
+    for grid in ["multidim", "dynamic_rates", "adversary_search", "paper"] {
         let out = run(&["--grid", grid, "--preset", "bogus"]);
         assert_eq!(out.status.code(), Some(2), "{grid}");
         assert_eq!(
@@ -62,8 +67,11 @@ fn unknown_preset_error_names_the_selected_grid() {
 fn field<'r>(row: &'r str, key: &str) -> &'r str {
     let start = row.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
     let rest = &row[start..];
-    let rest = rest.strip_prefix('"').unwrap_or(rest);
-    &rest[..rest.find(['"', ',']).expect("field end")]
+    // A quoted value may hold commas (`{H0,H1,H2}`); it ends at its quote.
+    match rest.strip_prefix('"') {
+        Some(quoted) => &quoted[..quoted.find('"').expect("closing quote")],
+        None => &rest[..rest.find(',').expect("field end")],
+    }
 }
 
 #[test]
@@ -73,6 +81,7 @@ fn replay_prints_the_rows_of_the_json_report() {
         ("multidim", 2),
         ("dynamic_rates", 1),
         ("adversary_search", 1),
+        ("paper", 1),
     ] {
         let out = run(&["--grid", grid, "--golden", "--json"]);
         assert!(out.status.success(), "{grid}");
@@ -117,6 +126,7 @@ fn replay_with_json_prints_the_one_cell_report() {
         ("multidim", "golden_multidim.json", 2),
         ("dynamic_rates", "golden_dynamic.json", 1),
         ("adversary_search", "golden_adversary.json", 1),
+        ("paper", "golden_paper.json", 1),
     ] {
         let golden = std::fs::read_to_string(ci.join(golden)).expect("golden file");
         let want: Vec<&str> = golden
@@ -336,7 +346,7 @@ fn table_mode_stdout_is_the_same_on_both_paths() {
     assert!(coordinated.status.success(), "coordinated table run");
     let stdout = String::from_utf8_lossy(&classic.stdout);
     assert!(
-        stdout.contains("of another grid: multidim, dynamic_rates, adversary_search)"),
+        stdout.contains("of another grid: multidim, dynamic_rates, adversary_search, paper)"),
         "the note names every other registered grid: {stdout}"
     );
     assert_eq!(stdout, String::from_utf8_lossy(&coordinated.stdout));
@@ -533,4 +543,76 @@ fn metrics_snapshot_is_written_and_accounts_for_every_cell() {
     assert!(snap.contains("\"cells_done\": 16"), "{snap}");
     assert!(snap.contains("\"cells_failed\": 0"), "{snap}");
     std::fs::remove_file(&metrics).ok();
+}
+
+#[test]
+fn a_failed_claim_exits_one_after_the_report_and_names_the_claim() {
+    let ck = tmpfile("claim.sweepck");
+    std::fs::remove_file(&ck).ok();
+    let ck_s = ck.to_str().expect("utf8 temp path");
+    let args = [
+        "--grid",
+        "adversary_search",
+        "--golden",
+        "--json",
+        "--checkpoint",
+        ck_s,
+    ];
+    let complete = run(&args);
+    assert!(
+        complete.status.success(),
+        "every claim holds on the golden run"
+    );
+    // A later record of the pooled Theorem 2 cell (cell 2) whose
+    // fingerprint no longer matches its serial partner's: a resume keeps
+    // the last record of each cell.
+    let spec = AnySpec::resolve("adversary_search", "golden").expect("registered");
+    let mut outcomes = spec.executor(Duration::ZERO).rows(2);
+    outcomes[0].fingerprint ^= 1;
+    let len = std::fs::metadata(&ck).expect("checkpoint written").len();
+    let record = CellRecord {
+        cell: 2,
+        seed: cell_seed(spec.base_seed(), 2),
+        status: CellStatus::Done,
+        outcomes,
+    };
+    let mut writer = CheckpointWriter::append_to(&ck, len).expect("reopen checkpoint");
+    writer.append(&record).expect("append record");
+    drop(writer);
+    let resumed = run(&[&args[..], &["--resume"]].concat());
+    assert_eq!(resumed.status.code(), Some(1), "a failed claim exits 1");
+    assert!(
+        !resumed.stdout.is_empty() && resumed.stdout != complete.stdout,
+        "the report, with the doctored row, is printed first"
+    );
+    let err = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(err.lines().count(), 1, "one line per failed claim: {err}");
+    assert!(
+        err.starts_with("sweep: adversary_search claim failed: replay-equal: thm2 n=4"),
+        "names the failed claim: {err}"
+    );
+    std::fs::remove_file(&ck).ok();
+}
+
+#[test]
+fn trace_report_usage_errors_are_one_line_exit_two() {
+    for (args, names) in [
+        (&["--lane"][..], "--lane"),
+        (&["--lane", "nowhere"], "nowhere"),
+        (&["a.jsonl", "b.jsonl"], "b.jsonl"),
+        (&["--bogus"], "--bogus"),
+        (&[], "usage"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace-report"))
+            .args(args)
+            .output()
+            .expect("spawn the trace-report bin");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains(names), "{args:?}: {err}");
+        assert!(!err.contains("unknown flag `b.jsonl`"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
 }

@@ -1,6 +1,6 @@
 //! Every closed-form bound of the paper, as documented functions, plus a
-//! machine-readable theorem registry (used by the bench harness to print
-//! Table 1 with paper-vs-measured columns).
+//! machine-readable theorem registry (its keys label the measured rows
+//! of the bench harness's `paper` grid).
 //!
 //! All contraction rates are **per round**; a rate of 0 means exact
 //! agreement in finite time is possible.
@@ -137,12 +137,15 @@ pub fn table1_async_interval(n: usize, f: usize) -> (f64, f64) {
     (theorem6_lower(n, f), round_based_upper(n, f))
 }
 
-/// A theorem entry of the registry: identifier, statement, and the
-/// closed-form bound evaluated at given parameters.
+/// A theorem entry of the registry: identifier, row-label key,
+/// statement, and the kind of bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TheoremEntry {
     /// Identifier as in the paper, e.g. `"Theorem 2"`.
     pub id: &'static str,
+    /// The short key the reproduction harness starts the labels of the
+    /// theorem's measured rows with, e.g. `"thm2"`.
+    pub key: &'static str,
     /// One-line statement.
     pub statement: &'static str,
     /// Kind of quantity the bound constrains.
@@ -161,23 +164,26 @@ pub enum BoundKind {
 }
 
 /// The theorem registry: one entry per quantitative claim of the paper,
-/// in paper order. The bench harness iterates this to label its rows.
+/// in paper order. The reproduction harness labels its measured rows
+/// with the entries' [`TheoremEntry::key`]s (the `paper` grid of
+/// `consensus-bench`).
 #[must_use]
-pub fn theorems() -> Vec<TheoremEntry> {
+pub fn theorems() -> &'static [TheoremEntry] {
     use BoundKind::*;
-    vec![
-        TheoremEntry { id: "Theorem 1", statement: "n=2, model ⊇ {H0,H1,H2}: contraction ≥ 1/3 (tight, Algorithm 1)", kind: ContractionLower },
-        TheoremEntry { id: "Theorem 2", statement: "n≥3, model ⊇ deaf(G): contraction ≥ 1/2 (tight in non-split, midpoint)", kind: ContractionLower },
-        TheoremEntry { id: "Theorem 3", statement: "n≥4, model ⊇ Ψ: contraction ≥ (1/2)^{1/(n−2)} (amortized midpoint: (1/2)^{1/(n−1)})", kind: ContractionLower },
-        TheoremEntry { id: "Theorem 4", statement: "exact consensus solvable ⟺ valencies singleton or disconnected", kind: Upper },
-        TheoremEntry { id: "Theorem 5", statement: "exact consensus unsolvable: contraction ≥ 1/(D+1), D = α-diameter", kind: ContractionLower },
-        TheoremEntry { id: "Theorem 6", statement: "async, f < n/2 crashes, round-based: contraction ≥ 1/(⌈n/f⌉+1)", kind: ContractionLower },
-        TheoremEntry { id: "Theorem 7", statement: "MinRelay (not round-based): exact agreement by time f+1, rate 0", kind: Upper },
-        TheoremEntry { id: "Theorem 8", statement: "n=2: decision time ≥ log3(Δ/ε) (tight)", kind: DecisionTimeLower },
-        TheoremEntry { id: "Theorem 9", statement: "n≥3, deaf(G): decision time ≥ log2(Δ/ε) (tight)", kind: DecisionTimeLower },
-        TheoremEntry { id: "Theorem 10", statement: "n≥4, Ψ: decision time ≥ (n−2)·log2(Δ/ε)", kind: DecisionTimeLower },
-        TheoremEntry { id: "Theorem 11", statement: "general: decision time ≥ log_{D+1}(Δ/(εn))", kind: DecisionTimeLower },
-    ]
+    const THEOREMS: [TheoremEntry; 11] = [
+        TheoremEntry { id: "Theorem 1", key: "thm1", statement: "n=2, model ⊇ {H0,H1,H2}: contraction ≥ 1/3 (tight, Algorithm 1)", kind: ContractionLower },
+        TheoremEntry { id: "Theorem 2", key: "thm2", statement: "n≥3, model ⊇ deaf(G): contraction ≥ 1/2 (tight in non-split, midpoint)", kind: ContractionLower },
+        TheoremEntry { id: "Theorem 3", key: "thm3", statement: "n≥4, model ⊇ Ψ: contraction ≥ (1/2)^{1/(n−2)} (amortized midpoint: (1/2)^{1/(n−1)})", kind: ContractionLower },
+        TheoremEntry { id: "Theorem 4", key: "thm4", statement: "exact consensus solvable ⟺ valencies singleton or disconnected", kind: Upper },
+        TheoremEntry { id: "Theorem 5", key: "thm5", statement: "exact consensus unsolvable: contraction ≥ 1/(D+1), D = α-diameter", kind: ContractionLower },
+        TheoremEntry { id: "Theorem 6", key: "thm6", statement: "async, f < n/2 crashes, round-based: contraction ≥ 1/(⌈n/f⌉+1)", kind: ContractionLower },
+        TheoremEntry { id: "Theorem 7", key: "thm7", statement: "MinRelay (not round-based): exact agreement by time f+1, rate 0", kind: Upper },
+        TheoremEntry { id: "Theorem 8", key: "thm8", statement: "n=2: decision time ≥ log3(Δ/ε) (tight)", kind: DecisionTimeLower },
+        TheoremEntry { id: "Theorem 9", key: "thm9", statement: "n≥3, deaf(G): decision time ≥ log2(Δ/ε) (tight)", kind: DecisionTimeLower },
+        TheoremEntry { id: "Theorem 10", key: "thm10", statement: "n≥4, Ψ: decision time ≥ (n−2)·log2(Δ/ε)", kind: DecisionTimeLower },
+        TheoremEntry { id: "Theorem 11", key: "thm11", statement: "general: decision time ≥ log_{D+1}(Δ/(εn))", kind: DecisionTimeLower },
+    ];
+    &THEOREMS
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@
 //! |---|---|---|
 //! | [`digraph`] | `consensus-digraph` | communication graphs, products, `R(G)`, Figure 1–2 families, Lemma 24 graphs |
 //! | [`netmodel`] | `consensus-netmodel` | network models, `α`/`β` machinery, solvability (Thm 19), α-diameter (Def 22) |
-//! | [`obs`] | `consensus-obs` | deterministic structured tracing, round telemetry, pool profiling |
+//! | [`obs`] | `consensus-obs` | deterministic structured tracing, per-round events of the cells that ran them, pool profiling |
 //! | [`algorithms`] | `consensus-algorithms` | Algorithm 1, midpoint, amortized midpoint, averaging, non-convex comparators |
 //! | [`dynamics`] | `consensus-dynamics` | Heard-Of-style round executor, patterns, traces, rate estimators |
 //! | [`valency`] | `consensus-valency` | valency probes and the Theorem 1/2/3/5 adversaries |
-//! | [`approx`] | `consensus-approx` | deciding wrappers, ε-agreement, decision-time measurement (Thms 8–11) |
+//! | [`approx`] | `consensus-approx` | deciding wrappers, ε-agreement, decision-round rules and lower bounds (Thms 8–11) |
 //! | [`asyncsim`] | `consensus-asyncsim` | asynchronous crashes, round-based executors, MinRelay (Thms 6–7) |
 //! | [`sweep`] | `consensus-sweep` | parallel multi-seed sweep grids, work-stealing pool, ensemble statistics, `R^d` multidim axes |
 //! | [`dynet`] | `consensus-dynet` | dynamic-network adversaries (T-interval, eventually-rooted, bounded churn, adaptive) and the averaging-rate ensemble axes (arXiv:1408.0620) |
@@ -27,7 +27,8 @@
 //!
 //! plus [`bounds`] — every closed-form bound of Table 1 and Theorems
 //! 8–11 as documented, tested functions, and a machine-readable
-//! [`bounds::theorems`] registry used by the reproduction harness.
+//! [`bounds::theorems`] registry whose keys label the measured rows of
+//! the reproduction harness (the `paper` grid of `consensus-bench`).
 //!
 //! ## Quickstart
 //!

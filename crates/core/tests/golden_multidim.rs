@@ -1,9 +1,8 @@
 //! Golden test: the `multidim_decision_times` quick-preset sweep is
 //! pinned byte-for-byte against `ci/golden_multidim.json` (the same
 //! file the CI `sweep-regression` job diffs against the `sweep` bin's
-//! `--grid multidim --quick --json` output), and the report must reproduce
-//! the coordinate-wise vs. simplex decision-time separation of
-//! arXiv:1805.04923:
+//! `--grid multidim --quick --json` output), and the grid's separation
+//! claims (arXiv:1805.04923) must hold on it:
 //!
 //! * `d = 1` — the two rules degenerate to the scalar midpoint, so each
 //!   matched pair is **bit-identical** (same fingerprint, same decision
@@ -19,6 +18,21 @@ use tight_bounds_consensus::obs::TraceHandle;
 /// The checked-in golden JSON (kept in `ci/` so the regression job can
 /// diff it without building the test harness).
 const GOLDEN: &str = include_str!("../../../ci/golden_multidim.json");
+
+/// The quick preset's claims whose text starts with `prefix`, each
+/// asserted to hold; how many there are.
+fn holding(prefix: &str) -> usize {
+    let spec = MultidimSpec::preset("quick").expect("quick preset");
+    let claims = spec.claims(&run_grid(&spec, None, TraceHandle::disabled()));
+    let mine: Vec<_> = claims
+        .iter()
+        .filter(|(what, _)| what.starts_with(prefix))
+        .collect();
+    for (what, ok) in &mine {
+        assert!(ok, "claim failed: {what}");
+    }
+    mine.len()
+}
 
 #[test]
 fn quick_preset_matches_the_golden_json() {
@@ -50,46 +64,29 @@ fn separation_simplex_decides_strictly_earlier_for_d_ge_2() {
     let spec = MultidimSpec::preset("quick").expect("quick preset");
     let report = run_grid(&spec, None, TraceHandle::disabled());
     assert_eq!(
-        report.summary.failures, 0,
-        "golden grid must fully converge"
-    );
-    let sep = multidim_separation(&spec, &report);
-    assert_eq!(
-        sep.iter().map(|(d, _, _)| *d).collect::<Vec<_>>(),
+        multidim_separation(&spec, &report)
+            .iter()
+            .map(|(d, _, _)| *d)
+            .collect::<Vec<_>>(),
         vec![1, 2, 3, 8],
         "the quick preset sweeps d ∈ {{1, 2, 3, 8}}"
     );
-    for (d, cw, sx) in sep {
-        let cw = cw.expect("coordinate-wise cells decided");
-        let sx = sx.expect("simplex cells decided");
-        if d == 1 {
-            assert_eq!(
-                cw.mean, sx.mean,
-                "at d = 1 both rules are the scalar midpoint"
-            );
-        } else {
-            assert!(
-                sx.mean < cw.mean,
-                "at d = {d} the simplex rule must decide strictly earlier \
-                 (simplex mean {}, coordinate-wise mean {})",
-                sx.mean,
-                cw.mean
-            );
-        }
-    }
+    assert_eq!(
+        holding("every row of `multidim_decision_times` converged"),
+        1
+    );
+    assert_eq!(holding("d="), 4, "one separation claim per dimension");
 }
 
 #[test]
 fn d1_pairs_are_bit_identical() {
+    assert_eq!(
+        holding("d=1: every coordinatewise/simplex pair is bit-identical"),
+        1
+    );
     let spec = MultidimSpec::preset("quick").expect("quick preset");
     let report = run_grid(&spec, None, TraceHandle::disabled());
-    let cells = spec.grid.cells();
-    for (i, cell) in cells.iter().enumerate() {
-        let cw = &report.outcomes[2 * i];
-        let sx = &report.outcomes[2 * i + 1];
-        if cell.dim == 1 {
-            assert_eq!(cw, sx, "d=1 pair {} must be bit-identical", cell.label());
-        }
+    for i in 0..report.outcomes.len() / 2 {
         assert_eq!(
             report.seeds[2 * i],
             report.seeds[2 * i + 1],

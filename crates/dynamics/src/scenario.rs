@@ -130,8 +130,8 @@ pub struct NoDriver;
 /// One configured experiment: an algorithm, a graph [`Driver`], and
 /// optional stop conditions — the single entry point subsuming the
 /// former `Execution::run`, `Execution::run_until_converged`,
-/// `GreedyValencyAdversary::drive` and
-/// `measure::minimal_decision_round` APIs.
+/// `GreedyValencyAdversary::drive` and minimal-decision-round helpers
+/// (`.decide(ε)` then [`Scenario::decision_round`]).
 ///
 /// # Example
 ///
@@ -597,6 +597,25 @@ mod tests {
             .decision_round(64);
         assert_eq!(implicit, Some(3));
         assert_eq!(implicit, explicit);
+    }
+
+    #[test]
+    fn hull_and_box_metrics_agree_at_d1() {
+        // For D = 1 every spread metric is the scalar spread, so the hull
+        // and box decision rounds coincide with the default's at every ε.
+        use crate::metric::{BoxDiameter, HullDiameter};
+        let build = || {
+            Scenario::new(Midpoint, &pts(&[0.0, 1.0, 0.5]))
+                .pattern(ConstantPattern::new(Digraph::complete(3).make_deaf(0)))
+        };
+        for eps in [0.1, 1e-3] {
+            let plain = build().decide(eps).decision_round(64);
+            let hull = build().metric(HullDiameter).decide(eps).decision_round(64);
+            let boxd = build().metric(BoxDiameter).decide(eps).decision_round(64);
+            assert!(plain.is_some(), "eps = {eps}");
+            assert_eq!(plain, hull, "eps = {eps}");
+            assert_eq!(plain, boxd, "eps = {eps}");
+        }
     }
 
     #[test]

@@ -35,10 +35,7 @@
 //! * [`jsonl`] — byte-stable JSONL ([`to_jsonl_content`] /
 //!   [`to_jsonl_full`]) plus the parser the `trace-report` bin uses;
 //! * the in-memory query API on [`EventStream`]
-//!   ([`EventStream::events_for_span`], [`EventStream::gauge_values`],
-//!   [`summarize`] percentiles);
-//! * [`render_summary`] — plaintext span and counter totals in the
-//!   Prometheus text style.
+//!   ([`EventStream::events_for_span`], [`EventStream::gauge_values`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,13 +43,11 @@
 pub mod clock;
 pub mod event;
 pub mod jsonl;
-pub mod query;
 pub mod recorder;
 pub mod trace;
 
 pub use clock::{Clock, NullClock, TickClock};
 pub use event::{Class, Event, EventKind};
 pub use jsonl::{parse_line, to_jsonl_content, to_jsonl_full, ParsedEvent};
-pub use query::{percentile, render_summary, summarize, HistogramSummary};
 pub use recorder::{Recorder, TimedEvent};
 pub use trace::{lane, EventStream, TraceHandle, DEFAULT_RECORDER_CAP, PROFILE_SHARD};

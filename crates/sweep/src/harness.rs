@@ -5,7 +5,7 @@
 //! harness owns three things the hand-rolled experiment loops used to
 //! re-implement separately:
 //!
-//! 1. **Scheduling** — cells run on [`crate::pool::run_indexed`], so a
+//! 1. **Scheduling** — cells run on [`consensus_pool::run_indexed`], so a
 //!    sweep uses every core but returns results in cell order.
 //! 2. **Seeding** — every cell gets a seed derived *only* from the sweep's
 //!    base seed and the cell index ([`cell_seed`]), never from thread
@@ -25,11 +25,9 @@
 //! run — the property that makes cell-exact resume possible at all.
 
 use consensus_obs::{lane, TraceHandle, PROFILE_SHARD};
-use consensus_pool::{CancelToken, PoolProfile};
+use consensus_pool::{self as pool, CancelToken, PoolProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use crate::pool;
 
 /// Mixes a sweep-level base seed and a cell index into an independent
 /// per-cell seed (splitmix64 over a golden-ratio-striped input — the

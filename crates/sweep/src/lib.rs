@@ -11,7 +11,7 @@
 //! grid of axes and aggregates the ensemble:
 //!
 //! * [`Sweep`] — the harness: cells run on a hand-rolled work-stealing
-//!   thread pool ([`pool`]), each with a deterministic seed derived only
+//!   thread pool (`consensus-pool`), each with a deterministic seed derived only
 //!   from `(base_seed, cell index)` ([`cell_seed`]), so the aggregate is
 //!   a pure function of the grid — bit-identical at any thread count —
 //!   and any cell is replayable solo ([`Sweep::run_cell`]).
@@ -87,7 +87,6 @@
 pub mod grid;
 pub mod harness;
 pub mod multidim;
-pub mod pool;
 pub mod report;
 pub mod stats;
 
