@@ -1,12 +1,11 @@
 //! Parallel multi-seed ensemble sweeps with statistical aggregation.
 //!
-//! Runs one of the registered experiment grids on the work-stealing
-//! sweep pool and prints the aggregate table, optionally followed (or
-//! replaced) by the machine-readable JSON document the CI
-//! `sweep-regression` job diffs against the checked-in golden files.
-//! A grid is one `Grid` impl (`consensus_bench::orchestrate`); this bin
-//! runs every grid through the same path and never asks which one it
-//! runs.
+//! Runs one of the registered experiment grids through the coordinator
+//! (`controlplane::run`) and prints the aggregate table, or instead the
+//! machine-readable JSON document the CI `sweep-regression` job diffs
+//! against the checked-in golden files. A grid is one `Grid` impl
+//! (`consensus_bench::orchestrate`); this bin runs every grid through
+//! the same path and never asks which one it runs.
 //!
 //! ```text
 //! cargo run --release -p consensus-bench --bin sweep -- [FLAGS]
@@ -21,10 +20,10 @@
 //!                   unknown name is a clean error listing the valid set
 //!   --threads N     worker count (default: all cores; results identical)
 //!   --seed S        override the base seed
-//!   --json          print JSON only (golden-diff mode; suppresses the
-//!                   default BENCH_<grid>.json side file)
-//!   --out PATH      write the JSON to PATH instead of the default
-//!                   BENCH_<grid>.json side file
+//!   --json          print the JSON instead of the table (golden-diff
+//!                   mode)
+//!   --out PATH      also write the JSON to PATH (no file is written
+//!                   without it)
 //!   --replay I      re-run cell I solo and print its rows; with --json,
 //!                   print the one-cell report's JSON instead, whose
 //!                   cells_detail rows equal the cell's rows of the full
@@ -45,14 +44,14 @@
 //!                         events (timestamped JSONL; NOT byte-stable —
 //!                         without this flag the trace is the content
 //!                         stream, identical at any --threads value and
-//!                         on both paths)
+//!                         with or without --checkpoint)
 //! ```
 //!
-//! Control-plane flags (any of them routes the run through the
-//! checkpointed coordinator). Both paths run every cell through the
-//! grid's one cell runner, lay out the report in one function and
-//! print it through one `emit`, so the aggregate JSON and the table
-//! equal the classic path's by construction:
+//! Control-plane flags. Every run except `--replay` goes through the
+//! coordinator; without these flags it runs the cells on in-process
+//! threads with no checkpoint. Every cell goes through the grid's one
+//! cell runner, and one function lays out the report, so the aggregate
+//! JSON and the table are the same with any of these flags:
 //!
 //! ```text
 //!   --checkpoint PATH     stream finished cells to a resumable .sweepck
@@ -73,10 +72,14 @@
 //! `--quick`, the appended tables), the bin names each failed claim on
 //! stderr and exits 1. A `--replay` or an interrupted run states none.
 //!
+//! A cell that still fails after the coordinator's one retry is one
+//! stderr line, `cell N failed after retry: …`; the report is printed
+//! with the cell's rows counted as failures, and the exit code is 1.
+//!
 //! A missing or malformed flag value, a flag that needs another one
 //! (`--resume` and `--stop-after` need `--checkpoint`,
-//! `--worker-fail-cells` needs `--workers`), or an output flag with
-//! `--replay` (`--out`, `--trace-out`) is a usage error: one stderr line
+//! `--worker-fail-cells` needs `--workers`), or an output or
+//! control-plane flag with `--replay` is a usage error: one stderr line
 //! naming the flags, exit code 2. An output file (`--out`,
 //! `--metrics-out`, `--trace-out`) that cannot be written is one stderr
 //! line naming the flag, the path and the OS error, exit code 1. With
@@ -87,12 +90,12 @@
 //!
 //! The CI gate commands are the `sweep-regression` matrix of
 //! `.github/workflows/ci.yml`: each golden file under `ci/` is diffed
-//! against `--json` output on the classic path and again through
-//! `--checkpoint`, and the table-mode stdouts of the two paths are
-//! diffed against each other. The crash-resume gate reaches
-//! `ci/golden_sweep.json` the hard way: `--golden --json --checkpoint
-//! ck`, `SIGKILL` mid-grid, then `--golden --json --checkpoint ck
-//! --resume`, required byte-identical.
+//! against `--json` output without a checkpoint, through `--checkpoint`
+//! and through `--workers 2`, and the table-mode stdouts with and
+//! without a checkpoint are diffed against each other. The
+//! crash-resume gate reaches `ci/golden_sweep.json` the hard way:
+//! `--golden --json --checkpoint ck`, `SIGKILL` mid-grid, then
+//! `--golden --json --checkpoint ck --resume`, required byte-identical.
 
 #![forbid(unsafe_code)]
 
@@ -123,10 +126,9 @@ fn print_outcome(index: usize, label: &str, seed: u64, o: &CellOutcome) {
     );
 }
 
-/// The control-plane side of the CLI; any set field routes the run
-/// through the checkpointed coordinator instead of the classic
-/// in-process sweep.
-#[derive(Debug, Default)]
+/// The control-plane side of the CLI. The default value means an
+/// in-process run: no checkpoint, no workers.
+#[derive(Debug, Default, PartialEq)]
 struct ControlFlags {
     checkpoint: Option<PathBuf>,
     resume: bool,
@@ -170,18 +172,6 @@ impl TraceFlags {
     }
 }
 
-impl ControlFlags {
-    /// `--resume` and `--worker-fail-cells` count through the flag each
-    /// one needs (`--checkpoint`, `--workers`).
-    fn engaged(&self) -> bool {
-        self.checkpoint.is_some()
-            || self.workers.is_some()
-            || self.metrics_out.is_some()
-            || self.stop_after.is_some()
-            || self.cell_delay_ms > 0
-    }
-}
-
 /// Reports a failed write of `path`, the value of `flag`, on one stderr
 /// line with the OS error and exits with code 1, as a checkpoint I/O
 /// error does.
@@ -202,10 +192,11 @@ fn worker_program() -> PathBuf {
     dir.join(format!("sweep-worker{}", std::env::consts::EXE_SUFFIX))
 }
 
-/// Runs the spec through the coordinator (threads or worker processes),
-/// emits the report if the grid completed, and returns the process exit
-/// code: 0 clean/interrupted-with-checkpoint, 1 on failed cells, a failed
-/// claim, a checkpoint error or a worker program that cannot be spawned.
+/// Runs the spec through the coordinator (in-process threads or worker
+/// processes), emits the report if the grid completed, and returns the
+/// process exit code: 0 clean/interrupted-with-checkpoint, 1 on failed
+/// cells, a failed claim, a checkpoint error or a worker program that
+/// cannot be spawned.
 fn run_coordinated(
     spec: &AnySpec,
     preset: &str,
@@ -318,14 +309,15 @@ fn failed_claims(spec: &AnySpec, report: &SweepReport) -> Vec<String> {
         .collect()
 }
 
-/// What the default grid's table ends with, on either path: at `quick`,
-/// every other grid's quick table on the same seed, then a note that the
-/// JSON covers the default grid only. Also the failed claims of the
-/// appended grids.
+/// What the default grid's table ends with: at `quick`, every other
+/// grid's quick table on the same seed, then, when `--out` wrote the
+/// JSON, a note that it covers the default grid only. Also the failed
+/// claims of the appended grids.
 fn default_grid_appendix(
     preset: &str,
     threads: Option<usize>,
     seed: Option<u64>,
+    wrote_json: bool,
 ) -> (String, Vec<String>) {
     let others: Vec<&str> = AnySpec::registry()
         .map(|(name, _)| name)
@@ -344,11 +336,13 @@ fn default_grid_appendix(
             failed.extend(failed_claims(&other, &report));
         }
     }
-    out.push_str(&format!(
-        "\n(the written JSON covers the {DEFAULT_GRID} grid only; run --grid NAME for the JSON \
-         of another grid: {})",
-        others.join(", ")
-    ));
+    if wrote_json {
+        out.push_str(&format!(
+            "\n(the written JSON covers the {DEFAULT_GRID} grid only; run --grid NAME for the \
+             JSON of another grid: {})",
+            others.join(", ")
+        ));
+    }
     (out, failed)
 }
 
@@ -429,13 +423,6 @@ fn main() {
     if tf.out.is_some() && cf.workers.is_some() {
         usage("--trace-out and --workers exclude each other: worker cells record no events");
     }
-    // Every grid run leaves a machine-readable report behind
-    // (BENCH_<grid>.json) unless the caller picked an explicit --out
-    // path or asked for stdout-only JSON (the golden-diff mode, which
-    // must not touch the working directory).
-    if out_path.is_none() && !json_only && replay.is_none() {
-        out_path = Some(format!("BENCH_{grid}.json"));
-    }
 
     // Prints a complete report, then names its failed claims on stderr;
     // whether one failed.
@@ -450,7 +437,8 @@ fn main() {
         } else {
             let mut table = spec.table(report);
             if grid == DEFAULT_GRID {
-                let (appendix, appendix_failed) = default_grid_appendix(&preset, threads, seed);
+                let (appendix, appendix_failed) =
+                    default_grid_appendix(&preset, threads, seed, out_path.is_some());
                 table.push_str(&appendix);
                 failed.extend(appendix_failed);
             }
@@ -465,16 +453,10 @@ fn main() {
         !failed.is_empty()
     };
 
-    if cf.engaged() {
-        if replay.is_some() {
+    if let Some(index) = replay {
+        if cf != ControlFlags::default() {
             usage("--replay is a solo debugging path; drop the control-plane flags");
         }
-        std::process::exit(run_coordinated(
-            &spec, &preset, &cf, &tf, threads, seed, emit,
-        ));
-    }
-
-    if let Some(index) = replay {
         // Replay one cell solo: same configuration, same seed as the
         // full sweep — the debugging path for a surprising aggregate.
         let Some(solo) = spec.replay(index) else {
@@ -492,12 +474,7 @@ fn main() {
         }
         return;
     }
-
-    let trace = tf.handle();
-    let report = spec.run(threads, trace.clone());
-    obswire::enrich_report(&trace, &report);
-    tf.write(&trace);
-    if emit(&report) {
-        std::process::exit(1);
-    }
+    std::process::exit(run_coordinated(
+        &spec, &preset, &cf, &tf, threads, seed, emit,
+    ));
 }

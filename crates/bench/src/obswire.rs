@@ -110,7 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_cells_record_their_rounds_in_line_on_both_paths() {
+    fn ensemble_cells_record_their_rounds_in_line_with_and_without_a_checkpoint() {
         let spec = EnsembleSpec::preset("golden").expect("preset");
         let plain = run_grid(&spec, Some(2), TraceHandle::disabled());
         let mut streams = Vec::new();
@@ -133,21 +133,25 @@ mod tests {
             }
             streams.push(to_jsonl_content(&merged));
         }
-        // The coordinator's in-process executor hands the cells the run's
-        // trace, so its capture is the classic path's.
+        // The executor hands the cells the run's trace, so a run through a
+        // checkpoint captures the same events.
+        let path = std::env::temp_dir().join(format!("obswire-{}.sweepck", std::process::id()));
+        std::fs::remove_file(&path).ok();
         let trace = TraceHandle::enabled();
         let cfg = RunConfig {
             threads: 3,
+            checkpoint: Some(path.clone()),
             trace: trace.clone(),
             ..RunConfig::default()
         };
         let exec = spec.traced_executor(Duration::ZERO, trace.clone());
         let out = controlplane::run(&spec.plan("golden"), &cfg, &exec, &Metrics::new())
-            .expect("coordinated run");
+            .expect("checkpointed run");
+        std::fs::remove_file(&path).ok();
         let report = spec.report_from_rows(out.outcome_rows().expect("complete"));
         assert_eq!(plain.to_json(), report.to_json());
         streams.push(to_jsonl_content(&trace.merged()));
         assert_eq!(streams[0], streams[1], "1 vs 3 threads");
-        assert_eq!(streams[0], streams[2], "classic vs coordinated");
+        assert_eq!(streams[0], streams[2], "without vs with a checkpoint");
     }
 }

@@ -2,7 +2,8 @@
 //! impl: its registry name, presets, cells, row labels, cell runner,
 //! table and claims. Everything else is shared and grid-agnostic:
 //!
-//! - [`run_grid`], the in-process runner on the sweep pool;
+//! - [`run_grid`], an in-process run: the coordinator
+//!   (`controlplane::run`) with no checkpoint and no workers;
 //! - the registry behind [`AnySpec`], which resolves a `(grid, preset)`
 //!   pair and gives the coordinator a [`SweepPlan`], a
 //!   [`CellExecutor`] ([`GridExecutor`]) and report assembly from flat
@@ -10,20 +11,17 @@
 //! - the `sweep-worker` serve loop ([`worker_serve`]), so the worker
 //!   binary stays a thin `main`.
 //!
-//! The load-bearing invariant: for every grid,
-//!
-//! ```text
-//! report_from_rows(coordinated run rows)  ==  run_grid(spec, threads)
-//! ```
-//!
-//! **byte-for-byte** on the JSON, whether the rows came from in-process
-//! threads, spawned worker processes, or a checkpoint resumed across
-//! three kills. It holds by construction: both paths run each cell
-//! through the grid's one [`Grid::run_cell`] with the same
-//! `(base_seed, cell)`-derived [`CellCtx`], and both lay out labels and
-//! seeds through one assembly function. The tests at the bottom check it
+//! The load-bearing invariant: for every grid, the report of a
+//! coordinated run is the same **byte-for-byte** on the JSON whether its
+//! rows came from in-process threads, spawned worker processes, or a
+//! checkpoint resumed across three kills, and at any thread count. It
+//! holds by construction: every cell runs through the grid's one
+//! [`Grid::run_cell`] with the same `(base_seed, cell)`-derived
+//! [`CellCtx`], one coordinator dispatches the cells, and one assembly
+//! function lays out labels and seeds. The tests at the bottom check it
 //! on every registered grid's golden preset; the CI `sweep-regression`
-//! job checks every golden file on both paths.
+//! job checks every golden file with and without a checkpoint and
+//! through worker processes.
 
 use std::fmt;
 use std::io::{BufRead as _, Write as _};
@@ -32,7 +30,10 @@ use std::panic::RefUnwindSafe;
 use std::time::Duration;
 
 use consensus_obs::TraceHandle;
-use tight_bounds_consensus::controlplane::{checkpoint, CellExecutor, SweepPlan};
+use tight_bounds_consensus::controlplane::{
+    self, checkpoint, CellExecutor, Metrics, RunConfig, SweepPlan,
+};
+use tight_bounds_consensus::pool;
 use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::cell_seed;
 
@@ -89,31 +90,21 @@ pub trait Grid: Clone + fmt::Debug + Send + Sync + RefUnwindSafe + 'static {
     }
 }
 
-/// Runs `grid` in process on the sweep pool (`threads = None` ⇒ all
-/// cores). `trace` receives the sweep's per-cell spans and pool profile
-/// and the cells' own spans. The report depends on neither `trace` nor
-/// the thread count.
+/// Runs `grid` in process: [`GridSpec::run`].
+///
+/// # Panics
+///
+/// Panics naming every cell that still fails after the coordinator's
+/// retry.
 #[must_use]
 pub fn run_grid<G: Grid>(grid: &G, threads: Option<usize>, trace: TraceHandle) -> SweepReport {
-    let mut sweep = Sweep::new(grid.cells())
-        .seed(grid.base_seed())
-        .trace(trace.clone());
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let rows = sweep.run(|cell, ctx| grid.run_cell(cell, ctx, &trace));
-    let rows = rows
-        .iter()
-        .flat_map(|r| r.as_ref().iter().copied())
-        .collect();
-    assemble(grid, sweep.cells().iter().enumerate(), rows)
+    GridSpec::run(grid, threads, trace)
 }
 
 /// Builds the report of `cells`, given as consecutive `(index, cell)`
 /// pairs, from their rows (`ROWS_PER_CELL` per cell, in the same order).
 /// This is the one place the row labels, seeds and JSON row indices are
-/// laid out: the in-process runner, the coordinator's report and
-/// `--replay` all call it.
+/// laid out: the report of a run and of a `--replay` both come from it.
 fn assemble<'c, G: Grid>(
     grid: &G,
     cells: impl Iterator<Item = (usize, &'c G::Cell)>,
@@ -225,8 +216,6 @@ pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
     /// Outcome rows per cell: 2 for multidim (the matched
     /// coordinatewise/simplex pair), 1 otherwise.
     fn rows_per_cell(&self) -> usize;
-    /// The in-process path with a live trace: [`run_grid`] on this grid.
-    fn run(&self, threads: Option<usize>, trace: TraceHandle) -> SweepReport;
     /// An in-process [`CellExecutor`] over this grid (cells
     /// materialized once) whose cells record into `trace`, the
     /// coordinated run's trace. `delay` stretches every cell by a sleep —
@@ -271,8 +260,34 @@ pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
         }
     }
 
-    /// The classic in-process path (no checkpoint, no workers): runs
-    /// the grid straight on the sweep pool.
+    /// Runs the grid in process: a coordinated run with no checkpoint
+    /// and no workers, on `threads` pool threads (`None` ⇒ all cores).
+    /// `trace` receives the coordinator's cell spans and pool profile and
+    /// the cells' own events. The report depends on neither `trace` nor
+    /// the thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming every cell that still fails after the coordinator's
+    /// retry.
+    fn run(&self, threads: Option<usize>, trace: TraceHandle) -> SweepReport {
+        let cfg = RunConfig {
+            threads: threads.unwrap_or_else(pool::default_threads),
+            trace: trace.clone(),
+            ..RunConfig::default()
+        };
+        let exec = self.traced_executor(Duration::ZERO, trace);
+        // Without a checkpoint the plan's preset name is never written.
+        let out = controlplane::run(&self.plan(""), &cfg, &exec, &Metrics::new())
+            .unwrap_or_else(|e| panic!("{} run failed: {e}", self.grid_name()));
+        let failed: Vec<String> = (out.failed_cells.iter())
+            .map(|(cell, error)| format!("cell {cell} failed after retry: {error}"))
+            .collect();
+        assert!(failed.is_empty(), "{}", failed.join("; "));
+        self.report_from_rows(out.outcome_rows().expect("an uncancelled run completes"))
+    }
+
+    /// [`GridSpec::run`] untraced.
     fn run_in_process(&self, threads: Option<usize>) -> SweepReport {
         self.run(threads, TraceHandle::disabled())
     }
@@ -297,10 +312,6 @@ impl<G: Grid> GridSpec for G {
 
     fn rows_per_cell(&self) -> usize {
         G::ROWS_PER_CELL
-    }
-
-    fn run(&self, threads: Option<usize>, trace: TraceHandle) -> SweepReport {
-        run_grid(self, threads, trace)
     }
 
     fn traced_executor(&self, delay: Duration, trace: TraceHandle) -> GridExecutor<'_> {
@@ -344,10 +355,10 @@ impl<G: Grid> GridSpec for G {
 }
 
 /// An in-process [`CellExecutor`] over one grid: runs the grid's
-/// [`Grid::run_cell`] with the same `(base_seed, cell)`-derived
-/// [`CellCtx`] as the in-process runner, so its rows are bit-identical
-/// to an uncoordinated sweep's, and so are the events its cells record
-/// into the trace of [`GridSpec::traced_executor`].
+/// [`Grid::run_cell`] with the `(base_seed, cell)`-derived [`CellCtx`]
+/// that a worker process and `--replay` use too, so a cell's rows are
+/// bit-identical wherever it runs, and so are the events its cells
+/// record into the trace of [`GridSpec::traced_executor`].
 pub struct GridExecutor<'s> {
     rows: Box<dyn Fn(usize) -> Vec<CellOutcome> + Send + Sync + 's>,
     delay: Duration,
@@ -408,12 +419,7 @@ pub fn worker_serve(
                     exec.run_cell(cell as usize)
                 }))
                 .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    Err(format!("cell panicked: {msg}"))
+                    Err(format!("cell panicked: {}", pool::payload_message(payload)))
                 });
                 (cell, result)
             }
@@ -430,7 +436,7 @@ pub fn worker_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tight_bounds_consensus::controlplane::{self, CellRecord, CellStatus, Metrics, RunConfig};
+    use tight_bounds_consensus::controlplane::{CellRecord, CellStatus};
 
     #[test]
     fn resolve_covers_the_registry_and_rejects_strangers() {
@@ -443,34 +449,61 @@ mod tests {
         assert!(err.to_string().contains("unknown grid `bogus`"), "{err}");
     }
 
-    /// The coordinator's in-process path at 3 threads, as JSON.
-    fn coordinated_json(spec: &AnySpec, preset: &str) -> String {
+    /// A run through a fresh checkpoint at 3 threads, as JSON.
+    fn checkpointed_json(spec: &AnySpec, preset: &str) -> String {
+        let dir = std::env::temp_dir().join("orchestrate-unit");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!(
+            "{}-{preset}-{}.sweepck",
+            spec.grid_name(),
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
         let exec = spec.executor(Duration::ZERO);
         let out = controlplane::run(
             &spec.plan(preset),
             &RunConfig {
                 threads: 3,
+                checkpoint: Some(path.clone()),
                 ..RunConfig::default()
             },
             &exec,
             &Metrics::new(),
         )
-        .expect("coordinated run");
+        .expect("checkpointed run");
+        std::fs::remove_file(&path).ok();
         assert!(out.completed);
         spec.report_from_rows(out.outcome_rows().expect("complete"))
             .to_json()
     }
 
+    /// A two-cell-per-dimension multidim grid over `dims`, small enough
+    /// for a unit test.
+    fn tiny_multidim(dims: &[usize]) -> MultidimSpec {
+        MultidimSpec {
+            name: "unit".into(),
+            grid: MultidimGrid::new()
+                .dims(dims)
+                .agents(&[4])
+                .topologies(&[Topology::Rooted { density: 0.5 }])
+                .inits(&[MultidimInitDist::UnitCube])
+                .replicates(2),
+            base_seed: 7,
+            tol: 1e-4,
+            max_rounds: 200,
+        }
+    }
+
     #[test]
-    fn coordinated_golden_ensemble_matches_the_classic_path_byte_for_byte() {
+    fn golden_reports_are_the_same_with_and_without_a_checkpoint() {
         for (grid, _) in AnySpec::registry() {
             let spec = AnySpec::resolve(grid, "golden").expect("golden");
-            let coordinated = coordinated_json(&spec, "golden");
+            let checkpointed = checkpointed_json(&spec, "golden");
             for threads in [1, 3] {
                 assert_eq!(
                     spec.run_in_process(Some(threads)).to_json(),
-                    coordinated,
-                    "{grid} at {threads} threads: the control plane must not change a \
+                    checkpointed,
+                    "{grid} at {threads} threads: the checkpoint must not change a \
                      single byte of the golden JSON"
                 );
             }
@@ -479,22 +512,36 @@ mod tests {
 
     #[test]
     fn multidim_rows_pair_up_exactly_like_run_multidim() {
-        // A deliberately tiny multidim grid so the test stays fast.
-        let spec = AnySpec(Box::new(MultidimSpec {
-            name: "unit".into(),
-            grid: MultidimGrid::new()
-                .dims(&[1, 2])
-                .agents(&[4])
-                .topologies(&[Topology::Rooted { density: 0.5 }])
-                .inits(&[MultidimInitDist::UnitCube])
-                .replicates(2),
-            base_seed: 7,
-            tol: 1e-4,
-            max_rounds: 200,
-        }));
+        let spec = AnySpec(Box::new(tiny_multidim(&[1, 2])));
         assert_eq!(spec.rows_per_cell(), 2);
-        let classic = spec.run_in_process(Some(1)).to_json();
-        assert_eq!(classic, coordinated_json(&spec, "unit"));
+        let in_process = spec.run_in_process(Some(1)).to_json();
+        assert_eq!(in_process, checkpointed_json(&spec, "unit"));
+    }
+
+    #[test]
+    fn run_grid_panics_naming_every_failed_cell() {
+        // Cells 2 and 3 have d = 5, which no multidim cell runner serves.
+        let spec = tiny_multidim(&[1, 5]);
+        let payload =
+            std::panic::catch_unwind(|| run_grid(&spec, Some(2), TraceHandle::disabled()))
+                .expect_err("the d = 5 cells fail the run");
+        let message = pool::payload_message(payload);
+        for cell in [2, 3] {
+            assert!(
+                message.contains(&format!(
+                    "cell {cell} failed after retry: cell {cell} panicked"
+                )),
+                "{message}"
+            );
+        }
+        assert!(
+            !message.contains("cell 0") && !message.contains("cell 1 "),
+            "{message}"
+        );
+        assert!(
+            message.contains("dimension 5 is not in the dispatch set"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end tests of the `sweep` binary's CLI: clean usage errors
 //! (one stderr line, exit code 2, never a backtrace) and the
-//! control-plane paths — checkpoint/resume, spawned worker processes,
+//! control-plane flags — checkpoint/resume, spawned worker processes,
 //! injected worker failures, and the metrics snapshot — each pinned
-//! byte-identical to the classic in-process golden JSON and table.
+//! byte-identical to the in-process golden JSON and table.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -335,23 +335,47 @@ fn malformed_flag_values_are_usage_errors_naming_the_flag() {
 }
 
 #[test]
-fn table_mode_stdout_is_the_same_on_both_paths() {
+fn table_mode_stdout_is_the_same_with_and_without_a_checkpoint() {
     let json = tmpfile("table.json");
     let ck = tmpfile("table.sweepck");
     std::fs::remove_file(&ck).ok();
     let (json_s, ck_s) = (json.to_str().expect("utf8"), ck.to_str().expect("utf8"));
-    let classic = run(&["--golden", "--out", json_s]);
-    assert!(classic.status.success(), "classic table run");
-    let coordinated = run(&["--golden", "--checkpoint", ck_s, "--out", json_s]);
-    assert!(coordinated.status.success(), "coordinated table run");
-    let stdout = String::from_utf8_lossy(&classic.stdout);
+    let plain = run(&["--golden", "--out", json_s]);
+    assert!(plain.status.success(), "table run");
+    let checkpointed = run(&["--golden", "--checkpoint", ck_s, "--out", json_s]);
+    assert!(checkpointed.status.success(), "checkpointed table run");
+    let stdout = String::from_utf8_lossy(&plain.stdout);
     assert!(
         stdout.contains("of another grid: multidim, dynamic_rates, adversary_search, paper)"),
         "the note names every other registered grid: {stdout}"
     );
-    assert_eq!(stdout, String::from_utf8_lossy(&coordinated.stdout));
+    assert_eq!(stdout, String::from_utf8_lossy(&checkpointed.stdout));
     std::fs::remove_file(&json).ok();
     std::fs::remove_file(&ck).ok();
+}
+
+#[test]
+fn table_mode_writes_a_file_only_with_out() {
+    let dir = tmpfile("no-out");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = sweep()
+        .current_dir(&dir)
+        .args(["--golden"])
+        .output()
+        .expect("spawn the sweep bin");
+    assert!(out.status.success(), "table run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("JSON written"), "{stdout}");
+    assert!(
+        !stdout.contains("the written JSON"),
+        "no note without a file: {stdout}"
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read dir").collect();
+    assert!(
+        left.is_empty(),
+        "no file in the working directory: {left:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -374,16 +398,16 @@ fn named_preset_flag_runs_the_golden_grid() {
     );
 }
 
-/// The classic golden JSON, computed once per test that needs it.
-fn classic_golden_json() -> Vec<u8> {
+/// The in-process golden JSON, computed once per test that needs it.
+fn in_process_golden_json() -> Vec<u8> {
     let out = run(&["--golden", "--json"]);
-    assert!(out.status.success(), "classic golden run");
+    assert!(out.status.success(), "in-process golden run");
     out.stdout
 }
 
 #[test]
 fn interrupted_checkpoint_run_resumes_to_the_identical_golden_json() {
-    let classic = classic_golden_json();
+    let golden = in_process_golden_json();
     let ck = tmpfile("resume.sweepck");
     std::fs::remove_file(&ck).ok();
     let ck_s = ck.to_str().expect("utf8 temp path");
@@ -422,33 +446,30 @@ fn interrupted_checkpoint_run_resumes_to_the_identical_golden_json() {
         "resume run: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_eq!(out.stdout, classic, "resumed JSON is byte-identical");
+    assert_eq!(out.stdout, golden, "resumed JSON is byte-identical");
 
     // Phase 3: resuming a complete checkpoint is a no-op re-aggregation.
     let out = run(&["--golden", "--json", "--checkpoint", ck_s, "--resume"]);
     assert!(out.status.success(), "second resume");
-    assert_eq!(out.stdout, classic, "no-op resume is byte-identical too");
+    assert_eq!(out.stdout, golden, "no-op resume is byte-identical too");
     std::fs::remove_file(&ck).ok();
 }
 
 #[test]
 fn worker_processes_produce_the_identical_golden_json() {
-    let classic = classic_golden_json();
+    let golden = in_process_golden_json();
     let out = run(&["--golden", "--json", "--workers", "3"]);
     assert!(
         out.status.success(),
         "worker run: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_eq!(
-        out.stdout, classic,
-        "worker-computed JSON is byte-identical"
-    );
+    assert_eq!(out.stdout, golden, "worker-computed JSON is byte-identical");
 }
 
 #[test]
 fn worker_processes_honour_the_cell_delay() {
-    let classic = classic_golden_json();
+    let golden = in_process_golden_json();
     // 16 cells of at least 50 ms each, split over 2 workers.
     let start = std::time::Instant::now();
     let out = run(&[
@@ -461,7 +482,7 @@ fn worker_processes_honour_the_cell_delay() {
     ]);
     let elapsed = start.elapsed();
     assert!(out.status.success());
-    assert_eq!(out.stdout, classic, "the delay never touches the rows");
+    assert_eq!(out.stdout, golden, "the delay never touches the rows");
     assert!(
         elapsed >= std::time::Duration::from_millis(16 * 50 / 2),
         "every worker cell slept its delay: the run took {elapsed:?}"

@@ -8,11 +8,17 @@
 //! ```text
 //! plan + config
 //!   └─ resume: load .sweepck, keep Done cells, re-queue the rest
-//!   └─ dispatch: Sweep::try_run_where over the todo mask
-//!        runner   = executor.run_cell, once retried, panics contained
+//!   └─ dispatch: pool::try_run_indexed over the cells still to run
+//!        runner   = executor.run_cell, once retried, panics contained,
+//!                   inside a `cell` span on (cell, lane::SWEEP)
 //!        observer = checkpoint append + metrics, in completion order
+//!   └─ profile: the pool's worker and per-cell counters, on
+//!               (PROFILE_SHARD, lane::POOL)
 //!   └─ merge: resumed records + fresh records, in cell order
 //! ```
+//!
+//! An in-process run is this loop with no checkpoint and no workers:
+//! the executor runs each cell on the pool thread that dispatched it.
 //!
 //! **Determinism contract.** A cell's outcomes are a pure function of
 //! `(grid, preset, base_seed, cell)` — the executor guarantees it, the
@@ -33,8 +39,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use consensus_pool::CancelToken;
-use consensus_sweep::{CellOutcome, Sweep, SweepError};
+use consensus_obs::{lane, Event, TraceHandle, PROFILE_SHARD};
+use consensus_pool::{self as pool, CancelToken, PoolError, PoolProfile};
+use consensus_sweep::{cell_seed, CellFailure, CellOutcome, SweepError};
 
 use crate::checkpoint::{self, CellRecord, CellStatus, CheckpointHeader, CheckpointWriter};
 use crate::metrics::Metrics;
@@ -109,10 +116,11 @@ pub struct RunConfig {
     /// failure or at `stop_after`, or by the caller before or during
     /// the run. Finished cells stay in the checkpoint.
     pub cancel: CancelToken,
-    /// Structured tracing: forwarded to the dispatch [`Sweep`] (cell
-    /// spans, pool profile) plus a profile-class `coordinate` span with
-    /// plan counters. Disabled by default; never affects results.
-    pub trace: consensus_obs::TraceHandle,
+    /// Structured tracing: a `cell` span around every executed cell,
+    /// the pool profile, and a profile-class `coordinate` span with plan
+    /// counters. The executor records its cells' own events. Disabled
+    /// by default; never affects results.
+    pub trace: TraceHandle,
 }
 
 /// What a coordinated run produced.
@@ -202,60 +210,57 @@ pub fn run(
 
     // Done cells are settled; WorkerFailed cells get another chance
     // (their stale record stays in the file — last record wins).
-    let todo: Vec<bool> = slots
-        .iter()
-        .map(|s| !matches!(s, Some(r) if r.status == CellStatus::Done))
+    let todo: Vec<usize> = (0..plan.n_cells)
+        .filter(|&i| !matches!(&slots[i], Some(r) if r.status == CellStatus::Done))
         .collect();
-    let resumed = todo.iter().filter(|t| !**t).count();
+    let resumed = plan.n_cells - todo.len();
     metrics.set_plan(plan.n_cells as u64, resumed as u64);
 
     let io_error: Mutex<Option<SweepError>> = Mutex::new(None);
     let failed_cells: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
     let rows = plan.rows_per_cell;
 
-    let mut coord_rec = cfg
-        .trace
-        .recorder(consensus_obs::PROFILE_SHARD, consensus_obs::lane::CONTROL);
+    let trace = &cfg.trace;
+    let mut coord_rec = trace.recorder(PROFILE_SHARD, lane::CONTROL);
     if let Some(rec) = &mut coord_rec {
-        rec.record(consensus_obs::Event::span_begin("coordinate", 0).profile());
+        rec.record(Event::span_begin("coordinate", 0).profile());
         rec.profile_counter("plan_cells", 0, plan.n_cells as u64);
         rec.profile_counter("plan_resumed", 0, resumed as u64);
     }
 
-    let sweep = Sweep::new((0..plan.n_cells).collect::<Vec<usize>>())
-        .seed(plan.base_seed)
-        .threads(cfg.threads.max(1))
-        .trace(cfg.trace.clone());
-    let fresh = sweep.try_run_where(
-        &todo,
+    let profile = PoolProfile::new();
+    let fresh = pool::try_run_indexed(
+        todo.len(),
+        cfg.threads.max(1),
         &cfg.cancel,
-        |&i, ctx| {
-            metrics.cell_started();
-            let mut result = run_contained(executor, i, rows);
-            if result.is_err() {
-                metrics.retry();
-                result = run_contained(executor, i, rows);
-            }
-            match result {
-                Ok(outcomes) => CellRecord {
-                    cell: i as u64,
-                    seed: ctx.seed,
-                    status: CellStatus::Done,
-                    outcomes,
-                },
-                Err(message) => {
-                    failed_cells
-                        .lock()
-                        .expect("failure list poisoned")
-                        .push((i as u64, message));
-                    CellRecord {
-                        cell: i as u64,
-                        seed: ctx.seed,
-                        status: CellStatus::WorkerFailed,
-                        outcomes: vec![CellOutcome::failed(0, 0); rows],
-                    }
+        &*trace.clock(),
+        |j| {
+            let i = todo[j];
+            in_cell_span(trace, i, || {
+                metrics.cell_started();
+                let mut result = run_contained(executor, i, rows);
+                if result.is_err() {
+                    metrics.retry();
+                    result = run_contained(executor, i, rows);
                 }
-            }
+                let (status, outcomes) = match result {
+                    Ok(outcomes) => (CellStatus::Done, outcomes),
+                    Err(message) => {
+                        failed_cells
+                            .lock()
+                            .expect("failure list poisoned")
+                            .push((i as u64, message));
+                        let placeholder = vec![CellOutcome::failed(0, 0); rows];
+                        (CellStatus::WorkerFailed, placeholder)
+                    }
+                };
+                CellRecord {
+                    cell: i as u64,
+                    seed: cell_seed(plan.base_seed, i as u64),
+                    status,
+                    outcomes,
+                }
+            })
         },
         |_, record| {
             if let Some(w) = &writer {
@@ -275,23 +280,26 @@ pub fn run(
                 }
             }
         },
+        &profile,
     );
 
-    // Close and commit the coordinate span even when the dispatch
-    // failed, so a partial trace still shows the coordinator phase.
+    // The profile is complete even when the dispatch failed (the pool
+    // flushes worker stats first). Close and commit the coordinate span
+    // too, so a partial trace still shows the coordinator phase.
+    emit_pool_profile(trace, &profile, &todo);
     if let Some(mut rec) = coord_rec {
         rec.profile_counter("cells_done", 0, metrics.done());
-        rec.record(consensus_obs::Event::span_end("coordinate", 0).profile());
-        cfg.trace.commit(rec);
+        rec.record(Event::span_end("coordinate", 0).profile());
+        trace.commit(rec);
     }
-    let fresh = fresh?;
+    let fresh = fresh.map_err(|e| cell_failures(e, &todo, plan.base_seed))?;
 
     if let Some(e) = io_error.into_inner().expect("error slot poisoned") {
         return Err(e);
     }
 
     let mut executed = 0usize;
-    for (i, record) in fresh.into_iter().enumerate() {
+    for (&i, record) in todo.iter().zip(fresh) {
         if let Some(r) = record {
             slots[i] = Some(r);
             executed += 1;
@@ -309,6 +317,51 @@ pub fn run(
     })
 }
 
+/// Runs `f` inside a `cell` span on `(cell, lane::SWEEP)` of `trace`;
+/// just `f` on a disabled handle.
+fn in_cell_span<R>(trace: &TraceHandle, cell: usize, f: impl FnOnce() -> R) -> R {
+    let Some(mut rec) = trace.recorder(cell as u64, lane::SWEEP) else {
+        return f();
+    };
+    rec.span_begin("cell", cell as u64);
+    let r = f();
+    rec.span_end("cell", cell as u64);
+    trace.commit(rec);
+    r
+}
+
+/// Commits a finished dispatch's [`PoolProfile`] as profile-class
+/// events on the run-level `(PROFILE_SHARD, lane::POOL)` recorder:
+/// per-worker own/stolen cell counts, plus each cell's duration (keyed
+/// by its grid index, `todo[job]`) when the trace's clock produces
+/// timestamps. A no-op on a disabled handle.
+fn emit_pool_profile(trace: &TraceHandle, profile: &PoolProfile, todo: &[usize]) {
+    let Some(mut rec) = trace.recorder(PROFILE_SHARD, lane::POOL) else {
+        return;
+    };
+    for w in profile.workers() {
+        rec.profile_counter("pool_worker_own", w.worker as u64, w.own);
+        rec.profile_counter("pool_worker_stolen", w.worker as u64, w.stolen);
+    }
+    for (job, ns) in profile.cell_durations_ns() {
+        rec.profile_counter("pool_cell_ns", todo[job] as u64, ns);
+    }
+    trace.commit(rec);
+}
+
+/// Maps the panics of a dispatch over `todo` back to grid cells and
+/// their replay seeds.
+fn cell_failures(e: PoolError, todo: &[usize], base_seed: u64) -> SweepError {
+    let failures = (e.failures.into_iter())
+        .map(|p| CellFailure {
+            cell: todo[p.cell],
+            seed: cell_seed(base_seed, todo[p.cell] as u64),
+            message: p.message,
+        })
+        .collect();
+    SweepError::CellsPanicked { failures }
+}
+
 /// One executor attempt with panics contained and row counts checked.
 fn run_contained(
     executor: &dyn CellExecutor,
@@ -317,12 +370,10 @@ fn run_contained(
 ) -> Result<Vec<CellOutcome>, String> {
     let outcomes =
         catch_unwind(AssertUnwindSafe(|| executor.run_cell(cell))).unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(format!("cell {cell} panicked: {msg}"))
+            Err(format!(
+                "cell {cell} panicked: {}",
+                pool::payload_message(payload)
+            ))
         })?;
     if outcomes.len() != rows {
         return Err(format!(
@@ -388,6 +439,8 @@ mod tests {
         assert_eq!(rows.len(), 9);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.fingerprint, 0x1000 + i as u64);
+            let record = out.records[i].as_ref().expect("complete");
+            assert_eq!(record.seed, cell_seed(42, i as u64), "per-cell seed");
         }
         assert_eq!(metrics.snapshot(3).cells_done, 9);
     }
@@ -585,7 +638,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_and_emits_coordinator_spans() {
-        let trace = consensus_obs::TraceHandle::enabled();
+        let trace = TraceHandle::enabled();
         let traced = run(
             &plan(7),
             &RunConfig {
@@ -612,6 +665,128 @@ mod tests {
         assert!(
             s.content().events_for_span("coordinate").is_empty(),
             "coordinator spans are profile-class"
+        );
+    }
+
+    #[test]
+    fn traced_pool_profile_counts_every_cell() {
+        let path = tmp("profile");
+        std::fs::remove_file(&path).ok();
+        let partial = run(
+            &plan(12),
+            &RunConfig {
+                checkpoint: Some(path.clone()),
+                stop_after: Some(5),
+                ..RunConfig::default()
+            },
+            &fake_exec,
+            &Metrics::new(),
+        )
+        .expect("partial run");
+        let ran_first: Vec<bool> = partial.records.iter().map(Option::is_some).collect();
+        let clock: std::sync::Arc<dyn consensus_obs::Clock> =
+            std::sync::Arc::new(consensus_obs::TickClock::new());
+        let trace = TraceHandle::enabled_with(consensus_obs::DEFAULT_RECORDER_CAP, clock);
+        let resumed = run(
+            &plan(12),
+            &RunConfig {
+                threads: 3,
+                checkpoint: Some(path.clone()),
+                resume: true,
+                trace: trace.clone(),
+                ..RunConfig::default()
+            },
+            &fake_exec,
+            &Metrics::new(),
+        )
+        .expect("resumed run");
+        let s = trace.merged();
+        assert_eq!(
+            s.counter_total("pool_worker_own") + s.counter_total("pool_worker_stolen"),
+            resumed.executed as u64,
+            "profile accounts for every executed cell"
+        );
+        let mut timed: Vec<u64> = (s.events.iter())
+            .filter(|e| e.event.name == "pool_cell_ns")
+            .map(|e| e.event.index)
+            .collect();
+        timed.sort_unstable();
+        let skipped: Vec<u64> = (0..12u64).filter(|&i| !ran_first[i as usize]).collect();
+        assert_eq!(timed, skipped, "cell durations are keyed by grid cell");
+        // Profile events never reach the content stream.
+        assert_eq!(s.content().counter_total("pool_worker_own"), 0);
+        assert!(s
+            .content()
+            .events
+            .iter()
+            .all(|e| e.event.name != "pool_cell_ns"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The grid cells a resumed run dispatches; the pool reports
+    /// failures by index into this list.
+    const TODO: [usize; 5] = [0, 2, 4, 6, 8];
+
+    /// Pool panics at the given `(dispatch index, message)` pairs.
+    fn pool_panics(at: &[(usize, &str)]) -> PoolError {
+        PoolError {
+            failures: (at.iter())
+                .map(|&(cell, message)| pool::CellPanic {
+                    cell,
+                    message: message.into(),
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn pool_failures_name_grid_cells_and_their_seeds() {
+        let err = cell_failures(pool_panics(&[(3, "poisoned")]), &TODO, 42);
+        let failures = err.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].cell, 6, "grid index, not dispatch index");
+        assert_eq!(failures[0].seed, cell_seed(42, 6), "the replay seed");
+    }
+
+    #[test]
+    fn one_pool_failure_reports_its_cell_seed_and_message() {
+        let err = cell_failures(pool_panics(&[(2, "bad cell payload")]), &TODO, 42);
+        let failures = err.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].cell, 4);
+        assert_eq!(failures[0].seed, cell_seed(42, 4), "the replay seed");
+        assert_eq!(failures[0].message, "bad cell payload");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "sweep cell 4 (seed {:#018x}) panicked: bad cell payload",
+                cell_seed(42, 4)
+            )
+        );
+    }
+
+    /// Regression: two poisoned cells are both reported, each with its
+    /// `(cell, seed)` pair, in one error.
+    #[test]
+    fn pool_failures_list_every_bad_cell_with_its_seed() {
+        let err = cell_failures(
+            pool_panics(&[(1, "poisoned"), (3, "poisoned too")]),
+            &TODO,
+            42,
+        );
+        let failures = err.failures();
+        assert_eq!(
+            failures.iter().map(|f| f.cell).collect::<Vec<_>>(),
+            vec![2, 6],
+            "grid index, not dispatch index"
+        );
+        assert_eq!(failures[0].seed, cell_seed(42, 2), "the replay seed");
+        assert_eq!(failures[1].seed, cell_seed(42, 6));
+        let text = err.to_string();
+        assert!(text.contains("2 sweep cells panicked"), "{text}");
+        assert!(
+            text.contains("cell 6 (seed ") && text.contains("poisoned too"),
+            "{text}"
         );
     }
 

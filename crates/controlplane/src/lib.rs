@@ -1,15 +1,17 @@
 //! # consensus-controlplane
 //!
-//! The checkpointed sweep control plane for the *Tight Bounds for
-//! Asymptotic and Approximate Consensus* reproduction: turns the
-//! in-process [`consensus_sweep::Sweep`] harness into a
-//! one-laptop-or-fleet architecture — a coordinator that walks any
-//! registered grid, dispatches cells to worker threads or spawned
-//! worker processes, and streams every completed cell to an append-only
-//! checkpoint so an interrupted run resumes **cell-exact** and
-//! aggregates **bit-identically** to the uninterrupted path.
+//! The sweep control plane for the *Tight Bounds for Asymptotic and
+//! Approximate Consensus* reproduction: every grid run goes through it,
+//! from one laptop to a fleet. Its coordinator walks any
+//! registered grid and dispatches the cells itself, on the
+//! work-stealing pool's threads or to spawned worker processes. With a
+//! checkpoint it streams every completed cell to an append-only file,
+//! so an interrupted run resumes **cell-exact** and aggregates
+//! **bit-identically** to an uninterrupted one. An in-process run is
+//! the same loop with no checkpoint and no workers.
 //!
-//! * [`coordinator`] — the run loop: resume, dispatch, retry-once-then-
+//! * [`coordinator`] — the run loop: resume, dispatch (with the cell
+//!   spans and pool profile of a traced run), retry-once-then-
 //!   [`WorkerFailed`](checkpoint::CellStatus::WorkerFailed), merge.
 //! * [`checkpoint`] — the one cell-record format: length-prefixed,
 //!   checksummed records with rates as raw `f64::to_bits`, so no

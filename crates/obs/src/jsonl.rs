@@ -14,8 +14,11 @@
 use crate::event::{Class, EventKind};
 use crate::trace::EventStream;
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
+/// Escapes a string for a JSON string literal: quotes, backslashes and
+/// control characters, nothing else. The sweep report's JSON uses it
+/// too.
+#[must_use]
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -58,11 +58,10 @@ struct Shared {
 /// A cloneable handle onto one trace; see the module docs.
 ///
 /// All clones share the same committed-recorder store, so a handle can
-/// be threaded by value through builders ([`Sweep::trace`],
-/// `ProbeSet::trace`, `BeamSearch::trace` — see those crates) while the
-/// caller keeps a clone to merge at the end.
-///
-/// [`Sweep::trace`]: https://docs.rs/consensus-sweep
+/// be threaded by value through `trace` setters and config fields
+/// (`ProbeSet::trace`, `BeamSearch::trace`, the control plane's
+/// `RunConfig::trace` — see those crates) while the caller keeps a clone
+/// to merge at the end.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     inner: Option<Arc<Shared>>,

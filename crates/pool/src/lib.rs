@@ -118,8 +118,8 @@ pub struct CellPanic {
 /// grid reports the complete damage in one pass instead of one cell
 /// per re-run. (The panic payload alone cannot identify the cell: by
 /// the time a scoped-thread join re-raises it, the index is gone. The
-/// sweep harness enriches each entry further with the cell's derived
-/// seed.)
+/// control plane's coordinator maps each entry back to its grid cell
+/// and that cell's derived seed.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolError {
     /// Every panicking cell, ascending by index; never empty.
@@ -231,8 +231,11 @@ impl PoolProfile {
     }
 }
 
-/// Stringifies a panic payload (the `Box<dyn Any>` from `catch_unwind`).
-fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Stringifies a panic payload (the `Box<dyn Any>` from `catch_unwind`):
+/// `&str` and `String` payloads verbatim, anything else as
+/// `non-string panic payload`.
+#[must_use]
+pub fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

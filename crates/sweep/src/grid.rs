@@ -1,5 +1,5 @@
 //! Cartesian experiment grids: the named axes a consensus ensemble
-//! sweeps over, and generic product helpers for ad-hoc case lists.
+//! sweeps over.
 //!
 //! [`EnsembleGrid`] expands the paper-shaped axes — replicate seeds,
 //! agent counts, initial-value distributions, graph samplers, and a free
@@ -16,20 +16,6 @@ use consensus_netmodel::sampler::{
     AsyncCrashSampler, ChoiceSampler, GraphSampler, NonsplitSampler, RootedSampler,
 };
 use rand::{Rng, RngCore};
-
-/// The cartesian product of two axes, `a`-major (for ad-hoc case
-/// lists that don't fit the named ensemble axes — e.g. the
-/// Δ/ε-ratio × theorem grid of the decision-time experiments).
-#[must_use]
-pub fn cartesian2<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for x in a {
-        for y in b {
-            out.push((x.clone(), y.clone()));
-        }
-    }
-    out
-}
 
 /// How a cell draws its initial values on `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -440,15 +426,6 @@ mod tests {
         for round in 1..=10 {
             assert_eq!(a.next_graph(round), b.next_graph(round));
         }
-    }
-
-    #[test]
-    fn cartesian_helpers_are_left_major() {
-        assert_eq!(
-            cartesian2(&[1, 2], &["a", "b"]),
-            vec![(1, "a"), (1, "b"), (2, "a"), (2, "b")]
-        );
-        assert!(cartesian2::<u8, u8>(&[], &[1]).is_empty());
     }
 
     #[test]

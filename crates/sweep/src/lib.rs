@@ -10,15 +10,15 @@
 //! one execution; this crate fans one configuration out over a cartesian
 //! grid of axes and aggregates the ensemble:
 //!
-//! * [`Sweep`] — the harness: cells run on a hand-rolled work-stealing
-//!   thread pool (`consensus-pool`), each with a deterministic seed derived only
-//!   from `(base_seed, cell index)` ([`cell_seed`]), so the aggregate is
-//!   a pure function of the grid — bit-identical at any thread count —
-//!   and any cell is replayable solo ([`Sweep::run_cell`]).
+//! * [`Sweep`] — the harness, a seeded parallel map: cells run on a
+//!   hand-rolled work-stealing thread pool (`consensus-pool`), each with
+//!   a deterministic seed derived only from `(base_seed, cell index)`
+//!   ([`cell_seed`]), so the aggregate is a pure function of the grid —
+//!   bit-identical at any thread count — and any cell is replayable solo
+//!   ([`Sweep::run_cell`]).
 //! * [`grid`] — the named axes ([`EnsembleGrid`]: replicate seeds, agent
 //!   counts, [`InitDist`] initial-value distributions, [`Topology`]
-//!   graph samplers, a free algorithm parameter) plus generic cartesian
-//!   helpers for ad-hoc case lists.
+//!   graph samplers, a free algorithm parameter).
 //! * [`multidim`] — the `R^d` axes ([`MultidimGrid`]: a **dimension**
 //!   axis plus [`MultidimInitDist`] unit-cube / unit-simplex /
 //!   correlated-Gaussian initial distributions) behind the
@@ -90,7 +90,7 @@ pub mod multidim;
 pub mod report;
 pub mod stats;
 
-pub use grid::{cartesian2, EnsembleCell, EnsembleGrid, InitDist, Topology};
+pub use grid::{EnsembleCell, EnsembleGrid, InitDist, Topology};
 pub use harness::{cell_seed, CellCtx, CellFailure, Sweep, SweepError, DEFAULT_BASE_SEED};
 pub use multidim::{MultidimCell, MultidimGrid, MultidimInitDist};
 pub use report::SweepReport;

@@ -7,24 +7,9 @@
 //! every platform), non-finite floats become `null`, and nothing
 //! machine- or time-dependent (thread counts, durations) is included.
 
-use crate::stats::{CellOutcome, Stats, SweepSummary};
+use consensus_obs::jsonl::escape as json_escape;
 
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::stats::{CellOutcome, Stats, SweepSummary};
 
 /// Formats a float as JSON: shortest-roundtrip decimal, `null` when not
 /// finite (JSON has no NaN/Infinity).
