@@ -61,8 +61,6 @@
 //!   --stop-after N        stop dispatching after N cells (testing aid;
 //!                         needs --checkpoint)
 //!   --cell-delay-ms MS    stretch every cell by MS ms (CI kill pacing)
-//!   --worker-fail-cells L inject worker failures for cells `a,b,c`
-//!                         (needs --workers)
 //! ```
 //!
 //! Every grid states claims about its complete report (`Grid::claims`:
@@ -72,21 +70,24 @@
 //! `--quick`, the appended tables), the bin names each failed claim on
 //! stderr and exits 1. A `--replay` or an interrupted run states none.
 //!
-//! A cell that still fails after the coordinator's one retry is one
-//! stderr line, `cell N failed after retry: …`; the report is printed
-//! with the cell's rows counted as failures, and the exit code is 1.
+//! A failed cell is one stderr line, `cell N failed: …`; the report is
+//! printed with the cell's rows counted as failures, and the exit code
+//! is 1. Each cell runs once: a cell is a pure function of its index,
+//! so a second run would fail it the same way. Only a worker's
+//! transport failure (the process cannot start, dies, or sends a reply
+//! that does not decode) re-runs the cell once on a fresh worker; its
+//! message then ends with `(retried once on a fresh worker)`.
 //!
-//! A missing or malformed flag value, a flag that needs another one
-//! (`--resume` and `--stop-after` need `--checkpoint`,
-//! `--worker-fail-cells` needs `--workers`), or an output or
-//! control-plane flag with `--replay` is a usage error: one stderr line
-//! naming the flags, exit code 2. An output file (`--out`,
-//! `--metrics-out`, `--trace-out`) that cannot be written is one stderr
-//! line naming the flag, the path and the OS error, exit code 1. With
-//! `--workers`, one worker is spawned before any cell is dispatched; if
-//! that fails, the run is one stderr line naming the worker program and
-//! the OS error, exit code 1, with nothing on stdout and no checkpoint
-//! written.
+//! A missing or malformed flag value, an unknown flag (with `--list`
+//! too), a flag that needs another one (`--resume` and `--stop-after`
+//! need `--checkpoint`), or an output or control-plane flag with
+//! `--replay` is a usage error: one stderr line naming the flags, exit
+//! code 2. An output file (`--out`, `--metrics-out`, `--trace-out`)
+//! that cannot be written is one stderr line naming the flag, the path
+//! and the OS error, exit code 1. With `--workers`, one worker is
+//! spawned before any cell is dispatched; if that fails, the run is one
+//! stderr line naming the worker program and the OS error, exit code 1,
+//! with nothing on stdout and no checkpoint written.
 //!
 //! The CI gate commands are the `sweep-regression` matrix of
 //! `.github/workflows/ci.yml`: each golden file under `ci/` is diffed
@@ -136,7 +137,6 @@ struct ControlFlags {
     metrics_out: Option<String>,
     stop_after: Option<u64>,
     cell_delay_ms: u64,
-    fail_cells: Vec<u64>,
 }
 
 /// The tracing side of the CLI: where to write the JSONL capture, and
@@ -240,11 +240,6 @@ fn run_coordinated(
             args.push("--cell-delay-ms".into());
             args.push(cf.cell_delay_ms.to_string());
         }
-        if !cf.fail_cells.is_empty() {
-            let list: Vec<String> = cf.fail_cells.iter().map(u64::to_string).collect();
-            args.push("--fail-cells".into());
-            args.push(list.join(","));
-        }
         let pool = ProcessPool::new(
             WorkerSpawn {
                 program: worker_program(),
@@ -280,7 +275,7 @@ fn run_coordinated(
         }
     };
     for (cell, error) in &outcome.failed_cells {
-        eprintln!("cell {cell} failed after retry: {error}");
+        eprintln!("cell {cell} failed: {error}");
     }
     if !outcome.completed {
         eprintln!(
@@ -357,18 +352,13 @@ fn main() {
     let mut replay: Option<usize> = None;
     let mut cf = ControlFlags::default();
     let mut tf = TraceFlags::default();
+    let mut list = false;
 
     let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
         match a {
             "--grid" => grid = flag_value(a, it.next(), "a grid name"),
-            "--list" => {
-                println!("registered grids (select with --grid NAME):");
-                for (name, description) in AnySpec::registry() {
-                    println!("  {name:<14} {description}");
-                }
-                return;
-            }
+            "--list" => list = true,
             "--golden" => preset = "golden".into(),
             "--quick" => preset = "quick".into(),
             "--full" => preset = "full".into(),
@@ -389,17 +379,17 @@ fn main() {
             "--cell-delay-ms" => cf.cell_delay_ms = flag_value(a, it.next(), "a delay in ms"),
             "--trace-out" => tf.out = Some(flag_value(a, it.next(), "a path")),
             "--trace-timing" => tf.timing = true,
-            "--worker-fail-cells" => {
-                let list: String = flag_value(a, it.next(), "a list of cell indices `a,b,c`");
-                cf.fail_cells = list
-                    .split(',')
-                    .map(|v| flag_value(a, Some(v.trim()), "a cell index"))
-                    .collect();
-            }
             other => usage(&format!(
                 "unknown flag `{other}` — see the module docs or --list for usage"
             )),
         }
+    }
+    if list {
+        println!("registered grids (select with --grid NAME):");
+        for (name, description) in AnySpec::registry() {
+            println!("  {name:<14} {description}");
+        }
+        return;
     }
     let mut spec = spec_or_exit(AnySpec::resolve(&grid, &preset));
     if let Some(s) = seed {
@@ -416,9 +406,6 @@ fn main() {
     }
     if replay.is_some() && (out_path.is_some() || tf.out.is_some()) {
         usage("--replay prints one cell's rows and writes no file: drop --out and --trace-out");
-    }
-    if !cf.fail_cells.is_empty() && cf.workers.is_none() {
-        usage("--worker-fail-cells needs --workers N (it fails cells in worker processes)");
     }
     if tf.out.is_some() && cf.workers.is_some() {
         usage("--trace-out and --workers exclude each other: worker cells record no events");

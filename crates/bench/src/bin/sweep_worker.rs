@@ -6,16 +6,18 @@
 //! one reply line per request on stdout until stdin closes:
 //!
 //! ```text
-//! sweep-worker --grid NAME --preset golden [--seed S]
-//!              [--cell-delay-ms MS] [--fail-cells a,b,c]
+//! sweep-worker --grid NAME --preset golden [--seed S] [--cell-delay-ms MS]
 //! ```
 //!
 //! A reply is one framed `.sweepck` record in lowercase hex: the cell's
 //! checkpoint record, rates as raw `f64::to_bits`, so a worker-computed
 //! cell is bit-identical to an in-process one — the property the CI
 //! `resume-integrity` gate pins — or, for a cell error, a failure
-//! record with the message. `--fail-cells` injects failure replies for
-//! the named cells (the coordinator-retry test aid).
+//! record with the message. A request that is not a cell index of the
+//! grid (a line that is not a number, or an index past the last cell)
+//! and a cell that panics get a failure record too, and the worker
+//! serves on. The coordinator records a failure record as the cell's
+//! failure and does not retry it.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +32,6 @@ fn main() {
     let mut preset: String = "golden".into();
     let mut seed: Option<u64> = None;
     let mut delay_ms: u64 = 0;
-    let mut fail_cells: Vec<u64> = Vec::new();
 
     let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
@@ -39,13 +40,6 @@ fn main() {
             "--preset" => preset = flag_value(a, it.next(), "a preset name"),
             "--seed" => seed = Some(flag_value(a, it.next(), "a seed (an unsigned integer)")),
             "--cell-delay-ms" => delay_ms = flag_value(a, it.next(), "a delay in ms"),
-            "--fail-cells" => {
-                let list: String = flag_value(a, it.next(), "a list of cell indices `a,b,c`");
-                fail_cells = list
-                    .split(',')
-                    .map(|v| flag_value(a, Some(v.trim()), "a cell index"))
-                    .collect();
-            }
             other => usage(&format!("sweep-worker: unknown flag `{other}`")),
         }
     }
@@ -55,7 +49,7 @@ fn main() {
     if let Some(s) = seed {
         spec.set_base_seed(s);
     }
-    if let Err(e) = worker_serve(&spec, Duration::from_millis(delay_ms), &fail_cells) {
+    if let Err(e) = worker_serve(&spec, Duration::from_millis(delay_ms)) {
         eprintln!("sweep-worker: stdio error: {e}");
         std::process::exit(1);
     }

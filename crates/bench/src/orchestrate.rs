@@ -94,8 +94,7 @@ pub trait Grid: Clone + fmt::Debug + Send + Sync + RefUnwindSafe + 'static {
 ///
 /// # Panics
 ///
-/// Panics naming every cell that still fails after the coordinator's
-/// retry.
+/// Panics naming every failed cell.
 #[must_use]
 pub fn run_grid<G: Grid>(grid: &G, threads: Option<usize>, trace: TraceHandle) -> SweepReport {
     GridSpec::run(grid, threads, trace)
@@ -268,8 +267,8 @@ pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
     ///
     /// # Panics
     ///
-    /// Panics naming every cell that still fails after the coordinator's
-    /// retry.
+    /// Panics naming every failed cell. Each cell runs once: a cell is a
+    /// pure function of its index, so a second run would fail it again.
     fn run(&self, threads: Option<usize>, trace: TraceHandle) -> SweepReport {
         let cfg = RunConfig {
             threads: threads.unwrap_or_else(pool::default_threads),
@@ -281,7 +280,7 @@ pub trait GridSpec: fmt::Debug + Send + Sync + RefUnwindSafe {
         let out = controlplane::run(&self.plan(""), &cfg, &exec, &Metrics::new())
             .unwrap_or_else(|e| panic!("{} run failed: {e}", self.grid_name()));
         let failed: Vec<String> = (out.failed_cells.iter())
-            .map(|(cell, error)| format!("cell {cell} failed after retry: {error}"))
+            .map(|(cell, error)| format!("cell {cell} failed: {error}"))
             .collect();
         assert!(failed.is_empty(), "{}", failed.join("; "));
         self.report_from_rows(out.outcome_rows().expect("an uncancelled run completes"))
@@ -388,18 +387,15 @@ impl CellExecutor for GridExecutor<'_> {
 /// in (the decimal cell index), one reply line out (the framed
 /// checkpoint record of [`checkpoint::encode_reply`], in hex). A cell
 /// runs as the coordinator's in-process executor runs it, `delay`
-/// included. `fail_cells` injects failure replies for the named cells
-/// (the coordinator-retry test aid — never used by real runs).
+/// included. A request that is not a cell index of the grid, or a cell
+/// that panics, gets a failure record with the reason.
 ///
 /// # Errors
 ///
 /// Returns the first unrecoverable stdio error.
-pub fn worker_serve(
-    spec: &AnySpec,
-    delay: Duration,
-    fail_cells: &[u64],
-) -> Result<(), std::io::Error> {
+pub fn worker_serve(spec: &AnySpec, delay: Duration) -> Result<(), std::io::Error> {
     let exec = spec.executor(delay);
+    let n_cells = spec.n_cells() as u64;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -411,9 +407,12 @@ pub fn worker_serve(
         }
         let (cell, result) = match line.parse::<u64>() {
             Err(e) => (u64::MAX, Err(format!("bad request {line:?}: {e}"))),
-            Ok(cell) if fail_cells.contains(&cell) => {
-                (cell, Err("injected failure (--fail-cells)".to_owned()))
-            }
+            Ok(cell) if cell >= n_cells => (
+                cell,
+                Err(format!(
+                    "cell {cell} is past the last cell: the grid has {n_cells} cells"
+                )),
+            ),
             Ok(cell) => {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     exec.run_cell(cell as usize)
@@ -528,9 +527,7 @@ mod tests {
         let message = pool::payload_message(payload);
         for cell in [2, 3] {
             assert!(
-                message.contains(&format!(
-                    "cell {cell} failed after retry: cell {cell} panicked"
-                )),
+                message.contains(&format!("cell {cell} failed: cell {cell} panicked")),
                 "{message}"
             );
         }

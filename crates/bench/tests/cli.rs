@@ -1,15 +1,16 @@
 //! End-to-end tests of the `sweep` binary's CLI: clean usage errors
 //! (one stderr line, exit code 2, never a backtrace) and the
 //! control-plane flags — checkpoint/resume, spawned worker processes,
-//! injected worker failures, and the metrics snapshot — each pinned
+//! crashing workers, and the metrics snapshot — each pinned
 //! byte-identical to the in-process golden JSON and table.
 
+use std::io::Write as _;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use consensus_bench::orchestrate::AnySpec;
-use tight_bounds_consensus::controlplane::{CellRecord, CellStatus, CheckpointWriter};
+use tight_bounds_consensus::controlplane::{checkpoint, CellRecord, CellStatus, CheckpointWriter};
 use tight_bounds_consensus::sweep::cell_seed;
 
 fn sweep() -> Command {
@@ -74,6 +75,14 @@ fn field<'r>(row: &'r str, key: &str) -> &'r str {
     }
 }
 
+/// The `cells_detail` rows of a JSON report, without their commas.
+fn detail_rows(json: &str) -> Vec<&str> {
+    (json.lines())
+        .filter(|l| l.contains("\"index\": "))
+        .map(|l| l.strip_suffix(',').unwrap_or(l))
+        .collect()
+}
+
 #[test]
 fn replay_prints_the_rows_of_the_json_report() {
     for (grid, rows_per_cell) in [
@@ -86,7 +95,7 @@ fn replay_prints_the_rows_of_the_json_report() {
         let out = run(&["--grid", grid, "--golden", "--json"]);
         assert!(out.status.success(), "{grid}");
         let json = String::from_utf8_lossy(&out.stdout);
-        let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"index\": ")).collect();
+        let rows = detail_rows(&json);
         let n_cells = rows.len() / rows_per_cell;
         for cell in [0, 3, n_cells - 1] {
             let out = run(&["--grid", grid, "--golden", "--replay", &cell.to_string()]);
@@ -129,13 +138,7 @@ fn replay_with_json_prints_the_one_cell_report() {
         ("paper", "golden_paper.json", 1),
     ] {
         let golden = std::fs::read_to_string(ci.join(golden)).expect("golden file");
-        let want: Vec<&str> = golden
-            .lines()
-            .filter(|l| l.contains("\"index\": "))
-            .skip(3 * rows_per_cell)
-            .take(rows_per_cell)
-            .map(|l| l.strip_suffix(',').unwrap_or(l))
-            .collect();
+        let want = &detail_rows(&golden)[3 * rows_per_cell..4 * rows_per_cell];
         let out = run(&["--grid", grid, "--golden", "--json", "--replay", "3"]);
         assert!(out.status.success(), "{grid}");
         let json = String::from_utf8(out.stdout).expect("utf8");
@@ -149,12 +152,11 @@ fn replay_with_json_prints_the_one_cell_report() {
             json.contains(&format!("\"cells\": {rows_per_cell},")),
             "{grid}: {json}"
         );
-        let got: Vec<&str> = json
-            .lines()
-            .filter(|l| l.contains("\"index\": "))
-            .map(|l| l.strip_suffix(',').unwrap_or(l))
-            .collect();
-        assert_eq!(got, want, "{grid}: the replayed rows are the golden rows");
+        assert_eq!(
+            detail_rows(&json),
+            want,
+            "{grid}: the replayed rows are the golden rows"
+        );
     }
 }
 
@@ -199,14 +201,6 @@ fn resume_without_a_checkpoint_is_a_usage_error() {
     let out = run(&args);
     assert_usage_error(&out, &args, "--resume");
     assert_usage_error(&out, &args, "--checkpoint");
-}
-
-#[test]
-fn worker_fail_cells_without_workers_is_a_usage_error() {
-    let args = ["--golden", "--json", "--worker-fail-cells", "3"];
-    let out = run(&args);
-    assert_usage_error(&out, &args, "--worker-fail-cells");
-    assert_usage_error(&out, &args, "--workers");
 }
 
 #[test]
@@ -314,16 +308,15 @@ fn malformed_flag_values_are_usage_errors_naming_the_flag() {
         (&["--workers", "two"], "--workers"),
         (&["--stop-after", "q"], "--stop-after"),
         (&["--cell-delay-ms", "z"], "--cell-delay-ms"),
-        (&["--worker-fail-cells", "a,b"], "--worker-fail-cells"),
         (&["--grid"], "--grid"),
         (&["--metrics-addr", "127.0.0.1:0"], "--metrics-addr"),
+        (&["--list", "--bogus"], "unknown flag `--bogus`"),
     ] {
         assert_usage_error(&run(args), args, flag);
     }
     for (args, flag) in [
         (&["--seed", "x"][..], "--seed"),
         (&["--cell-delay-ms", "z"], "--cell-delay-ms"),
-        (&["--fail-cells", "1,b"], "--fail-cells"),
         (&["--preset"], "--preset"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sweep-worker"))
@@ -519,33 +512,97 @@ fn resuming_against_a_different_grid_is_a_clean_error() {
     std::fs::remove_file(&ck).ok();
 }
 
+#[cfg(unix)]
 #[test]
 fn injected_worker_failures_surface_as_failed_cells_not_a_crash() {
-    let out = run(&[
-        "--golden",
-        "--json",
-        "--workers",
-        "2",
-        "--worker-fail-cells",
-        "3,7",
-    ]);
+    use std::os::unix::fs::PermissionsExt as _;
+    // A worker program that dies on cells 3 and 7 and hands every other
+    // request to a fresh real worker.
+    let script = tmpfile("crashing-worker.sh");
+    std::fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\nwhile read -r cell; do\n  case \"$cell\" in 3|7) exit 0 ;; esac\n  \
+             echo \"$cell\" | '{}' \"$@\"\ndone\n",
+            env!("CARGO_BIN_EXE_sweep-worker")
+        ),
+    )
+    .expect("write the worker script");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+        .expect("make the worker script executable");
+    let metrics = tmpfile("crashing-worker-metrics.json");
+    std::fs::remove_file(&metrics).ok();
+    let out = sweep()
+        .env("SWEEP_WORKER", &script)
+        .args(["--golden", "--json", "--workers", "2", "--metrics-out"])
+        .arg(&metrics)
+        .output()
+        .expect("spawn the sweep bin");
     assert_eq!(out.status.code(), Some(1), "failed cells exit 1");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("cell 3 failed after retry") && err.contains("cell 7 failed after retry"),
-        "both failed cells reported: {err}"
-    );
-    assert!(
-        err.contains("injected failure"),
-        "carries the worker error: {err}"
-    );
-    // The report still aggregates — the two poisoned cells count as
-    // failures, the other 14 are bit-identical to the golden run.
+    for cell in [3, 7] {
+        assert!(
+            err.contains(&format!(
+                "cell {cell} failed: worker exited before replying for cell {cell} \
+                 (retried once on a fresh worker)"
+            )),
+            "cell {cell} reported with its transport error: {err}"
+        );
+    }
+    // The report still aggregates: the two dead cells count as failures,
+    // and the other 14 rows are the golden rows.
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(
         json.contains("\"failures\": 2"),
         "summary counts them: {json}"
     );
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/golden_sweep.json"),
+    )
+    .expect("golden file");
+    let (mut got, mut want) = (detail_rows(&json), detail_rows(&golden));
+    assert_eq!(got.len(), 16);
+    let live = |r: &&str| !r.contains("\"index\": 3,") && !r.contains("\"index\": 7,");
+    got.retain(live);
+    want.retain(live);
+    assert_eq!(got, want, "the other cells are the golden cells");
+    let snap = std::fs::read_to_string(&metrics).expect("metrics file written");
+    assert!(
+        snap.contains("\"retries\": 2,"),
+        "one retry per dead cell: {snap}"
+    );
+    assert!(
+        snap.contains("\"worker_restarts\": 4,"),
+        "both attempts of both dead cells restart their worker: {snap}"
+    );
+    std::fs::remove_file(&script).ok();
+    std::fs::remove_file(&metrics).ok();
+}
+
+#[test]
+fn a_worker_answers_an_index_past_the_last_cell_with_a_failure_record() {
+    let mut worker = Command::new(env!("CARGO_BIN_EXE_sweep-worker"))
+        .args(["--grid", "ensemble", "--preset", "golden"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the sweep-worker bin");
+    let mut stdin = worker.stdin.take().expect("piped stdin");
+    stdin.write_all(b"99\n").expect("send the request");
+    drop(stdin);
+    let out = worker.wait_with_output().expect("the worker exits");
+    assert!(out.status.success());
+    assert!(
+        out.stderr.is_empty(),
+        "no panic: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let reply = String::from_utf8(out.stdout).expect("utf8");
+    let err = checkpoint::decode_reply(reply.trim_end(), 99)
+        .expect("a well-formed reply")
+        .expect_err("a failure record");
+    assert_eq!(err, "cell 99 is past the last cell: the grid has 16 cells");
 }
 
 #[test]

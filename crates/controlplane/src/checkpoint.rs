@@ -106,8 +106,10 @@ pub struct CheckpointHeader {
 pub enum CellStatus {
     /// The cell executed and its outcomes are genuine measurements.
     Done,
-    /// The cell's worker failed twice; the outcomes are `rows_per_cell`
-    /// placeholder failures. A resume re-executes the cell.
+    /// The cell failed: its executor returned an error or panicked, or
+    /// its worker died on two processes in a row. The outcomes are
+    /// `rows_per_cell` placeholder failures. A resume re-executes the
+    /// cell.
     WorkerFailed,
 }
 
@@ -603,14 +605,12 @@ impl CheckpointWriter {
     /// Surfaces I/O failures as [`SweepError::Checkpoint`] carrying the
     /// cell index.
     pub fn append(&mut self, record: &CellRecord) -> Result<(), SweepError> {
-        self.write_record(&encode_cell(record))
-            .map_err(|e| match e {
-                SweepError::Checkpoint { message, .. } => SweepError::Checkpoint {
-                    cell: Some(record.cell),
-                    message,
-                },
-                other => other,
-            })
+        self.write_record(&encode_cell(record)).map_err(
+            |SweepError::Checkpoint { message, .. }| SweepError::Checkpoint {
+                cell: Some(record.cell),
+                message,
+            },
+        )
     }
 
     fn write_record(&mut self, payload: &[u8]) -> Result<(), SweepError> {

@@ -1,6 +1,6 @@
 //! The coordinator: walks a grid plan, dispatches cells to an executor
 //! (in-process threads or spawned worker processes), streams every
-//! completion to the checkpoint, and applies the retry policy.
+//! completion to the checkpoint, and records failed cells.
 //!
 //! The control flow is deliberately thin — all the heavy lifting lives
 //! in parts that are testable alone:
@@ -9,7 +9,7 @@
 //! plan + config
 //!   └─ resume: load .sweepck, keep Done cells, re-queue the rest
 //!   └─ dispatch: pool::try_run_indexed over the cells still to run
-//!        runner   = executor.run_cell, once retried, panics contained,
+//!        runner   = executor.run_cell, once, panics contained,
 //!                   inside a `cell` span on (cell, lane::SWEEP)
 //!        observer = checkpoint append + metrics, in completion order
 //!   └─ profile: the pool's worker and per-cell counters, on
@@ -28,20 +28,24 @@
 //! `resume-integrity` job checks exactly this, byte-for-byte, on the
 //! aggregated JSON.
 //!
-//! **Failure policy.** An executor error (or panic) on a cell is
-//! retried once; a second failure records the cell as
+//! **Failure policy.** Each cell runs once. A cell is a pure function
+//! of its index, so running it again would fail it the same way. An
+//! executor error, a panic or a wrong row count records the cell as
 //! [`CellStatus::WorkerFailed`] with placeholder outcomes instead of
 //! killing the sweep, and the failure message is surfaced in
-//! [`RunOutcome::failed_cells`]. A later `--resume` re-executes exactly
-//! the worker-failed cells.
+//! [`RunOutcome::failed_cells`]. The one failure a second attempt can
+//! mend is a worker process dying around its cell, so
+//! [`ProcessPool`](crate::worker::ProcessPool) retries that itself, on a
+//! fresh process. A later `--resume` re-executes exactly the
+//! worker-failed cells.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 use consensus_obs::{lane, Event, TraceHandle, PROFILE_SHARD};
-use consensus_pool::{self as pool, CancelToken, PoolError, PoolProfile};
-use consensus_sweep::{cell_seed, CellFailure, CellOutcome, SweepError};
+use consensus_pool::{self as pool, CancelToken, PoolProfile};
+use consensus_sweep::{cell_seed, CellOutcome, SweepError};
 
 use crate::checkpoint::{self, CellRecord, CellStatus, CheckpointHeader, CheckpointWriter};
 use crate::metrics::Metrics;
@@ -55,8 +59,8 @@ pub trait CellExecutor: Sync {
     /// # Errors
     ///
     /// Returns a human-readable description of why the cell could not
-    /// run (worker crash, transport failure, …). The coordinator
-    /// retries once, then records `WorkerFailed`.
+    /// run (a worker crash, a cell error, …). The coordinator records
+    /// the cell as `WorkerFailed` and never calls it again this run.
     fn run_cell(&self, cell: usize) -> Result<Vec<CellOutcome>, String>;
 }
 
@@ -110,7 +114,8 @@ pub struct RunConfig {
     /// its `Done` cells (a missing file starts fresh).
     pub resume: bool,
     /// Stop dispatching after this many completions *this session*
-    /// (a deterministic stand-in for an external kill in tests).
+    /// (a deterministic stand-in for an external kill in tests); 0
+    /// dispatches none.
     pub stop_after: Option<u64>,
     /// Stops dispatch: raised by the run itself on a checkpoint append
     /// failure or at `stop_after`, or by the caller before or during
@@ -162,11 +167,16 @@ impl RunOutcome {
 ///
 /// # Errors
 ///
-/// * [`SweepError::Checkpoint`] — unreadable/corrupt checkpoint, a
-///   header that does not match `plan`, or an append failure mid-run
-///   (the run cancels and drains first).
-/// * [`SweepError::CellsPanicked`] — only if the *observer machinery*
-///   panics; executor panics are contained by the retry policy.
+/// [`SweepError::Checkpoint`]: an unreadable or corrupt checkpoint, a
+/// header that does not match `plan`, or an append failure mid-run (the
+/// run cancels and drains first). A failed cell is not an error; it is
+/// in [`RunOutcome::failed_cells`].
+///
+/// # Panics
+///
+/// Panics with the pool's message if the coordinator's own bookkeeping
+/// (checkpoint append, counters, spans) panics. Executor panics are
+/// contained and fail only their cell.
 pub fn run(
     plan: &SweepPlan,
     cfg: &RunConfig,
@@ -215,6 +225,10 @@ pub fn run(
         .collect();
     let resumed = plan.n_cells - todo.len();
     metrics.set_plan(plan.n_cells as u64, resumed as u64);
+    let stop_reached = || cfg.stop_after.is_some_and(|limit| metrics.done() >= limit);
+    if stop_reached() {
+        cfg.cancel.cancel();
+    }
 
     let io_error: Mutex<Option<SweepError>> = Mutex::new(None);
     let failed_cells: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
@@ -238,12 +252,7 @@ pub fn run(
             let i = todo[j];
             in_cell_span(trace, i, || {
                 metrics.cell_started();
-                let mut result = run_contained(executor, i, rows);
-                if result.is_err() {
-                    metrics.retry();
-                    result = run_contained(executor, i, rows);
-                }
-                let (status, outcomes) = match result {
+                let (status, outcomes) = match run_contained(executor, i, rows) {
                     Ok(outcomes) => (CellStatus::Done, outcomes),
                     Err(message) => {
                         failed_cells
@@ -274,10 +283,8 @@ pub fn run(
                 }
             }
             metrics.cell_finished(record.status == CellStatus::WorkerFailed);
-            if let Some(limit) = cfg.stop_after {
-                if metrics.done() >= limit {
-                    cfg.cancel.cancel();
-                }
+            if stop_reached() {
+                cfg.cancel.cancel();
             }
         },
         &profile,
@@ -292,7 +299,7 @@ pub fn run(
         rec.record(Event::span_end("coordinate", 0).profile());
         trace.commit(rec);
     }
-    let fresh = fresh.map_err(|e| cell_failures(e, &todo, plan.base_seed))?;
+    let fresh = fresh.unwrap_or_else(|e| panic!("the coordinator's bookkeeping panicked: {e}"));
 
     if let Some(e) = io_error.into_inner().expect("error slot poisoned") {
         return Err(e);
@@ -347,19 +354,6 @@ fn emit_pool_profile(trace: &TraceHandle, profile: &PoolProfile, todo: &[usize])
         rec.profile_counter("pool_cell_ns", todo[job] as u64, ns);
     }
     trace.commit(rec);
-}
-
-/// Maps the panics of a dispatch over `todo` back to grid cells and
-/// their replay seeds.
-fn cell_failures(e: PoolError, todo: &[usize], base_seed: u64) -> SweepError {
-    let failures = (e.failures.into_iter())
-        .map(|p| CellFailure {
-            cell: todo[p.cell],
-            seed: cell_seed(base_seed, todo[p.cell] as u64),
-            message: p.message,
-        })
-        .collect();
-    SweepError::CellsPanicked { failures }
 }
 
 /// One executor attempt with panics contained and row counts checked.
@@ -500,6 +494,50 @@ mod tests {
     }
 
     #[test]
+    fn stop_after_zero_dispatches_nothing_and_resumes_to_the_fresh_rows() {
+        let path = tmp("stopzero");
+        std::fs::remove_file(&path).ok();
+        for threads in [1, 3] {
+            let stopped = run(
+                &plan(8),
+                &RunConfig {
+                    threads,
+                    checkpoint: Some(path.clone()),
+                    stop_after: Some(0),
+                    ..RunConfig::default()
+                },
+                &fake_exec,
+                &Metrics::new(),
+            )
+            .expect("stopped run");
+            assert_eq!(stopped.executed, 0, "{threads} threads");
+            assert!(!stopped.completed);
+            let loaded = checkpoint::load(&path).expect("load");
+            assert!(loaded.records.is_empty(), "{threads} threads: header only");
+        }
+        let resumed = run(
+            &plan(8),
+            &RunConfig {
+                checkpoint: Some(path.clone()),
+                resume: true,
+                ..RunConfig::default()
+            },
+            &fake_exec,
+            &Metrics::new(),
+        )
+        .expect("resumed run");
+        assert_eq!((resumed.resumed, resumed.executed), (0, 8));
+        let fresh =
+            run(&plan(8), &RunConfig::default(), &fake_exec, &Metrics::new()).expect("fresh run");
+        let a = resumed.outcome_rows().expect("complete");
+        let b = fresh.outcome_rows().expect("complete");
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.fingerprint, y.fingerprint);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn resume_rejects_a_mismatched_plan() {
         let path = tmp("mismatch");
         std::fs::remove_file(&path).ok();
@@ -531,25 +569,28 @@ mod tests {
     }
 
     #[test]
-    fn flaky_cell_succeeds_on_retry() {
-        let attempts = AtomicUsize::new(0);
+    fn a_failing_cell_runs_exactly_once() {
+        let calls: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
         let exec = |cell: usize| {
-            if cell == 3 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                return Err("transient".to_owned());
+            calls[cell].fetch_add(1, Ordering::SeqCst);
+            if cell == 3 {
+                return Err("cell error".to_owned());
             }
             fake_exec(cell)
         };
         let metrics = Metrics::new();
         let out = run(&plan(6), &RunConfig::default(), &exec, &metrics).expect("run");
         assert!(out.completed);
-        assert!(out.failed_cells.is_empty());
-        assert_eq!(metrics.snapshot(1).retries, 1);
-        assert_eq!(metrics.snapshot(1).cells_failed, 0);
+        for (cell, n) in calls.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "cell {cell} runs once");
+        }
         assert_eq!(
             out.records[3].as_ref().unwrap().status,
-            CellStatus::Done,
-            "retry rescued the cell"
+            CellStatus::WorkerFailed
         );
+        assert_eq!(out.failed_cells, vec![(3, "cell error".to_owned())]);
+        assert_eq!(metrics.snapshot(1).retries, 0);
+        assert_eq!(metrics.snapshot(1).cells_failed, 1);
     }
 
     #[test]
@@ -570,7 +611,7 @@ mod tests {
         assert_eq!(out.failed_cells.len(), 1);
         assert_eq!(out.failed_cells[0].0, 2);
         assert!(out.failed_cells[0].1.contains("dead worker"));
-        assert_eq!(metrics.snapshot(1).retries, 1);
+        assert_eq!(metrics.snapshot(1).retries, 0);
         assert_eq!(metrics.snapshot(1).cells_failed, 1);
     }
 
@@ -721,73 +762,6 @@ mod tests {
             .iter()
             .all(|e| e.event.name != "pool_cell_ns"));
         std::fs::remove_file(&path).ok();
-    }
-
-    /// The grid cells a resumed run dispatches; the pool reports
-    /// failures by index into this list.
-    const TODO: [usize; 5] = [0, 2, 4, 6, 8];
-
-    /// Pool panics at the given `(dispatch index, message)` pairs.
-    fn pool_panics(at: &[(usize, &str)]) -> PoolError {
-        PoolError {
-            failures: (at.iter())
-                .map(|&(cell, message)| pool::CellPanic {
-                    cell,
-                    message: message.into(),
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn pool_failures_name_grid_cells_and_their_seeds() {
-        let err = cell_failures(pool_panics(&[(3, "poisoned")]), &TODO, 42);
-        let failures = err.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].cell, 6, "grid index, not dispatch index");
-        assert_eq!(failures[0].seed, cell_seed(42, 6), "the replay seed");
-    }
-
-    #[test]
-    fn one_pool_failure_reports_its_cell_seed_and_message() {
-        let err = cell_failures(pool_panics(&[(2, "bad cell payload")]), &TODO, 42);
-        let failures = err.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].cell, 4);
-        assert_eq!(failures[0].seed, cell_seed(42, 4), "the replay seed");
-        assert_eq!(failures[0].message, "bad cell payload");
-        assert_eq!(
-            err.to_string(),
-            format!(
-                "sweep cell 4 (seed {:#018x}) panicked: bad cell payload",
-                cell_seed(42, 4)
-            )
-        );
-    }
-
-    /// Regression: two poisoned cells are both reported, each with its
-    /// `(cell, seed)` pair, in one error.
-    #[test]
-    fn pool_failures_list_every_bad_cell_with_its_seed() {
-        let err = cell_failures(
-            pool_panics(&[(1, "poisoned"), (3, "poisoned too")]),
-            &TODO,
-            42,
-        );
-        let failures = err.failures();
-        assert_eq!(
-            failures.iter().map(|f| f.cell).collect::<Vec<_>>(),
-            vec![2, 6],
-            "grid index, not dispatch index"
-        );
-        assert_eq!(failures[0].seed, cell_seed(42, 2), "the replay seed");
-        assert_eq!(failures[1].seed, cell_seed(42, 6));
-        let text = err.to_string();
-        assert!(text.contains("2 sweep cells panicked"), "{text}");
-        assert!(
-            text.contains("cell 6 (seed ") && text.contains("poisoned too"),
-            "{text}"
-        );
     }
 
     #[test]

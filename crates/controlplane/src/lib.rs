@@ -11,7 +11,8 @@
 //! the same loop with no checkpoint and no workers.
 //!
 //! * [`coordinator`] — the run loop: resume, dispatch (with the cell
-//!   spans and pool profile of a traced run), retry-once-then-
+//!   spans and pool profile of a traced run), one run per cell with a
+//!   failure recorded as
 //!   [`WorkerFailed`](checkpoint::CellStatus::WorkerFailed), merge.
 //! * [`checkpoint`] — the one cell-record format: length-prefixed,
 //!   checksummed records with rates as raw `f64::to_bits`, so no
@@ -20,7 +21,9 @@
 //!   leaves behind; the worker pipe carries them as one hex line per
 //!   reply.
 //! * [`worker`] — spawned `sweep-worker` processes and their pool,
-//!   which kills and reaps its workers when it drops.
+//!   which re-runs a cell once on a fresh worker after a transport
+//!   failure (the one retry in the control plane), and kills and reaps
+//!   its workers when it drops.
 //! * [`metrics`] — lock-free run counters and a deterministic JSON
 //!   snapshot. No clocks in this crate: elapsed time is measured by
 //!   the caller.

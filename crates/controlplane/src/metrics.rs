@@ -25,9 +25,10 @@ pub struct Metrics {
     cells_resumed: AtomicU64,
     /// Cells completed by this run (including worker-failed ones).
     cells_done: AtomicU64,
-    /// Cells recorded as `WorkerFailed` (failed twice).
+    /// Cells recorded as `WorkerFailed`.
     cells_failed: AtomicU64,
-    /// Cell executions retried after a first failure.
+    /// Cells a worker pool re-ran on a fresh worker after a transport
+    /// failure.
     retries: AtomicU64,
     /// Worker processes respawned after dying mid-cell.
     worker_restarts: AtomicU64,
@@ -67,7 +68,8 @@ impl Metrics {
         }
     }
 
-    /// A cell execution failed once and is being retried.
+    /// A worker transport failure: the cell is being re-run on a fresh
+    /// worker.
     pub fn retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -113,7 +115,7 @@ pub struct MetricsSnapshot {
     pub cells_done: u64,
     /// Cells recorded as `WorkerFailed`.
     pub cells_failed: u64,
-    /// Cell executions retried after a first failure.
+    /// Cells re-run on a fresh worker after a transport failure.
     pub retries: u64,
     /// Worker processes respawned.
     pub worker_restarts: u64,

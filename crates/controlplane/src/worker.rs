@@ -7,12 +7,18 @@
 //! that the worker program cannot start before any cell runs), writes one
 //! request line (the decimal cell index), reads one reply line (a
 //! framed checkpoint record in hex, decoded by
-//! [`checkpoint::decode_reply`]), and pushes the worker back. Workers
-//! that die mid-cell — crash, kill, a reply that does not decode or
-//! names another cell — are discarded and counted as a restart; the
-//! *cell* error is returned to the coordinator, whose retry policy
-//! (once, then `WorkerFailed`) decides what happens next. A retried
-//! cell therefore runs on a fresh process.
+//! [`checkpoint::decode_reply`]), and pushes the worker back.
+//!
+//! **Failure policy.** The pool is the one place that retries, and it
+//! retries only a *transport failure*: the worker cannot be spawned,
+//! hangs up, exits before replying, or sends a reply that does not
+//! decode or names another cell. Such a worker is discarded and counted
+//! as a restart, and the cell runs once more on a fresh process; a
+//! second transport failure is the cell's error. A failure record the
+//! worker sends for the cell itself is returned at once, and the worker
+//! goes back on the stack: the cell is a pure function of its index, so
+//! it would fail the same way again. The coordinator records either
+//! error as `WorkerFailed`.
 //!
 //! Dropping a worker (a discarded one, or every idle one when the pool
 //! drops) kills its process and reaps it, so no zombies accumulate.
@@ -110,7 +116,7 @@ pub struct ProcessPool<'m> {
 
 impl<'m> ProcessPool<'m> {
     /// A pool that spawns workers on demand with the given command
-    /// line, reporting restarts to `metrics`.
+    /// line, reporting retries and restarts to `metrics`.
     #[must_use]
     pub fn new(spawn: WorkerSpawn, metrics: &'m Metrics) -> Self {
         ProcessPool {
@@ -142,12 +148,16 @@ impl<'m> ProcessPool<'m> {
         }
         WorkerProc::spawn(&self.spawn)
     }
-}
 
-impl CellExecutor for ProcessPool<'_> {
-    fn run_cell(&self, cell: usize) -> Result<Vec<CellOutcome>, String> {
-        let mut worker = self.take_worker()?;
-        match worker.run_cell(cell as u64) {
+    /// One round trip of `cell` on `worker`: `Ok` holds the cell's own
+    /// result, `Err` a transport failure (a spawn error included).
+    fn round_trip(
+        &self,
+        worker: Result<WorkerProc, String>,
+        cell: u64,
+    ) -> Result<Result<Vec<CellOutcome>, String>, String> {
+        let mut worker = worker?;
+        match worker.run_cell(cell) {
             Ok(result) => {
                 // The worker answered, with rows or a cell error of its
                 // own: it is healthy, so it goes back on the stack.
@@ -155,11 +165,10 @@ impl CellExecutor for ProcessPool<'_> {
                     .lock()
                     .expect("worker stack poisoned")
                     .push(worker);
-                result
+                Ok(result)
             }
             Err(e) => {
-                // Transport failure: the process is suspect. Drop it
-                // (kill + reap) and let the retry run on a fresh spawn.
+                // The process is suspect: drop it (kill + reap).
                 self.metrics.worker_restart();
                 drop(worker);
                 Err(e)
@@ -168,11 +177,84 @@ impl CellExecutor for ProcessPool<'_> {
     }
 }
 
+impl CellExecutor for ProcessPool<'_> {
+    fn run_cell(&self, cell: usize) -> Result<Vec<CellOutcome>, String> {
+        let cell = cell as u64;
+        self.round_trip(self.take_worker(), cell)
+            .or_else(|_| {
+                self.metrics.retry();
+                self.round_trip(WorkerProc::spawn(&self.spawn), cell)
+            })
+            .map_err(|e| format!("{e} (retried once on a fresh worker)"))?
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CellStatus;
+    use crate::checkpoint::{CellRecord, CellStatus};
     use crate::coordinator::{self, RunConfig, SweepPlan};
+    use crate::metrics::MetricsSnapshot;
+
+    /// A one-cell plan.
+    fn one_cell() -> SweepPlan {
+        SweepPlan {
+            grid: "ensemble".into(),
+            preset: "unit".into(),
+            base_seed: 1,
+            n_cells: 1,
+            rows_per_cell: 1,
+        }
+    }
+
+    /// Runs [`one_cell`] on `/bin/sh -c script` workers; the cell's
+    /// record, its failure message if any, and the metrics snapshot.
+    fn run_one_cell(script: &str) -> (CellRecord, Option<String>, MetricsSnapshot) {
+        let metrics = Metrics::new();
+        let pool = ProcessPool::new(
+            WorkerSpawn {
+                program: "/bin/sh".into(),
+                args: vec!["-c".into(), script.into()],
+            },
+            &metrics,
+        );
+        let out = coordinator::run(&one_cell(), &RunConfig::default(), &pool, &metrics)
+            .expect("the run completes");
+        let record = out.records[0].clone().expect("the cell is recorded");
+        let failure = out.failed_cells.into_iter().next().map(|(_, e)| e);
+        (record, failure, metrics.snapshot(1))
+    }
+
+    #[test]
+    fn a_worker_that_dies_once_is_rescued_by_a_fresh_one() {
+        let marker = std::env::temp_dir().join(format!("worker-dies-once-{}", std::process::id()));
+        std::fs::remove_file(&marker).ok();
+        let done = checkpoint::encode_reply(0, 0, Ok(vec![CellOutcome::of_rate(0.5, 1)]));
+        let script = format!(
+            "if [ -e '{m}' ]; then while read -r cell; do echo {done}; done; \
+             else touch '{m}'; read -r cell; exit 0; fi",
+            m = marker.display()
+        );
+        let (record, failure, snap) = run_one_cell(&script);
+        std::fs::remove_file(&marker).ok();
+        assert_eq!((record.status, failure), (CellStatus::Done, None));
+        assert_eq!(record.outcomes[0].rate, 0.5);
+        assert_eq!((snap.retries, snap.worker_restarts), (1, 1));
+    }
+
+    #[test]
+    fn a_cell_error_the_worker_reports_is_not_retried() {
+        let failed = checkpoint::encode_reply(0, 0, Err("no such cell".into()));
+        let (record, failure, snap) =
+            run_one_cell(&format!("while read -r cell; do echo {failed}; done"));
+        assert_eq!(record.status, CellStatus::WorkerFailed);
+        assert_eq!(
+            failure.as_deref(),
+            Some("no such cell"),
+            "the worker's own message"
+        );
+        assert_eq!((snap.retries, snap.worker_restarts), (0, 0));
+    }
 
     #[test]
     fn transport_failures_retry_on_a_fresh_worker_then_fail_the_cell() {

@@ -17,10 +17,10 @@
 //!    the full run executed at index `i`, same seed, same configuration.
 //!
 //! The registry grids do not run here: `consensus-controlplane`'s
-//! coordinator dispatches their cells itself (checkpoint, retry,
-//! tracing) and seeds each one with the same [`cell_seed`], so a resumed
-//! subset of a grid is bit-identical to the same cells of a full run.
-//! [`SweepError`] and [`CellFailure`] are its error types.
+//! coordinator dispatches their cells itself (checkpoint, failure
+//! records, tracing) and seeds each one with the same [`cell_seed`], so
+//! a resumed subset of a grid is bit-identical to the same cells of a
+//! full run. [`SweepError`] is its checkpoint error type.
 
 use consensus_pool as pool;
 use rand::rngs::StdRng;
@@ -40,49 +40,13 @@ pub fn cell_seed(base_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One panicking cell of a sweep: everything needed to replay the
-/// failure solo — the cell index, the deterministic seed that cell ran
-/// with, and the panic message. `sweep.run_cell(failure.cell, runner)`
-/// reproduces it exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellFailure {
-    /// The index of the poisoned cell.
-    pub cell: usize,
-    /// The seed the poisoned cell ran with
-    /// (`cell_seed(base_seed, cell)`).
-    pub seed: u64,
-    /// The stringified panic payload.
-    pub message: String,
-}
-
-impl std::fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cell {} (seed {:#018x}): {}",
-            self.cell, self.seed, self.message
-        )
-    }
-}
-
-/// A sweep-level failure.
-///
-/// * [`SweepError::CellsPanicked`] — one or more cell runners
-///   panicked. **Every** panicking cell is listed with its replay seed
-///   (the pool collects them all), so a multi-cell failure is a
-///   complete census, not a one-at-a-time drip.
-/// * [`SweepError::Checkpoint`] — the checkpoint layer rejected
-///   something: an unreadable or corrupted `.sweepck` file, a header
-///   that does not match the sweep being resumed, or an append that
-///   failed mid-run.
+/// A checkpoint failure: the checkpoint layer rejected an unreadable or
+/// corrupted `.sweepck` file, a header that does not match the sweep
+/// being resumed, or an append that failed mid-run. A cell's own
+/// failure is never an error: the coordinator records the cell as
+/// failed and finishes the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
-    /// One or more cell runners panicked; ascending by cell index,
-    /// never empty.
-    CellsPanicked {
-        /// Every panicking cell with its replay seed and message.
-        failures: Vec<CellFailure>,
-    },
     /// Checkpoint I/O or validation failed.
     Checkpoint {
         /// The cell whose record was being written, when applicable.
@@ -101,35 +65,11 @@ impl SweepError {
             message: message.into(),
         }
     }
-
-    /// The per-cell failures (empty for checkpoint errors).
-    #[must_use]
-    pub fn failures(&self) -> &[CellFailure] {
-        match self {
-            SweepError::CellsPanicked { failures } => failures,
-            SweepError::Checkpoint { .. } => &[],
-        }
-    }
 }
 
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepError::CellsPanicked { failures } if failures.len() == 1 => {
-                let p = &failures[0];
-                write!(
-                    f,
-                    "sweep cell {} (seed {:#018x}) panicked: {}",
-                    p.cell, p.seed, p.message
-                )
-            }
-            SweepError::CellsPanicked { failures } => {
-                write!(f, "{} sweep cells panicked:", failures.len())?;
-                for p in failures {
-                    write!(f, " [{p}]")?;
-                }
-                Ok(())
-            }
             SweepError::Checkpoint {
                 cell: Some(c),
                 message,

@@ -91,7 +91,7 @@ pub mod report;
 pub mod stats;
 
 pub use grid::{EnsembleCell, EnsembleGrid, InitDist, Topology};
-pub use harness::{cell_seed, CellCtx, CellFailure, Sweep, SweepError, DEFAULT_BASE_SEED};
+pub use harness::{cell_seed, CellCtx, Sweep, SweepError, DEFAULT_BASE_SEED};
 pub use multidim::{MultidimCell, MultidimGrid, MultidimInitDist};
 pub use report::SweepReport;
 pub use stats::{fingerprint, CellOutcome, Stats, SweepSummary};
